@@ -10,12 +10,12 @@ import (
 	"testing"
 
 	"repro/internal/darco"
+	"repro/internal/emu"
 	"repro/internal/experiments"
 	"repro/internal/guest"
 	"repro/internal/timing"
 	"repro/internal/tol"
 	"repro/internal/workload"
-	"repro/internal/x86emu"
 )
 
 // figSubset is a representative slice of the catalog: one benchmark
@@ -146,7 +146,7 @@ func BenchmarkReferenceEmulator(b *testing.B) {
 	p := buildHotLoop(10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := x86emu.New(p)
+		e := emu.New(p)
 		if err := e.Run(10_000_000); err != nil {
 			b.Fatal(err)
 		}

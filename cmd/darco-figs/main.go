@@ -64,21 +64,12 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload dynamic-size multiplier")
 	csv := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit the tables as JSON")
-	cosim := flag.Bool("cosim", true, "verify against the authoritative emulator")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	benches := flag.String("benchmarks", "", "comma-separated subset of benchmarks (workload references)")
-	isaFlag := flag.String("isa", "", "guest ISA frontend: x86 or rv32 (default: per-program; benchmark names resolve through the selected frontend's catalog)")
 	workloadFlag := flag.String("workload", "", "comma-separated workload references (<source>:<name>) appended to -benchmarks")
 	phases := flag.Int("phases", 0, "largest composite of the -fig phase sweep (0 = default)")
 	phaseCap := flag.Int("phase-cap", 0, "bounded code-cache capacity of the -fig phase sweep in instruction slots (0 = default)")
-	passes := flag.String("passes", "", "SBM optimization pipeline (comma-separated pass names; 'none' = empty)")
-	optLevel := flag.Int("O", -1, "optimization preset 0..3 (-1 = default O2; 0 disables SBM)")
-	promote := flag.String("promote", "", "tier-promotion policy: fixed, adaptive")
-	ccSize := flag.Int("cc-size", 0, "bound the code cache to this many instruction slots (0 = unbounded)")
-	ccPolicy := flag.String("cc-policy", "", "code cache eviction policy: flush-all, fifo-region, lru-translation")
-	sampleEvery := flag.Int("sample", 0, "sampled simulation: measure every Nth interval in detail (0 = full detailed runs; with -fig sample, overrides the sweep's default plan)")
-	sampleInterval := flag.Uint64("interval", 0, "sampled simulation: interval length in guest instructions (0 = default)")
-	sampleWarmup := flag.Uint64("warmup", 0, "sampled simulation: detailed warm-up instructions before each measured interval (0 = default)")
+	knobs := darco.BindFlags(flag.CommandLine)
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	from := flag.String("from", "", "comma-separated JSON record files (darco/darco-suite -json output) to reuse instead of simulating")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the whole regeneration (0 = none)")
@@ -99,21 +90,18 @@ func main() {
 	opts := experiments.DefaultOptions()
 	opts.Scale = *scale
 	opts.Config = darco.DefaultConfig()
-	opts.Config.TOL.Cosim = *cosim
-	opts.Config.ISA = *isaFlag
-	if *fig == "cc" && (*ccSize != 0 || *ccPolicy != "") {
+	if *fig == "cc" && (knobs.CCSize != nil || knobs.CCPolicy != "") {
 		// The sweep sets its own capacity × policy matrix per point; a
 		// base-config bound would be silently overwritten. Use cmd/darco
 		// or cmd/darco-suite for a single bounded configuration.
 		fmt.Fprintln(os.Stderr, "darco-figs: -fig cc sweeps its own capacities and policies; -cc-size/-cc-policy apply to the other figures only")
 		os.Exit(2)
 	}
-	darco.ApplyCacheFlags(&opts.Config.TOL, *ccSize, *ccPolicy)
-	if err := darco.ApplyPipelineFlags(&opts.Config.TOL, *optLevel, *passes, *promote); err != nil {
-		fmt.Fprintln(os.Stderr, "darco-figs:", err)
-		os.Exit(2)
+	err := knobs.Apply(&opts.Config)
+	if err == nil {
+		err = opts.Config.Validate()
 	}
-	if err := darco.ApplySampleFlags(&opts.Config, *sampleEvery, *sampleInterval, *sampleWarmup); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "darco-figs:", err)
 		os.Exit(2)
 	}
@@ -157,7 +145,7 @@ func main() {
 		opts.Benchmarks = append(opts.Benchmarks, strings.Split(*workloadFlag, ",")...)
 	}
 	for i, ref := range opts.Benchmarks {
-		opts.Benchmarks[i] = workload.RefForISA(strings.TrimSpace(ref), *isaFlag)
+		opts.Benchmarks[i] = workload.RefForISA(strings.TrimSpace(ref), knobs.ISA)
 	}
 	if *from != "" {
 		for _, path := range strings.Split(*from, ",") {

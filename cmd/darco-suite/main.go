@@ -46,18 +46,9 @@ func main() {
 	suite := flag.String("suite", "", "restrict to one suite (int, fp, physics, media)")
 	bench := flag.String("bench", "", "restrict to one benchmark (exact name)")
 	modeFlag := flag.String("mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
-	isaFlag := flag.String("isa", "", "guest ISA frontend: x86 or rv32 (default: per-program; benchmark names resolve through the selected frontend's catalog)")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	jsonOut := flag.Bool("json", false, "emit JSON records (full results) instead of a table")
-	cosim := flag.Bool("cosim", true, "verify execution against the authoritative emulator")
-	passes := flag.String("passes", "", "SBM optimization pipeline (comma-separated pass names; 'none' = empty)")
-	optLevel := flag.Int("O", -1, "optimization preset 0..3 (-1 = default O2; 0 disables SBM)")
-	promote := flag.String("promote", "", "tier-promotion policy: fixed, adaptive")
-	ccSize := flag.Int("cc-size", 0, "bound the code cache to this many instruction slots (0 = unbounded)")
-	ccPolicy := flag.String("cc-policy", "", "code cache eviction policy: flush-all, fifo-region, lru-translation")
-	sampleEvery := flag.Int("sample", 0, "sampled simulation: measure every Nth interval in detail (0 = full detailed run)")
-	sampleInterval := flag.Uint64("interval", 0, "sampled simulation: interval length in guest instructions (0 = default)")
-	sampleWarmup := flag.Uint64("warmup", 0, "sampled simulation: detailed warm-up instructions before each measured interval (0 = default)")
+	knobs := darco.BindFlags(flag.CommandLine)
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	workloadFlag := flag.String("workload", "", "comma-separated workload references (<source>:<name>) added to the selection")
 	verbose := flag.Bool("v", false, "progress to stderr")
@@ -88,7 +79,7 @@ func main() {
 		}
 		specs = workload.BySuite(su)
 	case *workloadFlag == "":
-		if *isaFlag == "rv32" {
+		if knobs.ISA == "rv32" {
 			// The RV32I frontend ships a starter subset of the catalog;
 			// sweeping the full x86 catalog under -isa rv32 would fail on
 			// every unported entry.
@@ -99,24 +90,21 @@ func main() {
 	}
 	refs := make([]string, 0, len(specs))
 	for _, s := range specs {
-		refs = append(refs, workload.RefForISA(s.Name, *isaFlag))
+		refs = append(refs, workload.RefForISA(s.Name, knobs.ISA))
 	}
 	if *workloadFlag != "" {
 		for _, ref := range strings.Split(*workloadFlag, ",") {
-			refs = append(refs, workload.RefForISA(strings.TrimSpace(ref), *isaFlag))
+			refs = append(refs, workload.RefForISA(strings.TrimSpace(ref), knobs.ISA))
 		}
 	}
 
 	cfg := darco.DefaultConfig()
-	cfg.TOL.Cosim = *cosim
 	cfg.Mode = mode
-	cfg.ISA = *isaFlag
-	darco.ApplyCacheFlags(&cfg.TOL, *ccSize, *ccPolicy)
-	if err := darco.ApplyPipelineFlags(&cfg.TOL, *optLevel, *passes, *promote); err != nil {
-		fmt.Fprintln(os.Stderr, "darco-suite:", err)
-		os.Exit(2)
+	err = knobs.Apply(&cfg)
+	if err == nil {
+		err = cfg.Validate()
 	}
-	if err := darco.ApplySampleFlags(&cfg, *sampleEvery, *sampleInterval, *sampleWarmup); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "darco-suite:", err)
 		os.Exit(2)
 	}

@@ -5,7 +5,7 @@
 // infrastructure's architecture: the main interface for running
 // experiments.
 //
-// The host-facing API has three pillars:
+// The host-facing API has four pillars:
 //
 //   - Run(ctx, p, opts...): a context-aware single run configured with
 //     functional options (WithMode, WithTOLConfig, WithTiming,
@@ -22,6 +22,10 @@
 //   - JSON-serializable results: Result, Summary and Record marshal to
 //     JSON, making suite output machine-readable (cmd/darco-suite
 //     -json emits Records that cmd/darco-figs -from consumes).
+//   - Knobs: the one run-knob schema outside Go code — the cmd flags
+//     (BindFlags), grid values, the submit wire and fuzz cells all
+//     spell a knob through it, and Knobs.Apply folds it into a Config
+//     (see knobs.go).
 //
 // Programs come from the pluggable workload layer: a Job carries any
 // workload.Program, WithWorkload builds a Job from a
@@ -266,16 +270,6 @@ func Run(ctx context.Context, p *guest.Program, opts ...Option) (*Result, error)
 		o(&cfg)
 	}
 	return cfg.run(ctx, p)
-}
-
-// RunConfig executes the program to completion under an explicit
-// configuration.
-//
-// Deprecated: RunConfig is the pre-context signature kept as a thin
-// shim during the API transition. Use Run with WithConfig (or the
-// individual With* options) instead.
-func RunConfig(p *guest.Program, cfg Config) (*Result, error) {
-	return Run(context.Background(), p, WithConfig(cfg))
 }
 
 // sampleEnv carries the execution-environment knobs of a sampled run

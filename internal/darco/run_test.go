@@ -94,25 +94,6 @@ func TestRunOptionsApply(t *testing.T) {
 	}
 }
 
-// TestRunConfigShim checks the deprecated pre-context entry point
-// still matches the new API exactly.
-func TestRunConfigShim(t *testing.T) {
-	p := longLoop(2_000)
-	cfg := DefaultConfig()
-	cfg.TOL.Cosim = false
-	old, err := RunConfig(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nu, err := Run(context.Background(), p, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, nu) {
-		t.Error("RunConfig shim result differs from Run")
-	}
-}
-
 // TestResultJSONRoundTrip marshals a full benchmark Result and
 // requires the decoded struct to be deeply identical — the property
 // that makes -json suite output lossless for cmd/darco-figs -from.

@@ -179,7 +179,7 @@ func (r *Runner) program(name string) (workload.Program, error) {
 // darco.WithRemote) can re-open the same program server-side.
 func (r *Runner) job(p workload.Program, mode timing.Mode) (darco.Job, error) {
 	return sweep.JobFor(p, r.refs[p.Name()], r.opts.Scale, r.opts.Config,
-		&sweep.Knobs{Mode: mode.String()})
+		&darco.Knobs{Mode: mode.String()})
 }
 
 // run executes (or recalls) one benchmark under a mode.
@@ -293,7 +293,7 @@ func (r *Runner) Fig5() (*stats.Table, *stats.Table, error) {
 		Name:      "fig5",
 		Workloads: r.workloadRefs(),
 		Scale:     r.opts.Scale,
-		Base:      &sweep.Knobs{Mode: timing.ModeShared.String()},
+		Base:      &darco.Knobs{Mode: timing.ModeShared.String()},
 	})
 	if err != nil {
 		return nil, nil, err
@@ -532,20 +532,20 @@ func (r *Runner) ccGrid(caps []int, policies []string) *sweep.Grid {
 	zero := 0
 	polVals := []sweep.Value{{Name: "unbounded"}}
 	for _, pol := range policies {
-		polVals = append(polVals, sweep.Value{Name: pol, Knobs: sweep.Knobs{CCPolicy: pol}})
+		polVals = append(polVals, sweep.Value{Name: pol, Knobs: darco.Knobs{CCPolicy: pol}})
 	}
-	sizeVals := []sweep.Value{{Name: "inf", Knobs: sweep.Knobs{CCSize: &zero}}}
+	sizeVals := []sweep.Value{{Name: "inf", Knobs: darco.Knobs{CCSize: &zero}}}
 	var capNames []string
 	for i := range caps {
 		c := caps[i]
-		sizeVals = append(sizeVals, sweep.Value{Name: fmt.Sprint(c), Knobs: sweep.Knobs{CCSize: &c}})
+		sizeVals = append(sizeVals, sweep.Value{Name: fmt.Sprint(c), Knobs: darco.Knobs{CCSize: &c}})
 		capNames = append(capNames, fmt.Sprint(c))
 	}
 	g := &sweep.Grid{
 		Name:      "fig-cc",
 		Workloads: r.workloadRefs(),
 		Scale:     r.opts.Scale,
-		Base:      &sweep.Knobs{Mode: timing.ModeShared.String()},
+		Base:      &darco.Knobs{Mode: timing.ModeShared.String()},
 		Axes: []sweep.Axis{
 			{Name: "policy", Values: polVals},
 			{Name: "cc-size", Values: sizeVals},

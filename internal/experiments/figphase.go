@@ -72,16 +72,16 @@ func (r *Runner) phasePool() []string {
 // construction (suite records never describe composites).
 func phaseGrid(workloads []string, policies []string, capacityInsts int, scale float64) *sweep.Grid {
 	zero := 0
-	vals := []sweep.Value{{Name: "unbounded", Knobs: sweep.Knobs{CCSize: &zero}}}
+	vals := []sweep.Value{{Name: "unbounded", Knobs: darco.Knobs{CCSize: &zero}}}
 	for _, pol := range policies {
 		vals = append(vals, sweep.Value{Name: pol,
-			Knobs: sweep.Knobs{CCSize: &capacityInsts, CCPolicy: pol}})
+			Knobs: darco.Knobs{CCSize: &capacityInsts, CCPolicy: pol}})
 	}
 	return &sweep.Grid{
 		Name:      "fig-phase",
 		Workloads: workloads,
 		Scale:     scale,
-		Base:      &sweep.Knobs{Mode: timing.ModeShared.String()},
+		Base:      &darco.Knobs{Mode: timing.ModeShared.String()},
 		Axes:      []sweep.Axis{{Name: "policy", Values: vals}},
 		Baseline:  map[string]string{"policy": "unbounded"},
 	}

@@ -520,14 +520,14 @@ func TestGridJobKeysMatchOracle(t *testing.T) {
 	capacity := 512
 	for _, pol := range tol.RegisteredEvictionPolicies() {
 		got := key(sweep.JobFor(p, r.refs[p.Name()], r.opts.Scale, r.opts.Config,
-			&sweep.Knobs{Mode: "shared"}, &sweep.Knobs{CCPolicy: pol}, &sweep.Knobs{CCSize: &capacity}))
+			&darco.Knobs{Mode: "shared"}, &darco.Knobs{CCPolicy: pol}, &darco.Knobs{CCSize: &capacity}))
 		want := key(ok(r.oracleCCJob(p, capacity, pol)))
 		if got != want {
 			t.Errorf("cc %s: key %q, want %q", pol, got, want)
 		}
 	}
 	got := key(sweep.JobFor(p, r.refs[p.Name()], r.opts.Scale, r.opts.Config,
-		&sweep.Knobs{Mode: "shared"}, &sweep.Knobs{}, &sweep.Knobs{CCSize: &zero}))
+		&darco.Knobs{Mode: "shared"}, &darco.Knobs{}, &darco.Knobs{CCSize: &zero}))
 	if want := key(ok(r.oracleCCJob(p, 0, ""))); got != want {
 		t.Errorf("cc baseline: key %q, want %q", got, want)
 	}
@@ -555,7 +555,7 @@ func TestGridJobKeysMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = key(sweep.JobFor(pp, ref, r.opts.Scale, r.opts.Config,
-		&sweep.Knobs{Mode: "shared"}, &sweep.Knobs{CCSize: &capacity, CCPolicy: "flush-all"}))
+		&darco.Knobs{Mode: "shared"}, &darco.Knobs{CCSize: &capacity, CCPolicy: "flush-all"}))
 	if want := key(ok(r.oraclePhaseJob(op, capacity, "flush-all"))); got != want {
 		t.Errorf("phase: key %q, want %q", got, want)
 	}
@@ -563,13 +563,13 @@ func TestGridJobKeysMatchOracle(t *testing.T) {
 	// Sampled and full legs of FigSample.
 	sc := sample.Config{Interval: 10_000, Every: 3, Warmup: 1_000}
 	got = key(sweep.JobFor(p, r.refs[p.Name()], r.opts.Scale, r.opts.Config,
-		&sweep.Knobs{Mode: "shared", NoSample: true},
-		&sweep.Knobs{Sample: &sweep.SamplePlan{Every: sc.Every, Interval: sc.Interval, Warmup: &sc.Warmup}}))
+		&darco.Knobs{Mode: "shared", NoSample: true},
+		&darco.Knobs{Sample: &darco.SamplePlan{Every: sc.Every, Interval: sc.Interval, Warmup: &sc.Warmup}}))
 	if want := key(ok(r.oracleSampleJob(p, &sc))); got != want {
 		t.Errorf("sampled leg: key %q, want %q", got, want)
 	}
 	got = key(sweep.JobFor(p, r.refs[p.Name()], r.opts.Scale, r.opts.Config,
-		&sweep.Knobs{Mode: "shared", NoSample: true}))
+		&darco.Knobs{Mode: "shared", NoSample: true}))
 	if want := key(ok(r.oracleSampleJob(p, nil))); got != want {
 		t.Errorf("full leg: key %q, want %q", got, want)
 	}

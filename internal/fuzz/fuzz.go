@@ -38,61 +38,46 @@ import (
 	"repro/internal/tol"
 )
 
-// Cell is one point of the configuration matrix: the knobs that must
-// not change architectural behaviour.
+// Cell is one point of the configuration matrix: a darco.Knobs delta
+// over the default configuration. The shipped matrices vary only knobs
+// that must not change architectural behaviour.
 type Cell struct {
-	// OptLevel selects the O0–O3 pass-pipeline preset.
-	OptLevel int `json:"opt_level"`
-	// CacheInsts bounds the code cache (0 = unbounded) and CachePolicy
-	// names the eviction policy consulted under pressure.
-	CacheInsts  int    `json:"cache_insts,omitempty"`
-	CachePolicy string `json:"cache_policy,omitempty"`
-	// Promotion names the tier-promotion policy ("" = fixed).
-	Promotion string `json:"promotion,omitempty"`
-	// StreamBatch overrides the timing simulator's stream refill size
-	// (0 = default).
-	StreamBatch int `json:"stream_batch,omitempty"`
+	darco.Knobs
+}
+
+// cell builds a matrix point from the four knobs the matrices vary:
+// the O0–O3 preset, the code-cache bound in instruction slots (0 =
+// unbounded) with its eviction policy, the tier-promotion policy (""
+// = fixed) and the stream refill size (0 = default).
+func cell(opt, ccSize int, ccPolicy, promote string, batch int) Cell {
+	c := Cell{darco.Knobs{OptLevel: &opt, CCPolicy: ccPolicy, Promote: promote, StreamBatch: batch}}
+	if ccSize > 0 {
+		c.CCSize = &ccSize
+	}
+	return c
 }
 
 // Name renders the cell compactly for labels and reports, e.g.
 // "O2/lru-translation@4096/adaptive/batch1".
 func (c Cell) Name() string {
-	s := fmt.Sprintf("O%d", c.OptLevel)
-	if c.CacheInsts > 0 {
-		policy := c.CachePolicy
+	s := "default"
+	if c.OptLevel != nil {
+		s = fmt.Sprintf("O%d", *c.OptLevel)
+	}
+	if c.CCSize != nil && *c.CCSize > 0 {
+		policy := c.CCPolicy
 		if policy == "" {
 			policy = "flush-all"
 		}
-		s += fmt.Sprintf("/%s@%d", policy, c.CacheInsts)
+		s += fmt.Sprintf("/%s@%d", policy, *c.CCSize)
 	}
-	if c.Promotion != "" {
-		s += "/" + c.Promotion
+	if c.Promote != "" {
+		s += "/" + c.Promote
 	}
 	if c.StreamBatch > 0 {
 		s += fmt.Sprintf("/batch%d", c.StreamBatch)
 	}
 	return s
-}
-
-// Options renders the cell as run options. Co-simulation is always on
-// — it is the per-instruction half of the oracle — and maxGuestInsts
-// guards against generated programs that outrun their estimate.
-func (c Cell) Options(maxGuestInsts uint64) []darco.Option {
-	opts := []darco.Option{
-		darco.WithOptLevel(c.OptLevel),
-		darco.WithCosim(true),
-		func(cfg *darco.Config) {
-			cfg.TOL.MaxGuestInsts = maxGuestInsts
-			cfg.Timing.StreamBatch = c.StreamBatch
-		},
-	}
-	if c.CacheInsts > 0 {
-		opts = append(opts, darco.WithCodeCache(c.CacheInsts, c.CachePolicy))
-	}
-	if c.Promotion != "" {
-		opts = append(opts, darco.WithPromotion(c.Promotion))
-	}
-	return opts
 }
 
 // SmokeMatrix is the curated matrix for CI and the default fuzzrun
@@ -102,14 +87,14 @@ func (c Cell) Options(maxGuestInsts uint64) []darco.Option {
 // cross product's cost.
 func SmokeMatrix() []Cell {
 	return []Cell{
-		{OptLevel: 0},
-		{OptLevel: 1, StreamBatch: 1},
-		{OptLevel: 2},
-		{OptLevel: 3, Promotion: "adaptive"},
-		{OptLevel: 2, CacheInsts: 4096, CachePolicy: "flush-all"},
-		{OptLevel: 2, CacheInsts: 4096, CachePolicy: "fifo-region"},
-		{OptLevel: 3, CacheInsts: 4096, CachePolicy: "lru-translation"},
-		{OptLevel: 1, CacheInsts: 8192, CachePolicy: "lru-translation", Promotion: "adaptive"},
+		cell(0, 0, "", "", 0),
+		cell(1, 0, "", "", 1),
+		cell(2, 0, "", "", 0),
+		cell(3, 0, "", "adaptive", 0),
+		cell(2, 4096, "flush-all", "", 0),
+		cell(2, 4096, "fifo-region", "", 0),
+		cell(3, 4096, "lru-translation", "", 0),
+		cell(1, 8192, "lru-translation", "adaptive", 0),
 	}
 }
 
@@ -125,13 +110,7 @@ func FullMatrix() []Cell {
 		}{{0, ""}, {4096, "flush-all"}, {4096, "fifo-region"}, {4096, "lru-translation"}} {
 			for _, promo := range []string{"", "adaptive"} {
 				for _, batch := range []int{0, 1} {
-					out = append(out, Cell{
-						OptLevel:    opt,
-						CacheInsts:  cache.insts,
-						CachePolicy: cache.policy,
-						Promotion:   promo,
-						StreamBatch: batch,
-					})
+					out = append(out, cell(opt, cache.insts, cache.policy, promo, batch))
 				}
 			}
 		}

@@ -167,7 +167,7 @@ func TestOracleCoverageCountsEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = s.Clamp(60_000)
-	o := New([]Cell{{OptLevel: 2, CacheInsts: 512, CachePolicy: "lru-translation"}})
+	o := New([]Cell{cell(2, 512, "lru-translation", "", 0)})
 	rep, err := o.Check(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)

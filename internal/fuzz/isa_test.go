@@ -48,7 +48,7 @@ func TestOracleCleanOnRV32Specs(t *testing.T) {
 // same oracle and checks the per-ISA accounting sums to the total — a
 // sweep claiming both-ISA coverage must be able to prove it.
 func TestOracleCoverageSplitsByISA(t *testing.T) {
-	o := New([]Cell{{OptLevel: 2}})
+	o := New([]Cell{cell(2, 0, "", "", 0)})
 	var total Coverage
 	for _, ref := range []struct {
 		seed    int64

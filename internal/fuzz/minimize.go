@@ -76,9 +76,13 @@ func (o *Oracle) Minimize(ctx context.Context, f *Finding, maxAttempts int) (*Mi
 // reproduce runs spec under cell and returns the divergence if the run
 // diverged, nil if it ran clean or failed for an unrelated reason
 // (such a candidate is simply not accepted), and an error only for
-// context cancellation.
+// context cancellation or a cell whose knobs do not resolve.
 func (o *Oracle) reproduce(ctx context.Context, spec workload.Spec, cell Cell) (*tol.DivergenceError, error) {
-	_, err := o.session().Run(ctx, o.job(spec, cell))
+	job, err := o.job(spec, cell)
+	if err != nil {
+		return nil, err
+	}
+	_, err = o.session().Run(ctx, job)
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}

@@ -59,7 +59,7 @@ func seedCorpus(f *testing.F) {
 // (budget guards) skip — they are workload-shape noise, not bugs.
 func FuzzTranslatorCosim(f *testing.F) {
 	seedCorpus(f)
-	o := New([]Cell{{OptLevel: 3}})
+	o := New([]Cell{cell(3, 0, "", "", 0)})
 	o.MaxGuestInsts = 2 * nativeDynBudget
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, ok := decodeCase(data)
@@ -82,8 +82,8 @@ func FuzzTranslatorCosim(f *testing.F) {
 // respect.
 func FuzzSnapshotResume(f *testing.F) {
 	seedCorpus(f)
-	cell := Cell{OptLevel: 2}
-	o := New([]Cell{cell})
+	c := cell(2, 0, "", "", 0)
+	o := New([]Cell{c})
 	o.MaxGuestInsts = 2 * nativeDynBudget
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, ok := decodeCase(data)
@@ -91,7 +91,7 @@ func FuzzSnapshotResume(f *testing.F) {
 			t.Skip()
 		}
 		spec = spec.Clamp(nativeDynBudget / 2)
-		if err := o.checkSnapshotResume(context.Background(), spec, cell); err != nil {
+		if err := o.checkSnapshotResume(context.Background(), spec, c); err != nil {
 			// A failing *reference* run means the spec itself is noise
 			// (runaway guard, degenerate shape) — nothing snapshot-related
 			// was compared yet.

@@ -171,10 +171,27 @@ func (o *Oracle) session() *darco.Session {
 	return o.Session
 }
 
+// config renders a cell into the full run configuration: the cell's
+// knobs over the defaults, co-simulation forced on — it is the
+// per-instruction half of the oracle — the guard against generated
+// programs that outrun their estimate, then the oracle's extra options.
+func (o *Oracle) config(cell Cell) (darco.Config, error) {
+	cfg := darco.DefaultConfig()
+	if err := cell.Apply(&cfg); err != nil {
+		return cfg, fmt.Errorf("fuzz: cell %s: %w", cell.Name(), err)
+	}
+	cfg.TOL.Cosim = true
+	cfg.TOL.MaxGuestInsts = o.maxInsts()
+	for _, opt := range o.Extra {
+		opt(&cfg)
+	}
+	return cfg, nil
+}
+
 // job builds the session job running spec under cell.
-func (o *Oracle) job(spec workload.Spec, cell Cell) darco.Job {
-	opts := append(cell.Options(o.maxInsts()), o.Extra...)
-	return darco.JobForSpec(spec, 0, opts...)
+func (o *Oracle) job(spec workload.Spec, cell Cell) (darco.Job, error) {
+	cfg, err := o.config(cell)
+	return darco.JobForSpec(spec, 0, darco.WithConfig(cfg)), err
 }
 
 // Check runs one spec across the matrix and cross-checks the results.
@@ -188,7 +205,10 @@ func (o *Oracle) Check(ctx context.Context, spec workload.Spec) (*Report, error)
 	cells := o.cells()
 	jobs := make([]darco.Job, len(cells))
 	for i, cell := range cells {
-		jobs[i] = o.job(spec, cell)
+		var err error
+		if jobs[i], err = o.job(spec, cell); err != nil {
+			return nil, err
+		}
 	}
 	batch := o.session().RunBatch(ctx, jobs)
 
@@ -240,24 +260,16 @@ func (o *Oracle) Check(ctx context.Context, spec workload.Spec) (*Report, error)
 	return rep, nil
 }
 
-// resolveConfig renders a cell (plus the oracle's extra options) into
-// the full run configuration, for the legs that drive the engine and
-// timing simulator directly.
-func (o *Oracle) resolveConfig(cell Cell) darco.Config {
-	cfg := darco.DefaultConfig()
-	for _, opt := range append(cell.Options(o.maxInsts()), o.Extra...) {
-		opt(&cfg)
-	}
-	return cfg
-}
-
 // checkSnapshotResume pauses a run of spec at half its retired
 // instructions, checkpoints the whole machine through the snapshot
 // envelope, restores, resumes, and compares the completed run against
 // an uninterrupted one: timing, TOL statistics and final guest state
 // must all match exactly.
 func (o *Oracle) checkSnapshotResume(ctx context.Context, spec workload.Spec, cell Cell) error {
-	cfg := o.resolveConfig(cell)
+	cfg, err := o.config(cell)
+	if err != nil {
+		return err
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -331,13 +343,16 @@ func (o *Oracle) checkSnapshotResume(ctx context.Context, spec workload.Spec, ce
 // estimates, but retired instructions and the final architectural
 // state are exact and must match the full run.
 func (o *Oracle) checkSampledVsFull(ctx context.Context, spec workload.Spec, cell Cell) error {
-	sc := sample.Config{Interval: 20_000, Every: 2, Warmup: 2_000}
-	opts := append(cell.Options(o.maxInsts()), o.Extra...)
-	full, err := o.session().Run(ctx, darco.JobForSpec(spec, 0, opts...))
+	job, err := o.job(spec, cell)
+	if err != nil {
+		return err
+	}
+	full, err := o.session().Run(ctx, job)
 	if err != nil {
 		return fmt.Errorf("full run: %w", err)
 	}
-	sampled, err := o.session().Run(ctx, darco.JobForSpec(spec, 0, append(opts, darco.WithSampling(sc))...))
+	job.Opts = append(job.Opts, darco.WithSampling(sample.Config{Interval: 20_000, Every: 2, Warmup: 2_000}))
+	sampled, err := o.session().Run(ctx, job)
 	if err != nil {
 		return fmt.Errorf("sampled run: %w", err)
 	}

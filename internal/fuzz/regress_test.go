@@ -35,7 +35,11 @@ func TestRegressionCorpusReplaysClean(t *testing.T) {
 			}
 			prog := mustBuild(t, tr.Program())
 			for _, cell := range SmokeMatrix() {
-				res, err := darco.Run(ctx, prog, cell.Options(defaultMaxGuestInsts)...)
+				cfg, err := new(Oracle).config(cell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := darco.Run(ctx, prog, darco.WithConfig(cfg))
 				if err != nil {
 					if div, ok := AsDivergence(err); ok {
 						t.Errorf("%s: regressed:\n%s", cell.Name(), div.Report())

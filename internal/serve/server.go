@@ -47,7 +47,6 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/store"
-	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
@@ -278,7 +277,7 @@ func (s *Server) sweepExpired() {
 }
 
 // enforceStoreQuota applies the persistent store's size bound after a
-// finished job may have grown it.
+// job's run may have grown it.
 func (s *Server) enforceStoreQuota() {
 	if s.st == nil || s.storeMax <= 0 {
 		return
@@ -308,8 +307,12 @@ func (s *Server) runJob(j *job) {
 	s.logf("job %s start #%d (tenant %s, %s)", j.id, seq, j.tenant, j.ref)
 
 	res, err := s.sess.Run(j.ctx, j.sjob)
-	j.finish(s.recordBytes(j, res, err), err)
+	// The record is read before the quota can evict it, and the quota is
+	// enforced before the job turns terminal, so a client that has seen
+	// the job done never finds the store mid-eviction.
+	raw := s.recordBytes(j, res, err)
 	s.enforceStoreQuota()
+	j.finish(raw, err)
 
 	s.mu.Lock()
 	s.running--
@@ -326,8 +329,9 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// resolveConfig turns a submission into the fully resolved run
-// configuration, mirroring the flag semantics of the cmds.
+// resolveConfig turns a submission into the fully resolved, validated
+// run configuration: the server's base (or the submitted Config) with
+// the request's knobs folded in.
 func (s *Server) resolveConfig(req *SubmitRequest) (darco.Config, error) {
 	cfg := s.base
 	if req.Config != nil {
@@ -335,28 +339,10 @@ func (s *Server) resolveConfig(req *SubmitRequest) (darco.Config, error) {
 		cfg.Progress = nil
 		cfg.ProgressEvery = 0
 	}
-	if req.Mode != "" {
-		m, err := timing.ParseMode(req.Mode)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Mode = m
-	}
-	if req.Cosim != nil {
-		cfg.TOL.Cosim = *req.Cosim
-	}
-	if req.MaxCycles != 0 {
-		cfg.MaxCycles = req.MaxCycles
-	}
-	darco.ApplyCacheFlags(&cfg.TOL, req.CCSize, req.CCPolicy)
-	opt := -1
-	if req.OptLevel != nil {
-		opt = *req.OptLevel
-	}
-	if err := darco.ApplyPipelineFlags(&cfg.TOL, opt, req.Passes, req.Promote); err != nil {
+	if err := req.Knobs.Apply(&cfg); err != nil {
 		return cfg, err
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -400,7 +386,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if scale == 0 {
 		scale = 1
 	}
-	sjob, err := darco.WithWorkload(req.Workload, scale, darco.WithConfig(cfg))
+	sjob, err := darco.WithWorkload(workload.RefForISA(req.Workload, cfg.ISA), scale, darco.WithConfig(cfg))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -10,15 +10,15 @@ import (
 // that reads cmd/darco-suite -json output.
 
 // SubmitRequest is the body of POST /jobs: a workload Source-registry
-// reference plus the run configuration, mirroring the
-// darco.WithWorkload / ApplyPipelineFlags / ApplyCacheFlags semantics
-// of the command-line tools. Config, when present, replaces the
-// server's base configuration; the flag-style fields are then applied
-// on top exactly like the cmd flags, so a client can send either a
+// reference plus the run configuration. Config, when present, replaces
+// the server's base configuration; the embedded darco.Knobs — the
+// schema the cmd flags and grid values share, with the same keys and
+// meaning — are then applied on top, so a client can send either a
 // full resolved Config or just the knobs it cares about.
 type SubmitRequest struct {
 	// Workload is the Source-registry reference ("<source>:<name>"; a
-	// bare name means synthetic). It is resolved on the server.
+	// bare name means synthetic). It is resolved on the server, through
+	// workload.RefForISA when the resolved configuration pins an ISA.
 	Workload string `json:"workload"`
 	// Scale is the dynamic-size multiplier (0 means 1.0).
 	Scale float64 `json:"scale,omitempty"`
@@ -31,17 +31,7 @@ type SubmitRequest struct {
 	// (darco.Config JSON; the Progress hook does not travel).
 	Config *darco.Config `json:"config,omitempty"`
 
-	// Flag-style overrides, applied on top of the base (or Config):
-	// the exact semantics of the -mode/-O/-passes/-promote/-cc-size/
-	// -cc-policy/-cosim flags of the cmds.
-	Mode      string `json:"mode,omitempty"`
-	OptLevel  *int   `json:"opt_level,omitempty"`
-	Passes    string `json:"passes,omitempty"`
-	Promote   string `json:"promote,omitempty"`
-	CCSize    int    `json:"cc_size,omitempty"`
-	CCPolicy  string `json:"cc_policy,omitempty"`
-	Cosim     *bool  `json:"cosim,omitempty"`
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
+	darco.Knobs
 }
 
 // SubmitResponse is the body of a 202 from POST /jobs.

@@ -1,8 +1,8 @@
 // Package sweep is the declarative characterization-grid engine of the
 // infrastructure: the paper's evaluation is a matrix of workloads
 // against software-layer knobs, and this package turns such a matrix —
-// a Grid of workload references × named Axis values over the existing
-// knob surface (code-cache size and policy, optimization pipeline,
+// a Grid of workload references × named Axis values, each a
+// darco.Knobs delta (code-cache size and policy, optimization pipeline,
 // promotion, stream batching, timing mode and host parameters,
 // sampling plan) — into darco.Session jobs, executes them sharded in
 // parallel (locally or on a darco-serve instance via darco.WithRemote),
@@ -31,134 +31,8 @@ import (
 	"io"
 
 	"repro/internal/darco"
-	"repro/internal/sample"
-	"repro/internal/timing"
 	"repro/internal/workload"
 )
-
-// Knobs is one cell's (or the grid base's) configuration delta over
-// the existing knob surface. Every field mirrors the semantics of the
-// corresponding command-line flag (and of serve.SubmitRequest), so a
-// grid can sweep any knob the tools expose without per-knob engine
-// code: zero values mean "not set" and leave the base configuration
-// untouched.
-type Knobs struct {
-	// Mode selects the timing-simulator stream mode ("shared",
-	// "app-only", "tol-only", "split").
-	Mode string `json:"mode,omitempty"`
-	// ISA pins the cell to one guest frontend ("x86" or "rv32") —
-	// darco.WithISA semantics — and redirects synthetic-catalog
-	// workload references to that frontend's catalog source, so an ISA
-	// axis sweeps the same benchmark name across frontends.
-	ISA string `json:"isa,omitempty"`
-	// OptLevel selects an optimization preset 0..3 (nil = keep; 0
-	// disables SBM), Passes an explicit pipeline, Promote the
-	// tier-promotion policy — darco.ApplyPipelineFlags semantics.
-	OptLevel *int   `json:"opt_level,omitempty"`
-	Passes   string `json:"passes,omitempty"`
-	Promote  string `json:"promote,omitempty"`
-	// CCSize bounds the code cache in instruction slots; an explicit 0
-	// restores the unbounded cache (clearing the policy too). CCPolicy
-	// selects the eviction policy.
-	CCSize   *int   `json:"cc_size,omitempty"`
-	CCPolicy string `json:"cc_policy,omitempty"`
-	// Cosim toggles co-simulation; MaxCycles bounds the run.
-	Cosim     *bool  `json:"cosim,omitempty"`
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	// StreamBatch sets the simulator's stream refill size (> 0).
-	StreamBatch int `json:"stream_batch,omitempty"`
-	// Sample switches the cell to sampled simulation under the given
-	// plan; NoSample restores full detail (overriding a sampled base).
-	Sample   *SamplePlan `json:"sample,omitempty"`
-	NoSample bool        `json:"no_sample,omitempty"`
-	// Timing replaces the whole host microarchitecture configuration
-	// (paper Table I), the escape hatch for sweeping any timing
-	// parameter without a dedicated knob.
-	Timing *timing.Config `json:"timing,omitempty"`
-}
-
-// SamplePlan is the sampling-plan knob: -sample/-interval/-warmup
-// flag semantics (Every required; Interval 0 and Warmup nil fall back
-// to the sample.DefaultConfig values; an explicit "warmup": 0 is
-// honored).
-type SamplePlan struct {
-	Every    int     `json:"every"`
-	Interval uint64  `json:"interval,omitempty"`
-	Warmup   *uint64 `json:"warmup,omitempty"`
-}
-
-// apply folds the knobs into cfg, mirroring the flag-application
-// helpers of the cmds so a grid cell and the equivalent command line
-// resolve to the identical configuration (and therefore the identical
-// memo key).
-func (k *Knobs) apply(cfg *darco.Config) error {
-	if k == nil {
-		return nil
-	}
-	if k.Timing != nil {
-		cfg.Timing = *k.Timing
-	}
-	if k.Mode != "" {
-		m, err := timing.ParseMode(k.Mode)
-		if err != nil {
-			return err
-		}
-		cfg.Mode = m
-	}
-	if k.ISA != "" {
-		cfg.ISA = k.ISA
-	}
-	if k.Cosim != nil {
-		cfg.TOL.Cosim = *k.Cosim
-	}
-	if k.MaxCycles != 0 {
-		cfg.MaxCycles = k.MaxCycles
-	}
-	if k.StreamBatch > 0 {
-		cfg.Timing.StreamBatch = k.StreamBatch
-	}
-	if k.CCSize != nil {
-		cfg.TOL.Cache.CapacityInsts = *k.CCSize
-		if *k.CCSize == 0 {
-			cfg.TOL.Cache.Policy = ""
-		}
-	}
-	if k.CCPolicy != "" {
-		cfg.TOL.Cache.Policy = k.CCPolicy
-	}
-	if k.OptLevel != nil || k.Passes != "" || k.Promote != "" {
-		// ApplyPipelineFlags validates the whole TOL config, so it only
-		// runs for knobs that actually touch the pipeline: a knob from
-		// one axis may leave a state another axis completes (a policy
-		// without its capacity), which is validated once per cell after
-		// every delta is folded in.
-		opt := -1
-		if k.OptLevel != nil {
-			opt = *k.OptLevel
-		}
-		if err := darco.ApplyPipelineFlags(&cfg.TOL, opt, k.Passes, k.Promote); err != nil {
-			return err
-		}
-	}
-	if k.NoSample {
-		cfg.Sampling = nil
-	}
-	if k.Sample != nil {
-		sc := sample.DefaultConfig()
-		sc.Every = k.Sample.Every
-		if k.Sample.Interval > 0 {
-			sc.Interval = k.Sample.Interval
-		}
-		if k.Sample.Warmup != nil {
-			sc.Warmup = *k.Sample.Warmup
-		}
-		if err := sc.Validate(); err != nil {
-			return err
-		}
-		cfg.Sampling = &sc
-	}
-	return nil
-}
 
 // Value is one named point on an axis: a display/reference name plus
 // the knob delta the point applies. The zero delta is valid — a value
@@ -166,7 +40,7 @@ func (k *Knobs) apply(cfg *darco.Config) error {
 // point.
 type Value struct {
 	Name string `json:"name"`
-	Knobs
+	darco.Knobs
 }
 
 // Axis is one swept dimension: a name (the column header and the key
@@ -231,7 +105,7 @@ type Grid struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Base is a knob delta applied to every cell before its axis
 	// values — the place a grid pins the mode or disables cosim.
-	Base *Knobs `json:"base,omitempty"`
+	Base *darco.Knobs `json:"base,omitempty"`
 	// Axes are the swept dimensions, first axis outermost in cell
 	// order. A grid with no axes runs each workload once at Base.
 	Axes []Axis `json:"axes,omitempty"`
@@ -402,8 +276,8 @@ func (g *Grid) value(axis, name string) *Value {
 
 // knobsFor collects the knob deltas of one cell: the grid base first,
 // then each coordinate's value in axis order.
-func (g *Grid) knobsFor(cell Cell) []*Knobs {
-	ks := make([]*Knobs, 0, 1+len(cell.Coords))
+func (g *Grid) knobsFor(cell Cell) []*darco.Knobs {
+	ks := make([]*darco.Knobs, 0, 1+len(cell.Coords))
 	if g.Base != nil {
 		ks = append(ks, g.Base)
 	}
@@ -413,22 +287,6 @@ func (g *Grid) knobsFor(cell Cell) []*Knobs {
 		}
 	}
 	return ks
-}
-
-// isaFor resolves the effective ISA of one cell by folding the knob
-// deltas in apply order (base configuration, grid base, then the
-// coordinates' values), mirroring what JobFor's Config.ISA ends up as.
-func (g *Grid) isaFor(base darco.Config, cell Cell) string {
-	isa := base.ISA
-	if g.Base != nil && g.Base.ISA != "" {
-		isa = g.Base.ISA
-	}
-	for _, co := range cell.Coords {
-		if v := g.value(co.Axis, co.Value); v != nil && v.ISA != "" {
-			isa = v.ISA
-		}
-	}
-	return isa
 }
 
 // baselineCoords returns the declared baseline cell's coordinates in
@@ -472,10 +330,10 @@ func DecodeGrid(r io.Reader) (*Grid, error) {
 // shortcut whenever its resolved configuration deviates from the base
 // at the same mode — preloaded Records are matched by (name, mode)
 // only and describe base-configuration runs.
-func JobFor(p workload.Program, ref string, scale float64, base darco.Config, knobs ...*Knobs) (darco.Job, error) {
+func JobFor(p workload.Program, ref string, scale float64, base darco.Config, knobs ...*darco.Knobs) (darco.Job, error) {
 	cfg := base
 	for _, k := range knobs {
-		if err := k.apply(&cfg); err != nil {
+		if err := k.Apply(&cfg); err != nil {
 			return darco.Job{}, fmt.Errorf("sweep: %s: %w", p.Name(), err)
 		}
 	}

@@ -15,15 +15,15 @@ func testGrid() *Grid {
 		Name:      "t",
 		Workloads: []string{"462.libquantum", "429.mcf"},
 		Scale:     0.1,
-		Base:      &Knobs{Mode: "shared"},
+		Base:      &darco.Knobs{Mode: "shared"},
 		Axes: []Axis{
 			{Name: "promotion", Values: []Value{
 				{Name: "default"},
-				{Name: "eager", Knobs: Knobs{Promote: "adaptive"}},
+				{Name: "eager", Knobs: darco.Knobs{Promote: "adaptive"}},
 			}},
 			{Name: "batch", Values: []Value{
-				{Name: "256", Knobs: Knobs{StreamBatch: 256}},
-				{Name: "1024", Knobs: Knobs{StreamBatch: 1024}},
+				{Name: "256", Knobs: darco.Knobs{StreamBatch: 256}},
+				{Name: "1024", Knobs: darco.Knobs{StreamBatch: 1024}},
 			}},
 		},
 	}
@@ -180,14 +180,14 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 
 	// A mode-only change keeps the preload shortcut (records are keyed
 	// by mode); any other deviation opts out.
-	j, err := JobFor(p, "462.libquantum", 1, base, &Knobs{Mode: "tol-only"})
+	j, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "tol-only"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.NoPreload {
 		t.Fatal("mode-only change disabled preload")
 	}
-	j, err = JobFor(p, "462.libquantum", 1, base, &Knobs{Mode: "shared"}, &Knobs{StreamBatch: 256})
+	j, err = JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "shared"}, &darco.Knobs{StreamBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	// An explicit cc_size 0 restores the unbounded cache and clears a
 	// policy a base or earlier knob set.
 	j, err = JobFor(p, "462.libquantum", 1, base,
-		&Knobs{CCSize: intp(512), CCPolicy: "flush-all"}, &Knobs{CCSize: intp(0)})
+		&darco.Knobs{CCSize: intp(512), CCPolicy: "flush-all"}, &darco.Knobs{CCSize: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	}
 
 	// Invalid knob combinations fail at job construction.
-	if _, err := JobFor(p, "462.libquantum", 1, base, &Knobs{Mode: "warp-speed"}); err == nil {
+	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "warp-speed"}); err == nil {
 		t.Fatal("bad mode accepted")
 	}
-	if _, err := JobFor(p, "462.libquantum", 1, base, &Knobs{CCPolicy: "flush-all"}); err == nil {
+	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{CCPolicy: "flush-all"}); err == nil {
 		t.Fatal("policy without capacity accepted")
 	}
 	bad := -1
-	if _, err := JobFor(p, "462.libquantum", 1, base, &Knobs{Sample: &SamplePlan{Every: bad}}); err == nil {
+	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Sample: &darco.SamplePlan{Every: bad}}); err == nil {
 		t.Fatal("bad sample plan accepted")
 	}
 }

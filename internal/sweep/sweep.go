@@ -132,12 +132,19 @@ func RunOn(ctx context.Context, sess *darco.Session, g *Grid, opts Options) (*Re
 	rows := make([]Row, len(cells))
 	jobs := make([]darco.Job, len(cells))
 	for i, cell := range cells {
-		ref := workload.RefForISA(cell.Workload, g.isaFor(base, cell))
+		knobs := g.knobsFor(cell)
+		isa := base.ISA
+		for _, k := range knobs {
+			if k.ISA != "" {
+				isa = k.ISA
+			}
+		}
+		ref := workload.RefForISA(cell.Workload, isa)
 		p, err := open(ref)
 		if err != nil {
 			return nil, err
 		}
-		j, err := JobFor(p, ref, g.Scale, base, g.knobsFor(cell)...)
+		j, err := JobFor(p, ref, g.Scale, base, knobs...)
 		if err != nil {
 			return nil, err
 		}

@@ -4,18 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/guest"
 	"repro/internal/mem"
 	"repro/internal/timing"
-	"repro/internal/x86emu"
 )
 
 // runBoth executes a program on the authoritative emulator and through
 // the full engine (cosim enabled: every boundary is state-checked) and
 // compares the final architectural state.
-func runBoth(t *testing.T, p *guest.Program, cfg Config) (*Engine, *x86emu.Emulator) {
+func runBoth(t *testing.T, p *guest.Program, cfg Config) (*Engine, *emu.Emulator) {
 	t.Helper()
-	ref := x86emu.New(p)
+	ref := emu.New(p)
 	if err := ref.Run(50_000_000); err != nil {
 		t.Fatalf("reference: %v", err)
 	}

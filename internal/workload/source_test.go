@@ -11,8 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/guest"
-	"repro/internal/x86emu"
 )
 
 // imageHash fingerprints a built guest image: code, data segments,
@@ -330,12 +330,12 @@ func TestPhasedProgram(t *testing.T) {
 	if img.StaticInst <= sp.StaticInst {
 		t.Fatalf("composite static %d not larger than member %d", img.StaticInst, sp.StaticInst)
 	}
-	e := x86emu.New(img)
+	e := emu.New(img)
 	if err := e.Run(200_000_000); err != nil {
 		t.Fatalf("phased run: %v", err)
 	}
 	// Dynamic size must exceed the first member alone: later phases ran.
-	es := x86emu.New(sp)
+	es := emu.New(sp)
 	if err := es.Run(200_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestPhasedDispatcherTablesDistinct(t *testing.T) {
 	if addrs[0] == addrs[1] {
 		t.Fatalf("jump tables alias at 0x%x", addrs[0])
 	}
-	e := x86emu.New(img)
+	e := emu.New(img)
 	if err := e.Run(200_000_000); err != nil {
 		t.Fatalf("dispatcher composite run: %v", err)
 	}

@@ -3,7 +3,7 @@ package workload
 import (
 	"testing"
 
-	"repro/internal/x86emu"
+	"repro/internal/emu"
 )
 
 func TestCatalogComplete(t *testing.T) {
@@ -55,7 +55,7 @@ func TestAllBenchmarksBuildAndHalt(t *testing.T) {
 		if p.StaticInst == 0 || len(p.Code) == 0 {
 			t.Fatalf("%s: empty program", s.Name)
 		}
-		e := x86emu.New(p)
+		e := emu.New(p)
 		if err := e.Run(100_000_000); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -113,7 +113,7 @@ func TestIndirectDensityDiffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := x86emu.New(p)
+		e := emu.New(p)
 		if err := e.Run(100_000_000); err != nil {
 			t.Fatal(err)
 		}
