@@ -53,74 +53,17 @@ func BenchmarkTableIConfig(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Distribution regenerates Figure 5a/5b rows.
-func BenchmarkFig5Distribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := figRunner(b, 0.25)
-		if _, _, err := r.Fig5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6Breakdown regenerates Figure 6 rows.
-func BenchmarkFig6Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := figRunner(b, 0.25)
-		if _, err := r.Fig6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7TOLComponents regenerates Figure 7 rows.
-func BenchmarkFig7TOLComponents(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := figRunner(b, 0.25)
-		if _, err := r.Fig7(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8TOLPerformance regenerates Figure 8 rows (TOL isolated).
-func BenchmarkFig8TOLPerformance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := figRunner(b, 0.25)
-		if _, err := r.Fig8(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9Bubbles regenerates Figure 9 rows.
-func BenchmarkFig9Bubbles(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := figRunner(b, 0.25)
-		if _, err := r.Fig9(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10Interaction regenerates Figure 10 rows (two timing
-// runs per benchmark).
-func BenchmarkFig10Interaction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := figRunner(b, 0.25)
-		if _, err := r.Fig10(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig11Potential regenerates Figure 11a/11b rows.
-func BenchmarkFig11Potential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := figRunner(b, 0.25)
-		if _, _, err := r.Fig11(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkFigure regenerates each paper figure's rows on a fresh
+// runner (Figures 10 and 11 take two timing runs per benchmark).
+func BenchmarkFigure(b *testing.B) {
+	for _, id := range experiments.FigureIDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := figRunner(b, 0.25).Figure(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -46,8 +46,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"repro/internal/darco"
@@ -59,25 +61,83 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5a, 5b, 6, 7, 7b, 8, 9, 10, 11, cc, phase, sample, all ('all' excludes the cc, phase and sample sweeps)")
-	scale := flag.Float64("scale", 1.0, "workload dynamic-size multiplier")
-	csv := flag.Bool("csv", false, "emit CSV")
-	jsonOut := flag.Bool("json", false, "emit the tables as JSON")
-	quiet := flag.Bool("q", false, "suppress progress output")
-	benches := flag.String("benchmarks", "", "comma-separated subset of benchmarks (workload references)")
-	workloadFlag := flag.String("workload", "", "comma-separated workload references (<source>:<name>) appended to -benchmarks")
-	phases := flag.Int("phases", 0, "largest composite of the -fig phase sweep (0 = default)")
-	phaseCap := flag.Int("phase-cap", 0, "bounded code-cache capacity of the -fig phase sweep in instruction slots (0 = default)")
-	knobs := darco.BindFlags(flag.CommandLine)
-	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	from := flag.String("from", "", "comma-separated JSON record files (darco/darco-suite -json output) to reuse instead of simulating")
-	timeout := flag.Duration("timeout", 0, "overall deadline for the whole regeneration (0 = none)")
-	server := flag.String("server", "", "run on a darco-serve instance at this base URL instead of simulating locally")
-	gridSpec := flag.String("grid", "", "run a declarative characterization grid from this JSON spec (see examples/grids) instead of the built-in figures")
-	storeDir := flag.String("store", "", "content-addressed result store directory; completed work persists there and re-runs resume from it")
-	shard := flag.String("shard", "", "with -grid, run only this deterministic slice of the cells, as i/n (e.g. 0/4)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// sweepIDs are the parameterized sweeps -fig selects besides the paper
+// figures; they are opt-in and not part of "all" (cc runs 1 +
+// 3×len(capacities) simulations per benchmark, phase simulates
+// composites of growing length, sample runs and times every benchmark
+// twice), so restrict them with -benchmarks for quick sweeps.
+var sweepIDs = []string{"cc", "phase", "sample"}
+
+// run is the whole command behind a testable seam: it parses args,
+// writes the report to stdout and diagnostics to stderr, and returns
+// the exit code (0 ok, 1 run failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	figIDs := append(append(experiments.FigureIDs(), sweepIDs...), "all")
+
+	fs := flag.NewFlagSet("darco-figs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate: "+strings.Join(figIDs, ", ")+" (5a, 5b select one table of figure 5; 'all' excludes the "+strings.Join(sweepIDs, ", ")+" sweeps)")
+	scale := fs.Float64("scale", 1.0, "workload dynamic-size multiplier")
+	csv := fs.Bool("csv", false, "emit CSV")
+	jsonOut := fs.Bool("json", false, "emit the tables as JSON")
+	quiet := fs.Bool("q", false, "suppress progress output")
+	benches := fs.String("benchmarks", "", "comma-separated subset of benchmarks (workload references)")
+	workloadFlag := fs.String("workload", "", "comma-separated workload references (<source>:<name>) appended to -benchmarks")
+	phases := fs.Int("phases", 0, "largest composite of the -fig phase sweep (0 = default)")
+	phaseCap := fs.Int("phase-cap", 0, "bounded code-cache capacity of the -fig phase sweep in instruction slots (0 = default)")
+	knobs := darco.BindFlags(fs)
+	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	from := fs.String("from", "", "comma-separated JSON record files (darco/darco-suite -json output) to reuse instead of simulating")
+	timeout := fs.Duration("timeout", 0, "overall deadline for the whole regeneration (0 = none)")
+	server := fs.String("server", "", "run on a darco-serve instance at this base URL instead of simulating locally")
+	gridSpec := fs.String("grid", "", "run a declarative characterization grid from this JSON spec (see examples/grids) instead of the built-in figures")
+	storeDir := fs.String("store", "", "content-addressed result store directory; completed work persists there and re-runs resume from it")
+	shard := fs.String("shard", "", "with -grid, run only this deterministic slice of the cells, as i/n (e.g. 0/4)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	exit := func(code int, a ...any) int {
+		fmt.Fprintln(stderr, a...)
+		return code
+	}
+	usage := func(a ...any) int { return exit(2, append([]any{"darco-figs:"}, a...)...) }
+
+	// The figure selection: 5a/5b name one table of figure 5.
+	sel, onlyTable := *fig, -1
+	if sel == "5a" || sel == "5b" {
+		sel, onlyTable = "5", int(sel[1]-'a')
+	}
+	if !slices.Contains(figIDs, sel) {
+		return usage(fmt.Sprintf("unknown -fig %q (have %s)", *fig, strings.Join(figIDs, ", ")))
+	}
+	// Flags that the selected path would silently ignore are usage
+	// errors, each with the reason it has no effect there.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	for _, c := range []struct {
+		when   bool
+		flags  []string
+		reason string
+	}{
+		{*gridSpec != "", []string{"fig", "benchmarks", "workload", "from", "phases", "phase-cap"}, "-grid runs the spec's own workloads and axes"},
+		{*gridSpec == "", []string{"shard"}, "it selects a slice of a -grid sweep's cells"},
+		{sel != "phase", []string{"phases", "phase-cap"}, "it sizes the -fig phase sweep"},
+		{sel == "sample", []string{"server", "store", "from"}, "-fig sample times fresh local runs on a private session"},
+		// A base-config bound would be overwritten per point.
+		{sel == "cc" && (knobs.CCSize != nil || knobs.CCPolicy != ""), []string{"cc-size", "cc-policy"},
+			"-fig cc sweeps its own capacities and policies (use cmd/darco or cmd/darco-suite for a single bounded configuration)"},
+	} {
+		for _, name := range c.flags {
+			if c.when && given[name] {
+				return usage(fmt.Sprintf("-%s has no effect here: %s", name, c.reason))
+			}
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -89,24 +149,15 @@ func main() {
 
 	opts := experiments.DefaultOptions()
 	opts.Scale = *scale
-	opts.Config = darco.DefaultConfig()
-	if *fig == "cc" && (knobs.CCSize != nil || knobs.CCPolicy != "") {
-		// The sweep sets its own capacity × policy matrix per point; a
-		// base-config bound would be silently overwritten. Use cmd/darco
-		// or cmd/darco-suite for a single bounded configuration.
-		fmt.Fprintln(os.Stderr, "darco-figs: -fig cc sweeps its own capacities and policies; -cc-size/-cc-policy apply to the other figures only")
-		os.Exit(2)
-	}
 	err := knobs.Apply(&opts.Config)
 	if err == nil {
 		err = opts.Config.Validate()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "darco-figs:", err)
-		os.Exit(2)
+		return usage(err)
 	}
 	samplePlan := opts.Config.Sampling
-	if *fig == "sample" {
+	if sel == "sample" {
 		// The sweep compares sampled against full runs itself; the base
 		// config must stay full-detail so the reference leg is one.
 		opts.Config.Sampling = nil
@@ -117,26 +168,20 @@ func main() {
 		opts.SessionOptions = append(opts.SessionOptions, darco.WithRemote(serve.NewClient(*server)))
 	}
 	if !*quiet {
-		opts.Log = os.Stderr
+		opts.Log = stderr
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "darco-figs:", err)
-			os.Exit(2)
+			return usage(err)
 		}
 		opts.SessionOptions = append(opts.SessionOptions, darco.WithStore(st))
 	}
 	if *gridSpec != "" {
-		if err := runGrid(ctx, *gridSpec, *shard, &opts, *csv, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "darco-figs:", err)
-			os.Exit(1)
+		if err := runGrid(ctx, stdout, *gridSpec, *shard, &opts, *csv, *jsonOut); err != nil {
+			return exit(1, "darco-figs:", err)
 		}
-		return
-	}
-	if *shard != "" {
-		fmt.Fprintln(os.Stderr, "darco-figs: -shard only applies to -grid sweeps")
-		os.Exit(2)
+		return 0
 	}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
@@ -151,16 +196,14 @@ func main() {
 		for _, path := range strings.Split(*from, ",") {
 			recs, err := loadRecords(strings.TrimSpace(path))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "darco-figs:", err)
-				os.Exit(2)
+				return usage(err)
 			}
 			opts.Preload = append(opts.Preload, recs...)
 		}
 	}
 	r, err := experiments.NewRunner(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return exit(2, err)
 	}
 
 	var jsonTables []*stats.Table
@@ -169,119 +212,51 @@ func main() {
 		case *jsonOut:
 			jsonTables = append(jsonTables, t)
 		case *csv:
-			fmt.Print(t.CSV())
-			fmt.Println()
+			fmt.Fprintln(stdout, t.CSV())
 		default:
-			fmt.Print(t.String())
-			fmt.Println()
+			fmt.Fprintln(stdout, t.String())
 		}
-	}
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 
-	want := func(name string) bool { return *fig == "all" || *fig == name }
-
-	if want("5a") || want("5b") || want("5") {
-		ta, tb, err := r.Fig5()
+	for _, id := range experiments.FigureIDs() {
+		if sel != "all" && sel != id {
+			continue
+		}
+		tables, err := r.Figure(id)
 		if err != nil {
-			die(err)
+			return exit(1, err)
 		}
-		if want("5a") || want("5") {
-			emit(ta)
-		}
-		if want("5b") || want("5") {
-			emit(tb)
+		for i, t := range tables {
+			if onlyTable < 0 || i == onlyTable {
+				emit(t)
+			}
 		}
 	}
-	if want("6") {
-		t, err := r.Fig6()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
+	var t *stats.Table
+	switch sel {
+	case "cc":
+		t, err = r.FigCC(nil)
+	case "phase":
+		t, err = r.FigPhase(*phases, *phaseCap)
+	case "sample":
+		// -sample/-interval/-warmup override the sweep's default plan.
+		t, err = r.FigSample(samplePlan)
 	}
-	if want("7") {
-		t, err := r.Fig7()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
+	if err != nil {
+		return exit(1, err)
 	}
-	if want("7b") {
-		t, err := r.Fig7b()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("8") {
-		t, err := r.Fig8()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("9") {
-		t, err := r.Fig9()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("10") {
-		t, err := r.Fig10()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("11") {
-		ta, tb, err := r.Fig11()
-		if err != nil {
-			die(err)
-		}
-		emit(ta)
-		emit(tb)
-	}
-	// The cache-pressure sweep runs 1 + 3×len(capacities) simulations
-	// per benchmark, so it is opt-in and not part of "all"; restrict it
-	// with -benchmarks for quick sweeps.
-	if *fig == "cc" {
-		t, err := r.FigCC(nil)
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	// The phase sweep simulates composites of growing length, so it is
-	// opt-in too; -benchmarks restricts the member pool.
-	if *fig == "phase" {
-		t, err := r.FigPhase(*phases, *phaseCap)
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	// The sampling sweep runs every benchmark twice (full + sampled) and
-	// times both legs, so it is opt-in as well; -sample/-interval/-warmup
-	// override its default plan.
-	if *fig == "sample" {
-		t, err := r.FigSample(samplePlan)
-		if err != nil {
-			die(err)
-		}
+	if t != nil {
 		emit(t)
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(jsonTables); err != nil {
-			die(err)
+			return exit(1, err)
 		}
 	}
+	return 0
 }
 
 // runGrid executes one declarative sweep spec on the flag-built base
@@ -289,7 +264,7 @@ func main() {
 // its report in the format the figure path would use. Per-cell
 // failures are recorded in the report and returned after it prints, so
 // a partially failed sweep still shows everything that ran.
-func runGrid(ctx context.Context, path, shard string, opts *experiments.Options, csv, jsonOut bool) error {
+func runGrid(ctx context.Context, stdout io.Writer, path, shard string, opts *experiments.Options, csv, jsonOut bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -317,13 +292,13 @@ func runGrid(ctx context.Context, path, shard string, opts *experiments.Options,
 	if rs != nil {
 		switch {
 		case jsonOut:
-			if err := rs.WriteJSON(os.Stdout); err != nil {
+			if err := rs.WriteJSON(stdout); err != nil {
 				return err
 			}
 		case csv:
-			fmt.Print(rs.CSV())
+			fmt.Fprint(stdout, rs.CSV())
 		default:
-			fmt.Print(rs.Table().String())
+			fmt.Fprint(stdout, rs.Table().String())
 		}
 	}
 	return runErr

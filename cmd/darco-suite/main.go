@@ -79,14 +79,7 @@ func main() {
 		}
 		specs = workload.BySuite(su)
 	case *workloadFlag == "":
-		if knobs.ISA == "rv32" {
-			// The RV32I frontend ships a starter subset of the catalog;
-			// sweeping the full x86 catalog under -isa rv32 would fail on
-			// every unported entry.
-			specs = workload.RV32Catalog()
-		} else {
-			specs = workload.Catalog()
-		}
+		specs = workload.CatalogFor(knobs.ISA)
 	}
 	refs := make([]string, 0, len(specs))
 	for _, s := range specs {

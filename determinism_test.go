@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/experiments"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -74,36 +73,15 @@ func TestFiguresDeterministicAcrossJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []string
-		add := func(tables ...*stats.Table) {
+		for _, id := range experiments.FigureIDs() {
+			tables, err := r.Figure(id)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, tb := range tables {
 				out = append(out, tb.String())
 			}
 		}
-		t5a, t5b, err := r.Fig5()
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(t5a, t5b)
-		t6, err := r.Fig6()
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(t6)
-		t8, err := r.Fig8()
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(t8)
-		t10, err := r.Fig10()
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(t10)
-		t11a, t11b, err := r.Fig11()
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(t11a, t11b)
 		return out
 	}
 

@@ -554,26 +554,3 @@ func (s *Session) RunBatch(ctx context.Context, jobs []Job) []BatchResult {
 	wg.Wait()
 	return out
 }
-
-// RunInteraction executes the Figure 10/11 shared+split pair for one
-// job through the session cache, so the shared leg is reused by any
-// other figure needing the same run.
-func (s *Session) RunInteraction(ctx context.Context, job Job) (*InteractionResult, error) {
-	var out InteractionResult
-	for _, leg := range []struct {
-		mode timing.Mode
-		dst  **Result
-	}{
-		{timing.ModeShared, &out.Shared},
-		{timing.ModeSplit, &out.Split},
-	} {
-		j := job
-		j.Opts = append(append([]Option{}, job.Opts...), WithMode(leg.mode))
-		res, err := s.Run(ctx, j)
-		if err != nil {
-			return nil, err
-		}
-		*leg.dst = res
-	}
-	return &out, nil
-}

@@ -215,32 +215,3 @@ func TestSessionPreload(t *testing.T) {
 		t.Error("preloaded job was simulated anyway")
 	}
 }
-
-// TestSessionInteraction checks the shared leg of an interaction pair
-// lands in (and is served from) the same cache as a plain shared run.
-func TestSessionInteraction(t *testing.T) {
-	var mu sync.Mutex
-	started := 0
-	s := NewSession(WithWorkers(2), WithEvents(func(ev Event) {
-		if ev.Kind == EventStarted {
-			mu.Lock()
-			started++
-			mu.Unlock()
-		}
-	}))
-	job := benchJob(t, "470.lbm", 0.1)
-	shared, err := s.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, err := s.RunInteraction(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ir.Shared != shared {
-		t.Error("interaction shared leg did not reuse the cached shared run")
-	}
-	if started != 2 { // shared once + split once
-		t.Errorf("executions = %d, want 2", started)
-	}
-}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/darco"
+	"repro/internal/stats"
 )
 
 // testRunner builds a small-session runner over three contrasting
@@ -23,12 +25,20 @@ func testRunner(t *testing.T) *Runner {
 	return r
 }
 
-func TestFig5Shapes(t *testing.T) {
-	r := testRunner(t)
-	ta, tb, err := r.Fig5()
+// mustFigure regenerates one paper figure, failing the test on error.
+func mustFigure(t *testing.T, r *Runner, id string) []*stats.Table {
+	t.Helper()
+	tabs, err := r.Figure(id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tabs
+}
+
+func TestFig5Shapes(t *testing.T) {
+	r := testRunner(t)
+	tabs := mustFigure(t, r, "5")
+	ta, tb := tabs[0], tabs[1]
 	// 3 benchmark rows + suite averages.
 	if len(ta.Rows) < 3 || len(tb.Rows) < 3 {
 		t.Fatalf("rows: %d/%d", len(ta.Rows), len(tb.Rows))
@@ -48,10 +58,7 @@ func TestFig5Shapes(t *testing.T) {
 
 func TestFig6OverheadOrdering(t *testing.T) {
 	r := testRunner(t)
-	tab, err := r.Fig6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustFigure(t, r, "6")[0]
 	ov := map[string]float64{}
 	for _, row := range tab.Rows {
 		var v float64
@@ -73,10 +80,7 @@ func TestFig6OverheadOrdering(t *testing.T) {
 
 func TestFig7ComponentsPresent(t *testing.T) {
 	r := testRunner(t)
-	tab, err := r.Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustFigure(t, r, "7")[0]
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -106,14 +110,7 @@ func TestFig7ComponentsPresent(t *testing.T) {
 // attribution.
 func TestFig7bSumsToAggregate(t *testing.T) {
 	r := testRunner(t)
-	t7, err := r.Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t7b, err := r.Fig7b()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t7, t7b := mustFigure(t, r, "7")[0], mustFigure(t, r, "7b")[0]
 	if len(t7b.Rows) != len(t7.Rows) {
 		t.Fatalf("row counts differ: %d vs %d", len(t7b.Rows), len(t7.Rows))
 	}
@@ -143,10 +140,7 @@ func TestFig7bSumsToAggregate(t *testing.T) {
 
 func TestFig8IPCVariance(t *testing.T) {
 	r := testRunner(t)
-	tab, err := r.Fig8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustFigure(t, r, "8")[0]
 	lo, hi := 1e9, 0.0
 	for _, row := range tab.Rows {
 		var v float64
@@ -171,10 +165,7 @@ func TestFig8IPCVariance(t *testing.T) {
 
 func TestFig9SumsToTotal(t *testing.T) {
 	r := testRunner(t)
-	tab, err := r.Fig9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustFigure(t, r, "9")[0]
 	for _, row := range tab.Rows {
 		sum := 0.0
 		for _, cell := range row[1:] {
@@ -203,19 +194,76 @@ func TestFig10And11Run(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t10, err := r.Fig10()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t10 := mustFigure(t, r, "10")[0]
 	if len(t10.Rows) < 2 {
 		t.Fatalf("fig10 rows = %d", len(t10.Rows))
 	}
-	ta, tb, err := r.Fig11()
+	t11 := mustFigure(t, r, "11")
+	ta, tb := t11[0], t11[1]
+	if len(ta.Rows) != len(tb.Rows) {
+		t.Fatal("fig11 row mismatch")
+	}
+}
+
+// startedByMode counts the runner's "run <benchmark> <mode>" log lines —
+// one per darco.EventStarted, i.e. per real simulation — by mode.
+func startedByMode(log *bytes.Buffer) map[string]int {
+	n := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "run" {
+			n[f[2]]++
+		}
+	}
+	return n
+}
+
+// TestFiguresShareRuns pins the memoization every figure inherits from
+// being a mode-axis grid on one session: a later figure simulates only
+// the (benchmark, mode) cells no earlier figure ran, and a runner
+// preloaded with shared and split records simulates only the tol-only
+// runs for the whole figure set (48 of 144 at the full catalog).
+func TestFiguresShareRuns(t *testing.T) {
+	var log bytes.Buffer
+	opts := DefaultOptions()
+	opts.Scale = 0.1
+	opts.Benchmarks = []string{"470.lbm", "429.mcf", "462.libquantum"}
+	opts.Config = darco.DefaultConfig()
+	opts.Config.TOL.Cosim = false
+	opts.Log = &log
+	r, err := NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ta.Rows) != len(tb.Rows) {
-		t.Fatal("fig11 row mismatch")
+	n := len(opts.Benchmarks)
+	mustFigure(t, r, "6")
+	if got := startedByMode(&log); got["shared"] != n || len(got) != 1 {
+		t.Fatalf("Figure 6 started %v, want %d shared runs", got, n)
+	}
+	log.Reset()
+	mustFigure(t, r, "10")
+	if got := startedByMode(&log); got["split"] != n || len(got) != 1 {
+		t.Fatalf("Figure 10 after 6 started %v, want only the %d split legs", got, n)
+	}
+
+	// Hand the shared and split results to a fresh runner as records.
+	all, err := r.results(interaction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range r.progs {
+		for _, m := range interaction {
+			opts.Preload = append(opts.Preload, darco.NewRecord(p.Name(), p.Meta().Suite, opts.Scale, m, all[i][m], nil))
+		}
+	}
+	log.Reset()
+	if r, err = NewRunner(opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range FigureIDs() {
+		mustFigure(t, r, id)
+	}
+	if got := startedByMode(&log); got["tol-only"] != n || len(got) != 1 {
+		t.Fatalf("preloaded figure set started %v, want only the %d tol-only runs", got, n)
 	}
 }
 

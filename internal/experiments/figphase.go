@@ -127,38 +127,11 @@ func (r *Runner) FigPhase(maxPhases, capacityInsts int) (*stats.Table, error) {
 
 	t := stats.NewTable(
 		fmt.Sprintf("Figure PHASE: eviction and retranslation vs. phase count (cc-size %d)", capacityInsts),
-		"phases", "workload", "policy", "cycles", "slowdown",
-		"evictions", "flushes", "retrans", "retrans/Kdyn", "cc-peak", "tol%")
+		append([]string{"phases", "workload", "policy"}, pressureHeaders...)...)
 	for n, ref := range workloads {
-		baseRow := rs.Lookup(ref, "unbounded")
-		base := baseRow.Result
-		addRow := func(policy string, res *darco.Result) {
-			slow := 1.0
-			if base.Timing.Cycles > 0 {
-				slow = float64(res.Timing.Cycles) / float64(base.Timing.Cycles)
-			}
-			dyn := float64(res.TOL.DynTotal())
-			rate := 0.0
-			if dyn > 0 {
-				rate = 1000 * float64(res.TOL.Retranslations) / dyn
-			}
-			peak := res.TOL.CacheOccupancyPeak
-			if peak == 0 {
-				peak = res.CodeCacheInsts
-			}
-			t.AddRow(fmt.Sprint(n+1), baseRow.Name, policy,
-				fmt.Sprint(res.Timing.Cycles),
-				fmt.Sprintf("%.3f", slow),
-				fmt.Sprint(res.TOL.Evictions),
-				fmt.Sprint(res.TOL.FlushCount),
-				fmt.Sprint(res.TOL.Retranslations),
-				fmt.Sprintf("%.2f", rate),
-				fmt.Sprint(peak),
-				fmt.Sprintf("%.1f", 100*res.Timing.TOLShare()))
-		}
-		addRow("unbounded", base)
-		for _, pol := range policies {
-			addRow(pol, rs.Lookup(ref, pol).Result)
+		base := rs.Lookup(ref, "unbounded")
+		for _, pol := range append([]string{"unbounded"}, policies...) {
+			t.AddRow(append([]string{fmt.Sprint(n + 1), base.Name, pol}, pressureRow(base.Result, rs.Lookup(ref, pol).Result)...)...)
 		}
 	}
 	return t, nil

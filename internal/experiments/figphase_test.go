@@ -107,10 +107,7 @@ func TestRunnerOpensReferences(t *testing.T) {
 	}
 	// A figure over the mixed set still renders: the phased program
 	// joins no suite average but gets its own row.
-	tab, err := r.Fig6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustFigure(t, r, "6")[0]
 	found := false
 	for _, row := range tab.Rows {
 		if row[0] == "998.specrand+999.specrand" {

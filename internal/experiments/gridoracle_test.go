@@ -69,6 +69,25 @@ func (r *Runner) oracleSampleJob(p workload.Program, plan *sample.Config) darco.
 	return j
 }
 
+// forEach and suiteOrder are the pre-refactor iteration helpers the
+// verbatim oracles below call.
+func (r *Runner) forEach(fn func(p workload.Program) error) error {
+	for _, p := range r.progs {
+		if err := fn(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func suiteOrder() []string {
+	var out []string
+	for _, s := range workload.Suites() {
+		out = append(out, s.String())
+	}
+	return out
+}
+
 func (r *Runner) oracleShared(p workload.Program) (*darco.Result, error) {
 	return r.sess.Run(r.ctx(), r.oracleJob(p, timing.ModeShared))
 }
@@ -383,10 +402,8 @@ func abs(f float64) float64 {
 
 func TestFig5MatchesOracle(t *testing.T) {
 	r := testRunner(t)
-	ga, gb, err := r.Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustFigure(t, r, "5")
+	ga, gb := g[0], g[1]
 	oa, ob, err := r.oracleFig5()
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +526,8 @@ func TestGridJobKeysMatchOracle(t *testing.T) {
 	ok := func(j darco.Job) (darco.Job, error) { return j, nil }
 
 	for _, mode := range []timing.Mode{timing.ModeShared, timing.ModeTOLOnly, timing.ModeSplit} {
-		got := key(r.job(p, mode))
+		got := key(sweep.JobFor(p, r.refs[p.Name()], r.opts.Scale, r.opts.Config,
+			&darco.Knobs{Mode: mode.String()}))
 		want := key(ok(r.oracleJob(p, mode)))
 		if got != want {
 			t.Errorf("mode %v: key %q, want %q", mode, got, want)

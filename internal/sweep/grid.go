@@ -19,9 +19,10 @@
 //
 // Grids are plain data: DecodeGrid loads the JSON form (rejecting
 // unknown fields, like workload.DecodeSpecs), cmd/darco-figs surfaces
-// it as -grid, and committed specs live in examples/grids/. The
-// figure sweeps of internal/experiments (Fig5, FigCC, FigPhase,
-// FigSample) are thin grid specs over this engine.
+// it as -grid, and committed specs live in examples/grids/. Every
+// figure of internal/experiments runs on this engine: Figures 5–11 as
+// one workloads × mode-axis grid (Runner.Figure), FigCC, FigPhase and
+// FigSample as their own grid specs.
 package sweep
 
 import (

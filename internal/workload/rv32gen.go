@@ -313,6 +313,18 @@ func RV32Catalog() []Spec {
 	return out
 }
 
+// CatalogFor returns the default benchmark set of a run pinned to the
+// given guest ISA: the RV32I frontend ships a starter subset of the
+// catalog (sweeping the full x86 catalog under it would fail on every
+// unported entry); every other pin, including none, selects the full
+// catalog.
+func CatalogFor(isa string) []Spec {
+	if isa == "rv32" {
+		return RV32Catalog()
+	}
+	return Catalog()
+}
+
 // rv32Port converts a catalog spec to its RV32I form.
 func rv32Port(s Spec) Spec {
 	s.ISA = "rv32"
