@@ -1,6 +1,8 @@
 package guest
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -237,5 +239,239 @@ func TestDecodeCacheFixedLengthIndexSpread(t *testing.T) {
 	}
 	if s.Regs[10] != n {
 		t.Fatalf("second pass: x10=%d want %d", s.Regs[10], n)
+	}
+}
+
+// TestDecodeCachePageBoundaries exercises the lazily allocated backing
+// pages at their seams. A straight-line variable-length x86 program
+// long enough to span several backing pages puts instructions in the
+// last slot of one page and the first of the next, and encodings that
+// straddle the byte range of two pages; it must execute identically to
+// the uncached path, and a second pass must be served from the cache
+// alone (memory is poisoned in between).
+func TestDecodeCachePageBoundaries(t *testing.T) {
+	b := NewBuilder()
+	// Encodings of 6, 1 and 2 bytes: a 9-byte period, coprime with the
+	// page size, so instruction starts visit every slot of a page.
+	const n = 6 * decodePageSlots
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0:
+			b.AddRI(EAX, int32(i))
+		case 1:
+			b.Nop()
+		default:
+			b.XorRR(EDX, EAX)
+		}
+	}
+	b.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, m2 := mem.NewSparse(), mem.NewSparse()
+	s1, s2 := p.LoadInto(m1), p.LoadInto(m2)
+	dc := NewDecodeCache(X86)
+	lastSlot, firstSlot := false, false
+	for {
+		slot := s2.EIP & (decodePageSlots - 1)
+		lastSlot = lastSlot || slot == decodePageSlots-1
+		firstSlot = firstSlot || slot == 0
+		var r1, r2 StepResult
+		if err := X86.Step(&s1, m1, &r1); err != nil {
+			t.Fatal(err)
+		}
+		if err := dc.Step(&s2, m2, &r2); err != nil {
+			t.Fatal(err)
+		}
+		if r1 != r2 || !s1.Equal(&s2) {
+			t.Fatalf("eip %#x: cached step diverges: %+v vs %+v (%s)", s1.EIP, r1, r2, s1.Diff(&s2))
+		}
+		if r1.Halted {
+			break
+		}
+	}
+	if !lastSlot || !firstSlot {
+		t.Fatal("test bug: no instruction landed on a page-boundary slot")
+	}
+	pages := 0
+	for _, pg := range dc.pages {
+		if pg != nil {
+			pages++
+		}
+	}
+	if want := len(p.Code)/decodePageSlots + 1; pages < want-1 || pages > want+1 {
+		t.Fatalf("%d code bytes backed by %d pages, want about %d", len(p.Code), pages, want)
+	}
+
+	for i := range p.Code {
+		m2.Write8(mem.GuestCodeBase+uint32(i), 0xff)
+	}
+	want := s2
+	s2 = State{EIP: p.Entry}
+	s2.Regs[ESP] = mem.GuestStackTop
+	var res StepResult
+	for !res.Halted {
+		if err := dc.Step(&s2, m2, &res); err != nil {
+			t.Fatalf("second pass missed the cache at %#x: %v", s2.EIP, err)
+		}
+	}
+	if !s2.Equal(&want) {
+		t.Fatalf("second pass: %s", s2.Diff(&want))
+	}
+}
+
+// TestDecodeCacheAliasingAcrossPages drives the aliasing check at a
+// page seam: two neighbouring instructions in the last and first slots
+// of adjacent backing pages, and their aliases one table size away.
+// Evicting one alias must not disturb the neighbour in the other page,
+// and a page first touched by an alias must behave like any other.
+func TestDecodeCacheAliasingAcrossPages(t *testing.T) {
+	m := mem.NewSparse()
+	const table = decodeCacheEntries
+	last := mem.GuestCodeBase + decodePageSlots - 1 // last slot of a backing page
+	first := last + 1 + 2*table                     // first slot of the next page (two table sizes up: the encodings must not overlap)
+	slotOf := func(eip uint32) uint32 { return eip & (table - 1) }
+	if slotOf(last)&(decodePageSlots-1) != decodePageSlots-1 || slotOf(first) != slotOf(last)+1 {
+		t.Fatal("test bug: addresses are not on the two sides of a page seam")
+	}
+	put := func(addr uint32, in Inst) {
+		for i, byt := range Encode(nil, in) {
+			m.Write8(addr+uint32(i), byt)
+		}
+	}
+	put(last, Inst{Op: OpIncR, R1: EAX})
+	put(last+table, Inst{Op: OpDecR, R1: EAX})
+	put(first, Inst{Op: OpIncR, R1: ECX})
+	put(first+table, Inst{Op: OpDecR, R1: ECX})
+
+	dc := NewDecodeCache(X86)
+	var s State
+	var res StepResult
+	step := func(eip uint32) {
+		t.Helper()
+		s.EIP = eip
+		if err := dc.Step(&s, m, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 1; round <= 3; round++ {
+		step(last + table) // alias first: it is what allocates the page
+		step(last)
+		step(last)
+		step(first)
+		step(first + table)
+		step(first)
+		if got, want := s.Regs[EAX], uint32(round); got != want {
+			t.Fatalf("round %d: eax=%d want %d (last-slot aliases confused)", round, got, want)
+		}
+		if got, want := s.Regs[ECX], uint32(round); got != want {
+			t.Fatalf("round %d: ecx=%d want %d (first-slot aliases confused)", round, got, want)
+		}
+	}
+}
+
+// TestDecodeCacheDecodeSharesSlotsWithStep pins Decode, the
+// translators' entry point: it returns what the frontend decoder
+// returns, reports a decode failure as the decoder's own error, and
+// fills the same slots Step reads — after Decode, Step never touches
+// the encoding bytes.
+func TestDecodeCacheDecodeSharesSlotsWithStep(t *testing.T) {
+	for name, p := range decodeCachePrograms(t) {
+		t.Run(name, func(t *testing.T) {
+			isa, err := ISAOf(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := mem.NewSparse()
+			s := p.LoadInto(m)
+			dc := NewDecodeCache(isa)
+			for eip := p.Entry; eip < mem.GuestCodeBase+uint32(len(p.Code)); {
+				got, err := dc.Decode(eip, m)
+				if err != nil {
+					t.Fatalf("Decode(%#x): %v", eip, err)
+				}
+				buf := make([]byte, isa.MaxInstSize)
+				for i := range buf {
+					buf[i] = m.Read8(eip + uint32(i))
+				}
+				want, err := isa.DecodeAt(buf, eip)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("Decode(%#x) = %+v, DecodeAt %+v", eip, got, want)
+				}
+				eip += uint32(got.Size)
+			}
+			for i := range p.Code {
+				m.Write8(mem.GuestCodeBase+uint32(i), 0xff)
+			}
+			var res StepResult
+			for steps := 0; !res.Halted; steps++ {
+				if err := dc.Step(&s, m, &res); err != nil {
+					t.Fatalf("Step after Decode re-read poisoned bytes at %#x: %v", s.EIP, err)
+				}
+				if steps > 1_000_000 {
+					t.Fatal("program did not halt")
+				}
+			}
+
+			// Poisoned bytes beyond the program: the decoder's error comes
+			// back bare from Decode and with the address from Step.
+			bad := mem.GuestCodeBase + uint32(len(p.Code)) + 64
+			for i := uint32(0); i < 8; i++ {
+				m.Write8(bad+i, 0xff)
+			}
+			_, derr := dc.Decode(bad, m)
+			if derr == nil {
+				t.Skip("frontend decodes an all-ones encoding")
+			}
+			s.EIP = bad
+			serr := dc.Step(&s, m, &res)
+			if serr == nil || !errors.Is(serr, derr) && serr.Error() != fmt.Sprintf("at eip=%#x: %v", bad, derr) {
+				t.Fatalf("Step error %v does not wrap Decode error %v with the address", serr, derr)
+			}
+		})
+	}
+}
+
+// TestDecodeCachesConcurrent steps one shared program through a
+// private cache per goroutine. Caches share only the immutable
+// frontend description, so under -race this is the tripwire for any
+// lazily shared backing state.
+func TestDecodeCachesConcurrent(t *testing.T) {
+	p := decodeCacheX86Program(t)
+	run := func() (State, error) {
+		m := mem.NewSparse()
+		s := p.LoadInto(m)
+		dc := NewDecodeCache(X86)
+		var res StepResult
+		for !res.Halted {
+			if err := dc.Step(&s, m, &res); err != nil {
+				return s, err
+			}
+		}
+		return s, nil
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			got, err := run()
+			if err == nil && !got.Equal(&want) {
+				err = fmt.Errorf("final state differs: %s", got.Diff(&want))
+			}
+			errs <- err
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -61,25 +61,23 @@ type ISA struct {
 // Step executes one instruction at s.EIP under this frontend. It is
 // the uncached reference path; hot loops use DecodeCache.Step.
 func (isa *ISA) Step(s *State, m mem.Memory, res *StepResult) error {
-	inst, err := isa.fetchDecode(s.EIP, m)
+	var buf [8]byte
+	inst, err := isa.fetchDecode(buf[:isa.MaxInstSize], s.EIP, m)
 	if err != nil {
-		return err
+		return fmt.Errorf("at eip=%#x: %w", s.EIP, err)
 	}
 	return stepDecoded(s, m, &inst, res)
 }
 
-// fetchDecode reads and decodes the instruction at eip — the shared
-// front half of ISA.Step and DecodeCache.Step.
-func (isa *ISA) fetchDecode(eip uint32, m mem.Memory) (Inst, error) {
-	var buf [8]byte
-	for i := 0; i < isa.MaxInstSize; i++ {
+// fetchDecode reads the encoding at eip into buf (MaxInstSize bytes)
+// and decodes it — the one guest fetch+decode loop, behind ISA.Step
+// and every DecodeCache miss. The error is the decoder's own; callers
+// add the address.
+func (isa *ISA) fetchDecode(buf []byte, eip uint32, m mem.Memory) (Inst, error) {
+	for i := range buf {
 		buf[i] = m.Read8(eip + uint32(i))
 	}
-	inst, err := isa.DecodeAt(buf[:isa.MaxInstSize], eip)
-	if err != nil {
-		return inst, fmt.Errorf("at eip=%#x: %w", eip, err)
-	}
-	return inst, nil
+	return isa.DecodeAt(buf, eip)
 }
 
 // X86 is the original variable-length CISC frontend, the paper's

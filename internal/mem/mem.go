@@ -116,16 +116,20 @@ func (s *Sparse) Write64(addr uint32, v uint64) {
 // ReadBytes copies n bytes starting at addr into a fresh slice.
 func (s *Sparse) ReadBytes(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = s.Read8(addr + uint32(i))
+	for b := out; len(b) > 0; {
+		k := copy(b, s.page(addr)[addr&pageMask:])
+		b, addr = b[k:], addr+uint32(k)
 	}
 	return out
 }
 
-// WriteBytes stores b starting at addr.
+// WriteBytes stores b starting at addr, one copy per page the range
+// overlaps. Like bytewise writes it touches every such page, all-zero
+// data included, so the touched-page set does not depend on contents.
 func (s *Sparse) WriteBytes(addr uint32, b []byte) {
-	for i, v := range b {
-		s.Write8(addr+uint32(i), v)
+	for len(b) > 0 {
+		k := copy(s.page(addr)[addr&pageMask:], b)
+		b, addr = b[k:], addr+uint32(k)
 	}
 }
 

@@ -168,3 +168,43 @@ func BenchmarkSparseRead32(b *testing.B) {
 		s.Read32(uint32(i*4) & 0xffff)
 	}
 }
+
+// TestBytesBulkMatchesBytewise pins the page-wise WriteBytes/ReadBytes
+// against bytewise access: same contents over ranges that start and
+// end mid-page and span whole pages, and the same touched-page set —
+// all-zero data still touches every page it overlaps, which snapshot
+// restore relies on to recreate a machine's exact footprint.
+func TestBytesBulkMatchesBytewise(t *testing.T) {
+	for _, tc := range []struct {
+		addr uint32
+		n    int
+	}{
+		{0x1000, 0}, {0x1ffe, 1}, {0x1ffe, 2}, {0x1ffe, 3},
+		{0x2000, PageSize}, {0x2345, 3*PageSize + 17}, {0xffff_fff0, 16},
+	} {
+		data := make([]byte, tc.n)
+		for i := range data {
+			data[i] = byte(i*7 + 1)
+		}
+		bulk, bytewise := NewSparse(), NewSparse()
+		bulk.WriteBytes(tc.addr, data)
+		for i, v := range data {
+			bytewise.Write8(tc.addr+uint32(i), v)
+		}
+		if bulk.PageCount() != bytewise.PageCount() {
+			t.Fatalf("WriteBytes(%#x, %d bytes) touched %d pages, bytewise %d", tc.addr, tc.n, bulk.PageCount(), bytewise.PageCount())
+		}
+		got := bytewise.ReadBytes(tc.addr, tc.n)
+		for i := range data {
+			if got[i] != data[i] || bulk.Read8(tc.addr+uint32(i)) != data[i] {
+				t.Fatalf("range %#x+%d: byte %d differs", tc.addr, tc.n, i)
+			}
+		}
+
+		zero := NewSparse()
+		zero.WriteBytes(tc.addr, make([]byte, tc.n))
+		if zero.PageCount() != bytewise.PageCount() {
+			t.Fatalf("all-zero WriteBytes(%#x, %d bytes) touched %d pages, want %d", tc.addr, tc.n, zero.PageCount(), bytewise.PageCount())
+		}
+	}
+}

@@ -33,19 +33,28 @@ func (b *decodedBB) terminator() *guest.Inst {
 
 // Translator builds BBM translations and (via superblock.go) SBM
 // superblocks. It reads guest code through the co-design component's
-// guest memory view. The SBM optimizer is the translator's resolved
-// pass pipeline; the promotion policy supplies the threshold compiled
-// into each BBM block's profiling instrumentation.
+// decode cache, so a block the interpreter already executed — and every
+// retranslation of an evicted block — is decoded once, not again per
+// translation. The SBM optimizer is the translator's resolved pass
+// pipeline; the promotion policy supplies the threshold compiled into
+// each BBM block's profiling instrumentation.
 type Translator struct {
 	cfg      *Config
-	isa      *guest.ISA
 	plan     *regPlan
 	pipeline []Pass
 	policy   PromotionPolicy
 	cc       *CodeCache
 	tt       *TransTable
 	prof     *ProfileTable
+	dec      *guest.DecodeCache
 	guest    mem.Memory // guest address space view (window-adapted)
+
+	// Per-translation scratch, reused across translations: the decoded
+	// block, the host-code emitter, and LastWork.TableProbes' backing
+	// array. Nothing placed in the code cache aliases them (PlaceAt
+	// copies the code and the exit map; a BB's GuestPCs are copied out).
+	bb decodedBB
+	em *emitter
 
 	// Work accounting for the cost model (reset per operation).
 	LastWork Work
@@ -64,8 +73,9 @@ type Work struct {
 // NewTranslator wires a translator to the TOL services for one guest
 // frontend, resolving the configured optimization pipeline and the
 // frontend's translation ABI. The promotion policy instance is shared
-// with the engine so stateful policies see every promotion.
-func NewTranslator(cfg *Config, isa *guest.ISA, policy PromotionPolicy, cc *CodeCache, tt *TransTable, prof *ProfileTable, g mem.Memory) (*Translator, error) {
+// with the engine so stateful policies see every promotion, and the
+// decode cache with its interpreter.
+func NewTranslator(cfg *Config, isa *guest.ISA, policy PromotionPolicy, cc *CodeCache, tt *TransTable, prof *ProfileTable, dec *guest.DecodeCache, g mem.Memory) (*Translator, error) {
 	pipeline, err := cfg.Pipeline()
 	if err != nil {
 		return nil, err
@@ -74,22 +84,26 @@ func NewTranslator(cfg *Config, isa *guest.ISA, policy PromotionPolicy, cc *Code
 	if err != nil {
 		return nil, err
 	}
-	return &Translator{cfg: cfg, isa: isa, plan: plan, pipeline: pipeline,
-		policy: policy, cc: cc, tt: tt, prof: prof, guest: g}, nil
+	return &Translator{cfg: cfg, plan: plan, pipeline: pipeline,
+		policy: policy, cc: cc, tt: tt, prof: prof, dec: dec, guest: g,
+		em: newEmitter(plan)}, nil
 }
 
-// decodeBB decodes the basic block starting at guest address entry,
-// through the frontend's decoder.
+// begin resets the per-translation scratch and returns the emitter.
+func (t *Translator) begin() *emitter {
+	t.LastWork = Work{TableProbes: t.LastWork.TableProbes[:0]}
+	t.em.reset()
+	return t.em
+}
+
+// decodeBB decodes the basic block starting at guest address entry
+// into the translator's scratch block, valid until the next decodeBB.
 func (t *Translator) decodeBB(entry uint32) (*decodedBB, error) {
-	bb := &decodedBB{entry: entry, term: -1}
+	bb := &t.bb
+	*bb = decodedBB{entry: entry, term: -1, insts: bb.insts[:0], pcs: bb.pcs[:0]}
 	pc := entry
-	var buf [8]byte
-	n := t.isa.MaxInstSize
 	for len(bb.insts) < maxBBInsts {
-		for i := 0; i < n; i++ {
-			buf[i] = t.guest.Read8(pc + uint32(i))
-		}
-		in, err := t.isa.DecodeAt(buf[:n], pc)
+		in, err := t.dec.Decode(pc, t.guest)
 		if err != nil {
 			return nil, fmt.Errorf("tol: decode at %#x: %w", pc, err)
 		}
@@ -119,18 +133,17 @@ func branchTarget(in *guest.Inst, instEnd uint32) (uint32, bool) {
 // places it in the code cache and registers it in the translation
 // table. Returns the placed translation.
 func (t *Translator) TranslateBB(entry uint32) (*Translation, error) {
-	t.LastWork = Work{}
+	e := t.begin()
 	bb, err := t.decodeBB(entry)
 	if err != nil {
 		return nil, err
 	}
 
-	e := newEmitter(t.plan)
 	tr := &Translation{
 		Kind:       KindBB,
 		GuestEntry: entry,
 		GuestLen:   len(bb.insts),
-		GuestPCs:   bb.pcs,
+		GuestPCs:   append([]uint32(nil), bb.pcs...),
 	}
 
 	// Prologue: profiling instrumentation (counter increment plus, when

@@ -246,14 +246,31 @@ type extent struct {
 
 // NewCodeCache returns an empty unbounded code cache.
 func NewCodeCache() *CodeCache {
-	// The arenas start small and double on demand: short runs stay
-	// cheap to construct, long runs amortize the growth copies.
 	return &CodeCache{
-		insts:    make([]host.Inst, 0, 1<<12),
-		meta:     make([]timing.DynInst, 0, 1<<12),
 		byEntry:  make(map[uint32]*Translation),
 		capacity: archCapacityInsts,
 	}
+}
+
+// arenaInitSlots is the arena size the first placement allocates
+// (capped by the cache capacity); from there the arenas double, so
+// short runs stay cheap to construct and long runs amortize the growth
+// copies.
+const arenaInitSlots = 256
+
+// extend grows both arenas by n zeroed slots at the bump frontier.
+func (c *CodeCache) extend(n int) {
+	old := len(c.insts)
+	if need := old + n; need > cap(c.insts) {
+		newCap := max(need, 2*cap(c.insts), min(int(c.capacity), arenaInitSlots))
+		c.insts = append(make([]host.Inst, 0, newCap), c.insts...)
+		c.meta = append(make([]timing.DynInst, 0, newCap), c.meta...)
+	}
+	c.insts = c.insts[:old+n]
+	c.meta = c.meta[:old+n]
+	// Slots past the frontier can hold a flushed generation's poison.
+	clear(c.insts[old:])
+	clear(c.meta[old:])
 }
 
 // NewBoundedCodeCache returns an empty cache bounded per cfg that
@@ -341,8 +358,7 @@ func (c *CodeCache) Alloc(n int) (uint32, error) {
 		if c.top+uint32(n) <= c.capacity {
 			slot := c.top
 			c.top += uint32(n)
-			c.insts = append(c.insts, make([]host.Inst, n)...)
-			c.meta = append(c.meta, make([]timing.DynInst, n)...)
+			c.extend(n)
 			return c.PCOf(slot), nil
 		}
 		if c.policy == nil {

@@ -56,14 +56,36 @@ const (
 // costEmitter builds TOL-owned DynInst bursts. It keeps a rotating
 // register window so the generated streams have realistic dependency
 // distance (ILP ≈ 2 between cache events).
+//
+// Every burst is emitted in bulk: the activity reserves the most slots
+// it can need in the stream queue once (begin), the primitives below
+// fill the reserved window in place, and end hands back what was not
+// used. Nothing else may append to the queue between begin and end.
 type costEmitter struct {
 	out     *dynQueue
+	w       []timing.DynInst // unfilled remainder of the open burst
 	regRot  uint8
 	prevDst uint8
 }
 
 func newCostEmitter(q *dynQueue) *costEmitter {
 	return &costEmitter{out: q, prevDst: timing.RegNone}
+}
+
+// begin opens a burst of at most n instructions.
+func (c *costEmitter) begin(n int) { c.w = c.out.reserve(n) }
+
+// end closes the burst, returning its unused slots to the queue.
+func (c *costEmitter) end() {
+	c.out.buf = c.out.buf[:len(c.out.buf)-len(c.w)]
+	c.w = nil
+}
+
+// next claims the burst's next slot, which holds stale data.
+func (c *costEmitter) next() *timing.DynInst {
+	d := &c.w[0]
+	c.w = c.w[1:]
+	return d
 }
 
 // rot returns the next destination register (TOL half, r1..r12).
@@ -75,74 +97,104 @@ func (c *costEmitter) rot() uint8 {
 	return c.regRot
 }
 
-// alu appends one simple-int ALU instruction at pc. Every other
-// instruction depends on its predecessor, which yields a realistic
-// ILP between memory events.
+// alu emits one simple-int ALU instruction at pc.
 func (c *costEmitter) alu(comp timing.Component, pc uint32) uint32 {
-	d := timing.DynInst{
-		PC: pc, Class: host.ClassSimpleInt, Owner: timing.OwnerTOL, Comp: comp,
-		Dst: c.rot(), Src1: timing.RegNone, Src2: timing.RegNone,
-	}
-	if c.regRot%2 == 0 {
-		d.Src1 = c.prevDst
-	}
-	c.prevDst = d.Dst
-	c.out.push(d)
-	return pc + host.InstBytes
+	return c.aluN(comp, pc, 1)
 }
 
-// aluN appends n ALU instructions starting at pc.
+// aluN emits n simple-int ALU instructions starting at pc, as one loop
+// over the burst window with the register rotation carried in locals.
+// Every other instruction depends on its predecessor, which yields a
+// realistic ILP between memory events.
 func (c *costEmitter) aluN(comp timing.Component, pc uint32, n int) uint32 {
-	for i := 0; i < n; i++ {
-		pc = c.alu(comp, pc)
+	w := c.w[:n]
+	c.w = c.w[n:]
+	// The fields every instruction of the run shares are copied from one
+	// template and the three that vary stored straight into the slot. (A
+	// composite literal per slot is assembled bytewise in a temporary and
+	// then copied out wide, which stalls on store forwarding.)
+	tmpl := timing.DynInst{
+		Class: host.ClassSimpleInt, Owner: timing.OwnerTOL, Comp: comp,
+		Src1: timing.RegNone, Src2: timing.RegNone,
 	}
+	rot, prev := c.regRot, c.prevDst
+	for i := range w {
+		if rot++; rot > 12 {
+			rot = 1
+		}
+		d := &w[i]
+		*d = tmpl
+		d.PC = pc
+		d.Dst = rot
+		if rot%2 == 0 {
+			d.Src1 = prev
+		}
+		prev = rot
+		pc += host.InstBytes
+	}
+	c.regRot, c.prevDst = rot, prev
 	return pc
 }
 
-// load appends a load at pc from addr; the loaded value feeds the next
+// tolInst claims the burst's next slot as a TOL-owned instruction of
+// the given class at pc, with no operands and no memory or branch
+// behaviour; the primitives below set what differs. Fields are stored
+// straight into the slot for the reason given in aluN.
+func (c *costEmitter) tolInst(class host.ExecClass, comp timing.Component, pc uint32) *timing.DynInst {
+	d := c.next()
+	*d = timing.DynInst{}
+	d.PC = pc
+	d.Class = class
+	d.Owner = timing.OwnerTOL
+	d.Comp = comp
+	d.Dst = timing.RegNone
+	d.Src1 = timing.RegNone
+	d.Src2 = timing.RegNone
+	return d
+}
+
+// load emits a load at pc from addr; the loaded value feeds the next
 // ALU instruction through the rotation.
 func (c *costEmitter) load(comp timing.Component, pc, addr uint32) uint32 {
-	d := timing.DynInst{
-		PC: pc, Class: host.ClassMem, Owner: timing.OwnerTOL, Comp: comp,
-		Dst: c.rot(), Src1: timing.RegNone, Src2: timing.RegNone,
-		IsLoad: true, MemAddr: addr,
-	}
+	d := c.tolInst(host.ClassMem, comp, pc)
+	d.Dst = c.rot()
+	d.IsLoad = true
+	d.MemAddr = addr
 	c.prevDst = d.Dst
-	c.out.push(d)
 	return pc + host.InstBytes
 }
 
-// store appends a store at pc to addr.
+// store emits a store at pc to addr.
 func (c *costEmitter) store(comp timing.Component, pc, addr uint32) uint32 {
-	d := timing.DynInst{
-		PC: pc, Class: host.ClassMem, Owner: timing.OwnerTOL, Comp: comp,
-		Dst: timing.RegNone, Src1: c.prevDst, Src2: timing.RegNone,
-		IsStore: true, MemAddr: addr,
-	}
-	c.out.push(d)
+	d := c.tolInst(host.ClassMem, comp, pc)
+	d.Src1 = c.prevDst
+	d.IsStore = true
+	d.MemAddr = addr
 	return pc + host.InstBytes
 }
 
-// branch appends a direct conditional branch at pc.
+// branch emits a direct conditional branch at pc.
 func (c *costEmitter) branch(comp timing.Component, pc uint32, taken bool, target uint32) uint32 {
-	c.out.push(timing.DynInst{
-		PC: pc, Class: host.ClassSimpleInt, Owner: timing.OwnerTOL, Comp: comp,
-		Dst: timing.RegNone, Src1: c.prevDst, Src2: timing.RegNone,
-		IsBranch: true, IsCond: true, Taken: taken, Target: target,
-	})
+	d := c.tolInst(host.ClassSimpleInt, comp, pc)
+	d.Src1 = c.prevDst
+	d.IsBranch = true
+	d.IsCond = true
+	d.Taken = taken
+	d.Target = target
 	if taken {
 		return target
 	}
 	return pc + host.InstBytes
 }
 
-// indirect appends an indirect jump at pc to target.
+// indirect emits an indirect jump at pc to target.
 func (c *costEmitter) indirect(comp timing.Component, pc, target uint32) uint32 {
-	c.out.push(timing.DynInst{
-		PC: pc, Class: host.ClassSimpleInt, Owner: timing.OwnerTOL, Comp: comp,
-		Dst: timing.RegNone, Src1: c.prevDst, Src2: timing.RegNone,
-		IsBranch: true, IsIndirect: true, Taken: true, Target: target,
-	})
+	d := c.tolInst(host.ClassSimpleInt, comp, pc)
+	d.Src1 = c.prevDst
+	d.IsBranch = true
+	d.IsIndirect = true
+	d.Taken = true
+	d.Target = target
 	return target
 }
 
@@ -151,6 +203,9 @@ func (c *costEmitter) indirect(comp timing.Component, pc, target uint32) uint32 
 // indirect jump to the handler), the opcode handler body, the guest
 // instruction's own data access if any, and the jump back to dispatch.
 func (c *costEmitter) InterpStep(res *guest.StepResult, eip uint32) {
+	const dispatchMax = 3 + (costDispatchLen - 3) + 1 // fetch loads, table load, glue, jump
+	const handlerMax = costHandlerBase + costHandlerFlags + costHandlerMem + costHandlerFP + costHandlerBranch
+	c.begin(dispatchMax + handlerMax + 2) // + own memory access, jump back
 	in := &res.Inst
 	pc := dispatchText
 	// Fetch the guest instruction bytes (data loads through the window).
@@ -187,18 +242,21 @@ func (c *costEmitter) InterpStep(res *guest.StepResult, eip uint32) {
 	}
 	// Back to the dispatch loop.
 	c.indirect(timing.CompIM, pc, dispatchText)
+	c.end()
 }
 
 // IMProfile emits the interpreter-side branch-target bookkeeping:
 // counter load/increment/store at the target's profile slot plus the
 // quick translated-target check.
 func (c *costEmitter) IMProfile(profAddr uint32, probe uint32) {
+	c.begin(4 + costIMTargetCheck)
 	pc := dispatchText + 0x40
 	pc = c.load(timing.CompIM, pc, profAddr)
 	pc = c.alu(timing.CompIM, pc)
 	pc = c.store(timing.CompIM, pc, profAddr)
 	pc = c.aluN(timing.CompIM, pc, costIMTargetCheck)
 	c.load(timing.CompCodeCacheLookup, lookupText, transSlotAddr(probe))
+	c.end()
 }
 
 // Lookup emits a full code cache lookup over the given probed slots.
@@ -206,6 +264,7 @@ func (c *costEmitter) IMProfile(profAddr uint32, probe uint32) {
 // entry is read as well (three fields across its metadata record) —
 // the data-intensive traversal the paper identifies.
 func (c *costEmitter) Lookup(probes []uint32, found bool) {
+	c.begin(costLookupHash + costLookupProbe*len(probes) + 3 + costLookupTail)
 	pc := lookupText
 	pc = c.aluN(timing.CompCodeCacheLookup, pc, costLookupHash)
 	var hit uint32
@@ -223,6 +282,7 @@ func (c *costEmitter) Lookup(probes []uint32, found bool) {
 		pc = c.load(timing.CompCodeCacheLookup, pc, desc+24)
 	}
 	c.aluN(timing.CompCodeCacheLookup, pc, costLookupTail)
+	c.end()
 }
 
 // Transition emits the translated-code-to-TOL transition glue
@@ -231,6 +291,7 @@ func (c *costEmitter) Lookup(probes []uint32, found bool) {
 // exits touch distinct metadata lines — the data-intensive transition
 // behaviour behind the paper's perlbench analysis.
 func (c *costEmitter) Transition(exitPC uint32) {
+	c.begin(costTransitionLen + 2)
 	pc := dispatchText + 0x80
 	pc = c.load(timing.CompTOLOther, pc, mem.TOLStackBase-16)
 	pc = c.load(timing.CompTOLOther, pc, mem.TOLStackBase-48)
@@ -243,6 +304,7 @@ func (c *costEmitter) Transition(exitPC uint32) {
 	pc = c.store(timing.CompTOLOther, pc, mem.TOLStackBase-16)
 	pc = c.store(timing.CompTOLOther, pc, desc+24)
 	c.indirect(timing.CompTOLOther, pc, dispatchText)
+	c.end()
 }
 
 // descAddr maps an exit host PC to its 32-byte exit-descriptor record
@@ -256,19 +318,23 @@ func descAddr(exitPC uint32) uint32 {
 // branch that stresses the BTB exactly like the translated code's own
 // indirect jumps do.
 func (c *costEmitter) ResumeJump(hostEntry uint32) {
+	c.begin(2)
 	pc := dispatchText + 0xa0
 	pc = c.alu(timing.CompTOLOther, pc)
 	c.indirect(timing.CompTOLOther, pc, hostEntry)
+	c.end()
 }
 
 // Chain emits a chaining operation: reading and patching the exit
 // branch at patchPC in the code cache.
 func (c *costEmitter) Chain(patchPC uint32) {
+	c.begin(costChainALU + 2)
 	pc := chainText
 	pc = c.aluN(timing.CompChaining, pc, costChainALU/2)
 	pc = c.load(timing.CompChaining, pc, patchPC)
 	pc = c.aluN(timing.CompChaining, pc, costChainALU-costChainALU/2)
 	c.store(timing.CompChaining, pc, patchPC)
+	c.end()
 }
 
 // Evict emits the cost of one code-cache eviction batch, attributed to
@@ -280,6 +346,7 @@ func (c *costEmitter) Chain(patchPC uint32) {
 // well-connected code. Retranslation itself is billed by the normal
 // BBM/SBM streams when the evicted code is rebuilt on re-entry.
 func (c *costEmitter) Evict(victims []*Translation, restoredPCs []uint32) {
+	c.begin(costEvictFixed + costEvictPerTrans*len(victims) + 2*len(restoredPCs))
 	pc := evictText
 	pc = c.aluN(timing.CompTOLOther, pc, costEvictFixed/2)
 	for _, tr := range victims {
@@ -292,16 +359,19 @@ func (c *costEmitter) Evict(victims []*Translation, restoredPCs []uint32) {
 		pc = c.store(timing.CompTOLOther, pc, patch)
 	}
 	c.aluN(timing.CompTOLOther, pc, costEvictFixed-costEvictFixed/2)
+	c.end()
 }
 
 // IBTCFill emits the IBTC update after a lookup served an indirect
 // branch miss.
 func (c *costEmitter) IBTCFill(target uint32) {
+	c.begin(costIBTCFillALU + 2)
 	pc := ibtcFillText
 	pc = c.aluN(timing.CompTOLOther, pc, costIBTCFillALU)
 	addr := ibtcSlotAddr(ibtcSlotFor(target))
 	pc = c.store(timing.CompTOLOther, pc, addr)
 	c.store(timing.CompTOLOther, pc, addr+4)
+	c.end()
 }
 
 // BBMTranslate emits the cost of translating one basic block: decode
@@ -309,6 +379,8 @@ func (c *costEmitter) IBTCFill(target uint32) {
 // host instructions into the code cache, and the translation-table
 // insert probes.
 func (c *costEmitter) BBMTranslate(tr *Translation, work *Work) {
+	c.begin(costBBMFixed + (costBBMPerGuestInst+1)*len(tr.GuestPCs) +
+		costBBMPerHostInst*work.HostEmitted + len(work.TableProbes) + 1)
 	pc := translateText
 	pc = c.aluN(timing.CompBBM, pc, costBBMFixed/2)
 	for i, gpc := range tr.GuestPCs {
@@ -332,6 +404,7 @@ func (c *costEmitter) BBMTranslate(tr *Translation, work *Work) {
 	}
 	pc = c.store(timing.CompBBM, pc, tr.ProfSlot)
 	c.aluN(timing.CompBBM, pc, costBBMFixed-costBBMFixed/2)
+	c.end()
 }
 
 // SBMCost splits the modeled host instructions of one SBM invocation
@@ -353,7 +426,17 @@ type SBMCost struct {
 // reports how many stream instructions each pass accounted for.
 func (c *costEmitter) SBMOptimize(tr *Translation, work *Work) SBMCost {
 	cost := SBMCost{PerPass: make([]int, len(work.Passes))}
-	mark := func() int { return len(c.out.buf) }
+	visits := 0
+	for _, pr := range work.Passes {
+		visits += pr.Visits
+	}
+	// A visit is costSBMPerPassVisit instructions plus, every 16th, a
+	// loop branch.
+	most := costSBMFixed + costSBMPerGuestInst*len(tr.GuestPCs) +
+		(costSBMPerPassVisit+1)*visits +
+		costSBMPerHostInst*work.HostEmitted + len(work.TableProbes)
+	c.begin(most)
+	mark := func() int { return most - len(c.w) } // instructions emitted so far
 	start := mark()
 
 	pc := optimizeText
@@ -400,11 +483,13 @@ func (c *costEmitter) SBMOptimize(tr *Translation, work *Work) SBMCost {
 	c.aluN(timing.CompSBM, pc, costSBMFixed-costSBMFixed/2)
 
 	cost.Other = (preOpt - start) + (mark() - postOpt)
+	c.end()
 	return cost
 }
 
 // Init emits TOL start-up work (one-time, attributed to TOL others).
 func (c *costEmitter) Init() {
+	c.begin(40*5 + 40/8)
 	pc := dispatchText + 0xc0
 	for i := 0; i < 40; i++ {
 		pc = c.aluN(timing.CompTOLOther, pc, 4)
@@ -413,30 +498,61 @@ func (c *costEmitter) Init() {
 			pc = c.branch(timing.CompTOLOther, pc, true, dispatchText+0xc0)
 		}
 	}
+	c.end()
 }
 
 // dynQueue is the engine's pending dynamic-instruction buffer. The
-// backing array is an arena: it grows to the drain threshold once and
-// is then reused for the rest of the run, so steady-state execution
-// pushes and pops without allocating.
+// backing array is an arena: it reaches its working size in at most
+// two allocations and is then reused for the rest of the run, so
+// steady-state execution fills and drains it without allocating.
 type dynQueue struct {
 	buf  []timing.DynInst
 	head int
 }
 
-func (q *dynQueue) push(d timing.DynInst) { q.buf = append(q.buf, d) }
+// The queue is empty whenever generation starts, so its length is
+// bounded by one unit of forward progress. That gives it two working
+// sizes: an interpreted step with the TOL services it triggers (a few
+// hundred instructions), and a translated burst of queueDrainThreshold
+// plus the service that ends it. The arena is allocated at the first,
+// moves to the second when a burst first outgrows it, and beyond that
+// (a superblock build billed on top of a full burst) grows by a quarter
+// over the need rather than doubling from nothing in every engine.
+const (
+	queueStepCap  = 512
+	queueBurstCap = queueDrainThreshold + queueStepCap
+)
 
-// alloc extends the queue by one slot and returns it for in-place
-// filling, saving the construct-then-copy of push on the hottest
-// paths. The slot holds stale data; callers must overwrite every field
-// (translated execution copies a full template over it).
-func (q *dynQueue) alloc() *timing.DynInst {
-	if len(q.buf) < cap(q.buf) {
-		q.buf = q.buf[:len(q.buf)+1]
-	} else {
-		q.buf = append(q.buf, timing.DynInst{})
+// reserve extends the queue by n slots and returns them for in-place
+// filling. The slots hold stale data; callers must overwrite every
+// field of each one they keep.
+func (q *dynQueue) reserve(n int) []timing.DynInst {
+	l := len(q.buf)
+	if l+n > cap(q.buf) {
+		q.grow(l + n)
 	}
-	return &q.buf[len(q.buf)-1]
+	q.buf = q.buf[:l+n]
+	return q.buf[l:]
+}
+
+// alloc is reserve for one slot (translated execution copies a full
+// template over it).
+func (q *dynQueue) alloc() *timing.DynInst {
+	l := len(q.buf)
+	if l == cap(q.buf) {
+		q.grow(l + 1)
+	}
+	q.buf = q.buf[:l+1]
+	return &q.buf[l]
+}
+
+// grow moves the arena to the working size that holds need slots.
+func (q *dynQueue) grow(need int) {
+	newCap := queueStepCap
+	if need > newCap {
+		newCap = max(queueBurstCap, need+need/4)
+	}
+	q.buf = append(make([]timing.DynInst, 0, newCap), q.buf...)
 }
 
 func (q *dynQueue) pop(d *timing.DynInst) bool {

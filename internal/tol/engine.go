@@ -106,8 +106,10 @@ const ctxPollSteps = 1024
 
 // NewEngine builds the co-design component for a guest program. An
 // invalid configuration (unknown pass or promotion-policy names, bad
-// bounds — see Config.Validate) surfaces as an immediate run error:
-// the engine produces no stream and Err reports the problem.
+// bounds — see Config.Validate) or an unsupported program surfaces as
+// an immediate run error: the engine produces no stream and Err
+// reports the problem. A failed engine is still inspectable — its
+// exported CC, TT, IB and Prof are empty, never nil.
 func NewEngine(cfg Config, p *guest.Program) *Engine {
 	hm := mem.NewSparse()
 	p.LoadIntoWindow(hm)
@@ -116,7 +118,6 @@ func NewEngine(cfg Config, p *guest.Program) *Engine {
 		HostMem: hm,
 		CPU:     host.NewCPU(hm),
 		GuestV:  mem.GuestView{Host: hm},
-		CC:      NewCodeCache(),
 		TT:      NewTransTable(),
 		IB:      NewIBTC(hm),
 		Prof:    NewProfileTable(hm),
@@ -124,37 +125,47 @@ func NewEngine(cfg Config, p *guest.Program) *Engine {
 		promoted: make(map[uint32]*Translation),
 	}
 	e.guestMem = e.GuestV
+	if err := e.wire(p); err != nil {
+		e.err = err
+		e.CC = NewCodeCache()
+	}
+	return e
+}
+
+// wire resolves the configuration and the program's frontend and
+// builds everything that depends on them. The code cache is built
+// once, after every check that can fail.
+func (e *Engine) wire(p *guest.Program) error {
 	if err := e.Cfg.Validate(); err != nil {
-		e.fail("%v", err)
-		return e
+		return err
 	}
 	isa, err := guest.ISAOf(p)
 	if err != nil {
-		e.fail("tol: %v", err)
-		return e
+		return fmt.Errorf("tol: %v", err)
 	}
 	plan, err := planFor(isa)
 	if err != nil {
-		e.fail("%v", err)
-		return e
+		return err
 	}
 	e.isa, e.plan = isa, plan
 	e.dec = guest.NewDecodeCache(isa)
 	if e.Cfg.Cache.CapacityInsts > 0 {
 		evp, _ := e.Cfg.Cache.NewEvictionPolicy() // validated above
 		e.CC = NewBoundedCodeCache(e.Cfg.Cache, evp)
+	} else {
+		e.CC = NewCodeCache()
 	}
 	e.CC.Link(e.TT, e.IB)
 	e.CC.OnEvict = e.onEvict
 	e.policy, _ = e.Cfg.NewPromotionPolicy() // validated above
-	e.Trans, _ = NewTranslator(&e.Cfg, e.isa, e.policy, e.CC, e.TT, e.Prof, e.GuestV)
+	e.Trans, _ = NewTranslator(&e.Cfg, e.isa, e.policy, e.CC, e.TT, e.Prof, e.dec, e.guestMem)
 	e.cost = newCostEmitter(&e.queue)
 	e.isa.InitState(&e.gs, p.Entry)
-	if cfg.Cosim {
+	if e.Cfg.Cosim {
 		e.shadow = emu.New(p)
 	}
 	e.cost.Init()
-	return e
+	return nil
 }
 
 // Err returns the first execution error, if any.

@@ -1,7 +1,9 @@
 package tol
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/emu"
@@ -388,5 +390,134 @@ func TestEngineGuestBudget(t *testing.T) {
 	eng := NewEngine(cfg, b.MustBuild())
 	if err := eng.Run(); err == nil {
 		t.Fatal("expected budget error")
+	}
+}
+
+// TestNewEngineInvalidConfigStillInspectable pins the failed-engine
+// contract on every early-return path of construction: the error is
+// reported, the stream is empty, and the exported TOL structures are
+// empty but present — inspecting a failed engine never dereferences
+// nil.
+func TestNewEngineInvalidConfigStillInspectable(t *testing.T) {
+	foreign := *fibProgram(10)
+	foreign.ISA = "no-such-frontend"
+	badPolicy := DefaultConfig()
+	badPolicy.Cache = CacheConfig{CapacityInsts: 512, Policy: "no-such-policy"}
+	badBound := DefaultConfig()
+	badBound.BBThreshold = -1
+	for name, tc := range map[string]struct {
+		cfg Config
+		p   *guest.Program
+	}{
+		"invalid config":   {badBound, fibProgram(10)},
+		"unknown eviction": {badPolicy, fibProgram(10)},
+		"unknown frontend": {DefaultConfig(), &foreign},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(tc.cfg, tc.p)
+			if e.Err() == nil {
+				t.Fatal("engine built without error")
+			}
+			if e.CC == nil || e.TT == nil || e.IB == nil || e.Prof == nil {
+				t.Fatalf("failed engine lost a structure: CC=%v TT=%v IB=%v Prof=%v", e.CC, e.TT, e.IB, e.Prof)
+			}
+			if n := len(e.CC.Translations()); n != 0 || e.CC.UsedInsts() != 0 || e.CC.Bounded() {
+				t.Errorf("code cache of a failed engine: %d translations, %d insts, bounded=%v", n, e.CC.UsedInsts(), e.CC.Bounded())
+			}
+			if e.TT.Len() != 0 || e.Prof.Allocated() != 0 {
+				t.Errorf("tables of a failed engine: %d translations, %d profile slots", e.TT.Len(), e.Prof.Allocated())
+			}
+			if _, ok, _ := e.TT.Lookup(tc.p.Entry); ok {
+				t.Error("lookup hit in an empty table")
+			}
+			if tag, entry := e.IB.Peek(tc.p.Entry); tag != 0 || entry != 0 {
+				t.Errorf("IBTC line of a failed engine: %#x -> %#x", tag, entry)
+			}
+			var d timing.DynInst
+			if e.Next(&d) {
+				t.Error("failed engine produced a stream")
+			}
+			if err := e.Run(); err == nil {
+				t.Error("Run on a failed engine returned nil")
+			}
+			if _, err := e.Snapshot(); err == nil {
+				t.Error("failed engine let itself be snapshotted")
+			}
+		})
+	}
+}
+
+// TestEnginesBuiltConcurrently builds and drains engines from several
+// goroutines over one shared program, the way darco.Session workers do.
+// Engines share nothing mutable — no pooled arenas, no lazily shared
+// pages — so every goroutine must see the same stream; run under -race
+// this is the tripwire for any such sharing.
+func TestEnginesBuiltConcurrently(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cosim = false
+	cfg.SBThreshold = 25
+	cfg.Cache = CacheConfig{CapacityInsts: 640, Policy: "lru-translation"}
+	p := pressureProgram(6, 40, 8)
+
+	drain := func() (string, int, error) { return streamDigest(NewEngine(cfg, p)) }
+	wantSum, wantN, err := drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 4, 3
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for r := 0; r < rounds; r++ {
+				sum, n, err := drain()
+				if err == nil && (sum != wantSum || n != wantN) {
+					err = fmt.Errorf("stream differs: %d insts digest %s, want %d insts digest %s", n, sum, wantN, wantSum)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestNewEngineAllocBudget is the cold-path tripwire: building an
+// engine and draining a short program must cost what the run touches,
+// not the capacity of the tables behind it. The ceiling is several
+// times today's figure and a quarter of what dense tables cost.
+func TestNewEngineAllocBudget(t *testing.T) {
+	const ceiling = 256 << 10
+	cfg := DefaultConfig()
+	cfg.Cosim = false
+	p := fibProgram(6)
+	var buf [256]timing.DynInst
+	run := func() uint64 {
+		e := NewEngine(cfg, p)
+		for e.NextBatch(buf[:]) > 0 {
+		}
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Stats.DynTotal()
+	}
+	dyn := run()
+	const rounds = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("NewEngine + %d-instruction run: %d bytes", dyn, per)
+	if per > ceiling {
+		t.Errorf("NewEngine + short run allocates %d bytes, ceiling %d", per, ceiling)
 	}
 }

@@ -48,7 +48,8 @@ func pressureProgram(loops, iters, outer int32) *guest.Program {
 //   - every direct jump in surviving translations targets TOL or a
 //     live translation,
 //   - every translation-table entry maps to a live entry point,
-//   - every IBTC line caches a live entry point,
+//   - every IBTC line caches a live entry point, and the Go-side mirror
+//     the unlink scans agrees with simulated memory,
 //   - every remembered promotion maps to a live superblock.
 func verifyNoDangling(t *testing.T, e *Engine) {
 	t.Helper()
@@ -74,13 +75,11 @@ func verifyNoDangling(t *testing.T, e *Engine) {
 			}
 		}
 	}
-	tt := e.TT
-	for i := 0; i < transTableEntries; i++ {
-		k := tt.keys[i]
-		if k == 0 || k == ttTombstone {
+	for _, slot := range e.TT.snapshot().Slots {
+		k, entry := slot.Key, slot.Val
+		if k == ttTombstone {
 			continue
 		}
-		entry := tt.vals[i]
 		tr := cc.EntryAt(entry)
 		if tr == nil {
 			t.Fatalf("translation table: guest %#x -> dead entry %#x", k-1, entry)
@@ -92,6 +91,9 @@ func verifyNoDangling(t *testing.T, e *Engine) {
 	for i := uint32(0); i < IBTCEntries; i++ {
 		addr := ibtcSlotAddr(i)
 		entry := e.HostMem.Read32(addr + 4)
+		if e.IB.entry[i] != entry {
+			t.Fatalf("IBTC slot %d: mirror holds %#x, simulated memory %#x", i, e.IB.entry[i], entry)
+		}
 		if entry == 0 {
 			continue
 		}

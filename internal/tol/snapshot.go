@@ -30,11 +30,18 @@ import (
 //	CC           captured  EngineSnapshot.Code (insts, translations, free map)
 //	TT           captured  EngineSnapshot.TT (sparse slots incl. tombstones)
 //	IB           captured  EngineSnapshot.IBTC counters; contents live in Mem
+//	  .entry     rebuilt   mirror of the lines' host-entry words, re-read
+//	                       from the restored Mem (IBTC.rebuild)
 //	Prof         captured  EngineSnapshot.Prof slot directory; counters in Mem
-//	Trans        rebuilt   stateless (LastWork is per-call scratch)
+//	Trans        rebuilt   stateless: LastWork, bb and em are per-call
+//	                       scratch, dec is the engine's decode cache
 //	cost         captured  EngineSnapshot.Cost (register rotation state)
-//	queue        captured  EngineSnapshot.Queue (undelivered stream suffix)
-//	dec          rebuilt   pure decode cache over immutable guest code
+//	  .w         transient window of an open burst; nil at every
+//	                       generation boundary
+//	queue        captured  EngineSnapshot.Queue (undelivered stream suffix;
+//	                       the arena's capacity is not state)
+//	dec          rebuilt   pure decode cache over immutable guest code,
+//	                       shared by the interpreter and the translator
 //	gs           captured  EngineSnapshot.GS
 //	inTranslated captured  EngineSnapshot.InTranslated
 //	curTrans     captured  EngineSnapshot.CurTrans (entry PC; only meaningful
@@ -493,9 +500,14 @@ func (c *CodeCache) snapshot() CodeCacheSnap {
 // including tombstones, in index order.
 func (t *TransTable) snapshot() TransTableSnap {
 	sn := TransTableSnap{Live: t.live, Occ: t.occ}
-	for i := uint32(0); i < transTableEntries; i++ {
-		if t.keys[i] != 0 {
-			sn.Slots = append(sn.Slots, TTSlotSnap{Idx: i, Key: t.keys[i], Val: t.vals[i]})
+	for pi, p := range t.pages {
+		if p == nil {
+			continue
+		}
+		for i, k := range p.keys {
+			if k != 0 {
+				sn.Slots = append(sn.Slots, TTSlotSnap{Idx: uint32(pi<<ttPageShift + i), Key: k, Val: p.vals[i]})
+			}
 		}
 	}
 	return sn
@@ -544,6 +556,7 @@ func RestoreEngine(p *guest.Program, sn *EngineSnapshot) (*Engine, error) {
 	}
 	e.Prof.restore(&sn.Prof)
 	e.IB.Fills, e.IB.Hits, e.IB.Miss = sn.IBTC.Fills, sn.IBTC.Hits, sn.IBTC.Miss
+	e.IB.rebuild(e.HostMem)
 
 	e.inTranslated = sn.InTranslated
 	if sn.InTranslated {
@@ -744,14 +757,12 @@ func (c *CodeCache) restore(sn *CodeCacheSnap) error {
 
 // restore rebuilds the translation table from its sparse snapshot.
 func (t *TransTable) restore(sn *TransTableSnap) error {
-	t.keys = [transTableEntries]uint32{}
-	t.vals = [transTableEntries]uint32{}
+	clear(t.pages[:])
 	for _, s := range sn.Slots {
 		if s.Idx >= transTableEntries {
 			return fmt.Errorf("tol: translation-table snapshot slot %d out of range", s.Idx)
 		}
-		t.keys[s.Idx] = s.Key
-		t.vals[s.Idx] = s.Val
+		t.set(s.Idx, s.Key, s.Val)
 	}
 	t.live, t.occ = sn.Live, sn.Occ
 	return nil

@@ -168,48 +168,63 @@ func testSnapshotRoundTrip(t *testing.T, p *guest.Program, cfg Config) {
 	}
 }
 
-func TestSnapshotRoundTripAllTiers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SBThreshold = 20
-	testSnapshotRoundTrip(t, fibProgram(500), cfg)
-}
-
-func TestSnapshotRoundTripO0(t *testing.T) {
-	cfg := DefaultConfig()
-	if err := ApplyOptLevel(&cfg, 0); err != nil {
-		t.Fatalf("O0: %v", err)
-	}
-	testSnapshotRoundTrip(t, fibProgram(300), cfg)
-}
-
-func TestSnapshotRoundTripO3(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SBThreshold = 20
-	cfg.OptLevel = "O3"
-	testSnapshotRoundTrip(t, pressureProgram(4, 30, 4), cfg)
-}
-
-func TestSnapshotRoundTripInterpOnly(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BBThreshold = 1 << 30 // nothing ever translates
-	testSnapshotRoundTrip(t, fibProgram(200), cfg)
-}
-
-func TestSnapshotRoundTripBoundedLRU(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SBThreshold = 25
-	cfg.Cache = CacheConfig{CapacityInsts: 640, Policy: "lru-translation"}
-	testSnapshotRoundTrip(t, pressureProgram(6, 40, 8), cfg)
-}
-
-func TestSnapshotRoundTripFifoRegionAdaptive(t *testing.T) {
+// snapshotFixtures are the (program, config) pairs of the snapshot
+// tests: every tier, the O0 and O3 pipelines, pure interpretation, and
+// both stateful policy pairs under cache pressure. TestSnapshotGolden
+// pins the snapshot bytes of the same pairs.
+var snapshotFixtures = []struct {
+	name string
+	p    func() *guest.Program
+	cfg  func(*Config)
+}{
+	{"all-tiers", func() *guest.Program { return fibProgram(500) }, func(c *Config) { c.SBThreshold = 20 }},
+	{"O0", func() *guest.Program { return fibProgram(300) }, func(c *Config) { mustOpt(c, 0) }},
+	{"O3", func() *guest.Program { return pressureProgram(4, 30, 4) }, func(c *Config) {
+		c.SBThreshold = 20
+		c.OptLevel = "O3"
+	}},
+	// Nothing ever translates.
+	{"interp-only", func() *guest.Program { return fibProgram(200) }, func(c *Config) { c.BBThreshold = 1 << 30 }},
+	{"bounded-lru", func() *guest.Program { return pressureProgram(6, 40, 8) }, func(c *Config) {
+		c.SBThreshold = 25
+		c.Cache = CacheConfig{CapacityInsts: 640, Policy: "lru-translation"}
+	}},
 	// Exercises both StateSnapshotter implementations: the fifo-region
 	// eviction rotation and the adaptive promotion back-off.
-	cfg := DefaultConfig()
-	cfg.SBThreshold = 25
-	cfg.Promotion = "adaptive"
-	cfg.Cache = CacheConfig{CapacityInsts: 640, Policy: "fifo-region"}
-	testSnapshotRoundTrip(t, pressureProgram(6, 40, 8), cfg)
+	{"fifo-region-adaptive", func() *guest.Program { return pressureProgram(6, 40, 8) }, func(c *Config) {
+		c.SBThreshold = 25
+		c.Promotion = "adaptive"
+		c.Cache = CacheConfig{CapacityInsts: 640, Policy: "fifo-region"}
+	}},
+}
+
+// snapshotFixture returns the named fixture's program and config.
+func snapshotFixture(t *testing.T, name string) (*guest.Program, Config) {
+	t.Helper()
+	for _, f := range snapshotFixtures {
+		if f.name == name {
+			cfg := DefaultConfig()
+			f.cfg(&cfg)
+			return f.p(), cfg
+		}
+	}
+	t.Fatalf("no snapshot fixture %q", name)
+	return nil, Config{}
+}
+
+func roundTripFixture(t *testing.T, name string) {
+	t.Helper()
+	p, cfg := snapshotFixture(t, name)
+	testSnapshotRoundTrip(t, p, cfg)
+}
+
+func TestSnapshotRoundTripAllTiers(t *testing.T)   { roundTripFixture(t, "all-tiers") }
+func TestSnapshotRoundTripO0(t *testing.T)         { roundTripFixture(t, "O0") }
+func TestSnapshotRoundTripO3(t *testing.T)         { roundTripFixture(t, "O3") }
+func TestSnapshotRoundTripInterpOnly(t *testing.T) { roundTripFixture(t, "interp-only") }
+func TestSnapshotRoundTripBoundedLRU(t *testing.T) { roundTripFixture(t, "bounded-lru") }
+func TestSnapshotRoundTripFifoRegionAdaptive(t *testing.T) {
+	roundTripFixture(t, "fifo-region-adaptive")
 }
 
 // TestSnapshotMidQueue snapshots between single-instruction pops, while

@@ -484,7 +484,7 @@ type slotKey struct {
 // every pass contributes a PassReport to LastWork for the per-pass
 // cost attribution.
 func (t *Translator) BuildSuperblock(seed uint32) (*Translation, error) {
-	t.LastWork = Work{}
+	e := t.begin()
 	plan, err := t.buildTrace(seed)
 	if err != nil {
 		return nil, err
@@ -497,7 +497,6 @@ func (t *Translator) BuildSuperblock(seed uint32) (*Translation, error) {
 		}
 	}
 
-	e := newEmitter(t.plan)
 	tr := &Translation{Kind: KindSB, GuestEntry: seed}
 
 	mat := planFlagsLiveness(plan)

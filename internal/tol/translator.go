@@ -57,6 +57,16 @@ func newEmitter(plan *regPlan) *emitter {
 	}
 }
 
+// reset empties the emitter for the next translation, keeping its
+// code buffer and maps.
+func (e *emitter) reset() {
+	e.code = e.code[:0]
+	clear(e.fixups)
+	clear(e.labels)
+	clear(e.exits)
+	e.nextLbl = 0
+}
+
 // r returns the pinned host register for guest integer register g.
 func (e *emitter) r(g guest.Reg) host.Reg { return e.plan.r(g) }
 

@@ -15,15 +15,35 @@ import "fmt"
 // requires: a deleted slot keeps its place in probe chains but can be
 // reclaimed by a later insert. Tombstones lengthen probe chains until
 // reuse — a real cost the lookup stream carries.
+//
+// Only the Go storage is lazy: slots live in small pages allocated on
+// first write, so a fresh table costs its page directory, not the
+// 512 KB its slots span. Slot indices, probe sequences, tombstones and
+// simulated slot addresses do not depend on which pages exist.
 type TransTable struct {
-	keys [transTableEntries]uint32 // guest IP + 1 (0 = empty, ^0 = tombstone)
-	vals [transTableEntries]uint32 // host entry PC
-	live int                       // live entries
-	occ  int                       // live + tombstones (probe-chain load)
+	pages [transTableEntries / ttPageSlots]*ttPage
+	live  int // live entries
+	occ   int // live + tombstones (probe-chain load)
 
 	// probeBuf records the slot indices touched by the last operation,
 	// consumed by the cost model.
 	probeBuf []uint32
+}
+
+// ttPageSlots is the number of consecutive slots one backing page
+// holds. hashGuest scatters entries over the whole index space, so a
+// page rarely holds more than one or two of a program's translations:
+// pages must be small or a 200-translation program allocates most of
+// the table anyway.
+const (
+	ttPageShift = 5
+	ttPageSlots = 1 << ttPageShift
+)
+
+// ttPage backs ttPageSlots consecutive slots.
+type ttPage struct {
+	keys [ttPageSlots]uint32 // guest IP + 1 (0 = empty, ^0 = tombstone)
+	vals [ttPageSlots]uint32 // host entry PC
 }
 
 // ttTombstone marks a deleted slot. It can never collide with a live
@@ -36,6 +56,30 @@ func NewTransTable() *TransTable {
 	return &TransTable{probeBuf: make([]uint32, 0, 16)}
 }
 
+// key returns the key word of slot idx (0 on a never-written page).
+func (t *TransTable) key(idx uint32) uint32 {
+	if p := t.pages[idx>>ttPageShift]; p != nil {
+		return p.keys[idx&(ttPageSlots-1)]
+	}
+	return 0
+}
+
+// val returns the value word of slot idx, which must be occupied.
+func (t *TransTable) val(idx uint32) uint32 {
+	return t.pages[idx>>ttPageShift].vals[idx&(ttPageSlots-1)]
+}
+
+// set writes slot idx, allocating its page on first write.
+func (t *TransTable) set(idx, key, val uint32) {
+	p := t.pages[idx>>ttPageShift]
+	if p == nil {
+		p = new(ttPage)
+		t.pages[idx>>ttPageShift] = p
+	}
+	p.keys[idx&(ttPageSlots-1)] = key
+	p.vals[idx&(ttPageSlots-1)] = val
+}
+
 // Lookup finds the translation entry for guest address g. The returned
 // probe slice lists the table slots touched (valid until the next
 // operation).
@@ -44,12 +88,12 @@ func (t *TransTable) Lookup(g uint32) (hostEntry uint32, ok bool, probes []uint3
 	idx := hashGuest(g) & transTableMask
 	for {
 		t.probeBuf = append(t.probeBuf, idx)
-		k := t.keys[idx]
+		k := t.key(idx)
 		if k == 0 {
 			return 0, false, t.probeBuf
 		}
 		if k == g+1 {
-			return t.vals[idx], true, t.probeBuf
+			return t.val(idx), true, t.probeBuf
 		}
 		// Mismatch or tombstone: keep probing.
 		idx = (idx + 1) & transTableMask
@@ -71,9 +115,9 @@ func (t *TransTable) Insert(g, hostEntry uint32) (probes []uint32) {
 	reuse := int64(-1)
 	for {
 		t.probeBuf = append(t.probeBuf, idx)
-		k := t.keys[idx]
+		k := t.key(idx)
 		if k == g+1 {
-			t.vals[idx] = hostEntry
+			t.set(idx, k, hostEntry)
 			return t.probeBuf
 		}
 		if k == ttTombstone && reuse < 0 {
@@ -86,8 +130,7 @@ func (t *TransTable) Insert(g, hostEntry uint32) (probes []uint32) {
 				t.occ++
 			}
 			t.live++
-			t.keys[idx] = g + 1
-			t.vals[idx] = hostEntry
+			t.set(idx, g+1, hostEntry)
 			return t.probeBuf
 		}
 		idx = (idx + 1) & transTableMask
@@ -102,16 +145,15 @@ func (t *TransTable) Insert(g, hostEntry uint32) (probes []uint32) {
 func (t *TransTable) Delete(g, hostEntry uint32) bool {
 	idx := hashGuest(g) & transTableMask
 	for n := 0; n <= transTableEntries; n++ {
-		k := t.keys[idx]
+		k := t.key(idx)
 		if k == 0 {
 			return false
 		}
 		if k == g+1 {
-			if t.vals[idx] != hostEntry {
+			if t.val(idx) != hostEntry {
 				return false
 			}
-			t.keys[idx] = ttTombstone
-			t.vals[idx] = 0
+			t.set(idx, ttTombstone, 0)
 			t.live--
 			return true
 		}
