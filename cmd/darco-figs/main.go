@@ -48,20 +48,18 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"slices"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/darco"
 	"repro/internal/experiments"
-	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/sweep"
-	"repro/internal/workload"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { cli.Main(run) }
 
 // sweepIDs are the parameterized sweeps -fig selects besides the paper
 // figures; they are opt-in and not part of "all" (cc runs 1 +
@@ -70,42 +68,25 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // twice), so restrict them with -benchmarks for quick sweeps.
 var sweepIDs = []string{"cc", "phase", "sample"}
 
-// run is the whole command behind a testable seam: it parses args,
-// writes the report to stdout and diagnostics to stderr, and returns
-// the exit code (0 ok, 1 run failure, 2 usage error).
-func run(args []string, stdout, stderr io.Writer) int {
+// run is the command behind cli.Main's testable seam.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	figIDs := append(append(experiments.FigureIDs(), sweepIDs...), "all")
 
-	fs := flag.NewFlagSet("darco-figs", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fig := fs.String("fig", "all", "figure to regenerate: "+strings.Join(figIDs, ", ")+" (5a, 5b select one table of figure 5; 'all' excludes the "+strings.Join(sweepIDs, ", ")+" sweeps)")
-	scale := fs.Float64("scale", 1.0, "workload dynamic-size multiplier")
-	csv := fs.Bool("csv", false, "emit CSV")
-	jsonOut := fs.Bool("json", false, "emit the tables as JSON")
-	quiet := fs.Bool("q", false, "suppress progress output")
-	benches := fs.String("benchmarks", "", "comma-separated subset of benchmarks (workload references)")
-	workloadFlag := fs.String("workload", "", "comma-separated workload references (<source>:<name>) appended to -benchmarks")
-	phases := fs.Int("phases", 0, "largest composite of the -fig phase sweep (0 = default)")
-	phaseCap := fs.Int("phase-cap", 0, "bounded code-cache capacity of the -fig phase sweep in instruction slots (0 = default)")
-	knobs := darco.BindFlags(fs)
-	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	from := fs.String("from", "", "comma-separated JSON record files (darco/darco-suite -json output) to reuse instead of simulating")
-	timeout := fs.Duration("timeout", 0, "overall deadline for the whole regeneration (0 = none)")
-	server := fs.String("server", "", "run on a darco-serve instance at this base URL instead of simulating locally")
-	gridSpec := fs.String("grid", "", "run a declarative characterization grid from this JSON spec (see examples/grids) instead of the built-in figures")
-	storeDir := fs.String("store", "", "content-addressed result store directory; completed work persists there and re-runs resume from it")
-	shard := fs.String("shard", "", "with -grid, run only this deterministic slice of the cells, as i/n (e.g. 0/4)")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	exit := func(code int, a ...any) int {
-		fmt.Fprintln(stderr, a...)
+	cmd := cli.New("darco-figs", stdout, stderr)
+	fig := cmd.String("fig", "all", "figure to regenerate: "+strings.Join(figIDs, ", ")+" (5a, 5b select one table of figure 5; 'all' excludes the "+strings.Join(sweepIDs, ", ")+" sweeps)")
+	csv := cmd.Bool("csv", false, "emit CSV")
+	quiet := cmd.Bool("q", false, "suppress progress output")
+	benches := cmd.String("benchmarks", "", "comma-separated subset of benchmarks (workload references)")
+	phases := cmd.Int("phases", 0, "largest composite of the -fig phase sweep (0 = default)")
+	phaseCap := cmd.Int("phase-cap", 0, "bounded code-cache capacity of the -fig phase sweep in instruction slots (0 = default)")
+	from := cmd.String("from", "", "comma-separated JSON record files (darco/darco-suite -json output) to reuse instead of simulating")
+	gridSpec := cmd.String("grid", "", "run a declarative characterization grid from this JSON spec (see examples/grids) instead of the built-in figures")
+	storeDir := cmd.String("store", "", "content-addressed result store directory; completed work persists there and re-runs resume from it")
+	shard := cmd.String("shard", "", "with -grid, run only this deterministic slice of the cells, as i/n (e.g. 0/4)")
+	b := cmd.BindBatch("(<source>:<name>) appended to -benchmarks", "emit the tables as JSON", "regeneration")
+	if code, ok := cmd.Parse(args); !ok {
 		return code
 	}
-	usage := func(a ...any) int { return exit(2, append([]any{"darco-figs:"}, a...)...) }
 
 	// The figure selection: 5a/5b name one table of figure 5.
 	sel, onlyTable := *fig, -1
@@ -113,12 +94,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sel, onlyTable = "5", int(sel[1]-'a')
 	}
 	if !slices.Contains(figIDs, sel) {
-		return usage(fmt.Sprintf("unknown -fig %q (have %s)", *fig, strings.Join(figIDs, ", ")))
+		return cmd.Exit(cli.Usage, fmt.Sprintf("unknown -fig %q (have %s)", *fig, strings.Join(figIDs, ", ")))
 	}
 	// Flags that the selected path would silently ignore are usage
 	// errors, each with the reason it has no effect there.
 	given := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	cmd.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	for _, c := range []struct {
 		when   bool
 		flags  []string
@@ -129,43 +110,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{sel != "phase", []string{"phases", "phase-cap"}, "it sizes the -fig phase sweep"},
 		{sel == "sample", []string{"server", "store", "from"}, "-fig sample times fresh local runs on a private session"},
 		// A base-config bound would be overwritten per point.
-		{sel == "cc" && (knobs.CCSize != nil || knobs.CCPolicy != ""), []string{"cc-size", "cc-policy"},
+		{sel == "cc" && (b.Knobs.CCSize != nil || b.Knobs.CCPolicy != ""), []string{"cc-size", "cc-policy"},
 			"-fig cc sweeps its own capacities and policies (use cmd/darco or cmd/darco-suite for a single bounded configuration)"},
 	} {
 		for _, name := range c.flags {
 			if c.when && given[name] {
-				return usage(fmt.Sprintf("-%s has no effect here: %s", name, c.reason))
+				return cmd.Exit(cli.Usage, fmt.Sprintf("-%s has no effect here: %s", name, c.reason))
 			}
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := cli.WithTimeout(ctx, b.Timeout)
+	defer cancel()
 
-	opts := experiments.DefaultOptions()
-	opts.Scale = *scale
-	err := knobs.Apply(&opts.Config)
-	if err == nil {
-		err = opts.Config.Validate()
-	}
+	cfg, err := b.Config(darco.DefaultConfig())
 	if err != nil {
-		return usage(err)
+		return cmd.Exit(cli.Usage, err)
 	}
-	samplePlan := opts.Config.Sampling
+	opts := experiments.Options{Scale: b.Scale, Config: cfg, Jobs: b.Jobs, Context: ctx, SessionOptions: b.SessionOptions()}
 	if sel == "sample" {
 		// The sweep compares sampled against full runs itself; the base
 		// config must stay full-detail so the reference leg is one.
 		opts.Config.Sampling = nil
-	}
-	opts.Jobs = *jobs
-	opts.Context = ctx
-	if *server != "" {
-		opts.SessionOptions = append(opts.SessionOptions, darco.WithRemote(serve.NewClient(*server)))
 	}
 	if !*quiet {
 		opts.Log = stderr
@@ -173,43 +139,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
-			return usage(err)
+			return cmd.Exit(cli.Usage, err)
 		}
 		opts.SessionOptions = append(opts.SessionOptions, darco.WithStore(st))
 	}
 	if *gridSpec != "" {
-		if err := runGrid(ctx, stdout, *gridSpec, *shard, &opts, *csv, *jsonOut); err != nil {
-			return exit(1, "darco-figs:", err)
+		if err := runGrid(ctx, stdout, *gridSpec, *shard, &opts, *csv, b.JSON); err != nil {
+			return cmd.Exit(cli.Fail, err)
 		}
-		return 0
+		return cli.OK
 	}
-	if *benches != "" {
-		opts.Benchmarks = strings.Split(*benches, ",")
-	}
-	if *workloadFlag != "" {
-		opts.Benchmarks = append(opts.Benchmarks, strings.Split(*workloadFlag, ",")...)
-	}
-	for i, ref := range opts.Benchmarks {
-		opts.Benchmarks[i] = workload.RefForISA(strings.TrimSpace(ref), knobs.ISA)
-	}
-	if *from != "" {
-		for _, path := range strings.Split(*from, ",") {
-			recs, err := loadRecords(strings.TrimSpace(path))
-			if err != nil {
-				return usage(err)
-			}
-			opts.Preload = append(opts.Preload, recs...)
+	opts.Benchmarks = b.Refs(*benches, b.Workload)
+	for _, path := range strings.FieldsFunc(*from, func(r rune) bool { return r == ',' }) {
+		recs, err := loadRecords(strings.TrimSpace(path))
+		if err != nil {
+			return cmd.Exit(cli.Usage, err)
 		}
+		opts.Preload = append(opts.Preload, recs...)
 	}
 	r, err := experiments.NewRunner(opts)
 	if err != nil {
-		return exit(2, err)
+		return cmd.Exit(cli.Usage, err)
 	}
 
 	var jsonTables []*stats.Table
 	emit := func(t *stats.Table) {
 		switch {
-		case *jsonOut:
+		case b.JSON:
 			jsonTables = append(jsonTables, t)
 		case *csv:
 			fmt.Fprintln(stdout, t.CSV())
@@ -224,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		tables, err := r.Figure(id)
 		if err != nil {
-			return exit(1, err)
+			return cmd.Exit(cli.Fail, err)
 		}
 		for i, t := range tables {
 			if onlyTable < 0 || i == onlyTable {
@@ -240,23 +196,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		t, err = r.FigPhase(*phases, *phaseCap)
 	case "sample":
 		// -sample/-interval/-warmup override the sweep's default plan.
-		t, err = r.FigSample(samplePlan)
+		t, err = r.FigSample(cfg.Sampling)
 	}
 	if err != nil {
-		return exit(1, err)
+		return cmd.Exit(cli.Fail, err)
 	}
 	if t != nil {
 		emit(t)
 	}
 
-	if *jsonOut {
+	if b.JSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(jsonTables); err != nil {
-			return exit(1, err)
+			return cmd.Exit(cli.Fail, err)
 		}
 	}
-	return 0
+	return cli.OK
 }
 
 // runGrid executes one declarative sweep spec on the flag-built base

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,7 +37,7 @@ func TestRunGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var stdout, stderr bytes.Buffer
-			if code := run(append([]string{"-q"}, tc.args...), &stdout, &stderr); code != 0 {
+			if code := run(context.Background(), append([]string{"-q"}, tc.args...), &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d: %s", code, stderr.String())
 			}
 			if !bytes.Equal(stdout.Bytes(), want) {
@@ -63,7 +64,7 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 		{"-fig", "6", "-shard", "0/2"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
+		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
 		if stdout.Len() != 0 {
@@ -80,7 +81,7 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 // catalog entry.
 func TestRunRV32DefaultCatalog(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-q", "-isa", "rv32", "-scale", "0.1", "-fig", "6", "-csv"}, &stdout, &stderr); code != 0 {
+	if code := run(context.Background(), []string{"-q", "-isa", "rv32", "-scale", "0.1", "-fig", "6", "-csv"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
@@ -98,6 +99,51 @@ func TestRunRV32DefaultCatalog(t *testing.T) {
 	for su := range suites {
 		if rows["AVG "+su] != 1 {
 			t.Errorf("suite %s has %d AVG rows, want 1", su, rows["AVG "+su])
+		}
+	}
+}
+
+// TestGridResumesFromStore runs the smoke grid twice against one
+// -store: the first run simulates every cell and reproduces the CSV of
+// the commit before the cmds moved behind internal/cli
+// (testdata/grid-smoke.csv); the second simulates nothing — every
+// progress line is "cached ..." — and prints the same bytes.
+func TestGridResumesFromStore(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "grid-smoke.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-grid", "../../examples/grids/smoke.json", "-store", t.TempDir(), "-csv"}
+	for _, progress := range []string{"run ", "cached "} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		if !bytes.Equal(stdout.Bytes(), want) {
+			t.Errorf("%q run: stdout differs from testdata/grid-smoke.csv:\n%s", progress, stdout.String())
+		}
+		lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+		for _, line := range lines {
+			if !strings.HasPrefix(line, progress) {
+				t.Errorf("progress line %q, want only %q lines", line, progress)
+			}
+		}
+		if cells := strings.Count(string(want), ",SPEC-INT,"); len(lines) != cells {
+			t.Errorf("%d %q lines for %d cells", len(lines), progress, cells)
+		}
+	}
+}
+
+// TestGridISAAxis: one benchmark name runs under both frontends as two
+// cells of a grid with an ISA axis.
+func TestGridISAAxis(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-q", "-grid", "../../examples/grids/cross-isa.json", "-csv"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	for _, isa := range []string{",x86,", ",rv32,"} {
+		if !strings.Contains(stdout.String(), isa) {
+			t.Errorf("no %s row in:\n%s", isa, stdout.String())
 		}
 	}
 }

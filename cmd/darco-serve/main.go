@@ -35,69 +35,98 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/darco"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
 
-func main() {
-	listen := flag.String("listen", ":8080", "server mode: listen address")
-	storeDir := flag.String("store", "", "server mode: content-addressed result store directory (empty = in-memory only, cache dies with the process)")
-	storeMax := flag.Int64("store-max-bytes", 0, "server mode: persistent-store size quota; least recently used entries are evicted past it (0 = unbounded)")
-	jobTTL := flag.Duration("job-ttl", 0, "server mode: drop completed jobs from the registry after this long (0 = keep forever; stored results survive)")
-	workers := flag.Int("workers", 0, "server mode: simulation worker-pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "server mode: admission queue bound, submissions beyond it get 429 (0 = default, <0 = unbounded)")
-	drain := flag.Duration("drain", 30*time.Second, "server mode: grace period for in-flight jobs on SIGINT/SIGTERM")
-	noCosim := flag.Bool("no-cosim", false, "server mode: disable emulator co-simulation in the base config")
+func main() { cli.Main(run, syscall.SIGTERM) }
 
-	server := flag.String("server", "", "client mode: darco-serve base URL (selects client mode)")
-	submit := flag.String("submit", "", "client mode: workload reference to submit (<source>:<name>)")
-	scale := flag.Float64("scale", 1.0, "client mode: workload dynamic-size multiplier")
-	tenant := flag.String("tenant", "", "client mode: fair-queuing tenant of the submission")
-	modeFlag := flag.String("mode", "", "client mode: timing mode override (shared, app-only, tol-only, split)")
-	health := flag.Bool("health", false, "client mode: print server health and exit")
-	cancelID := flag.String("cancel", "", "client mode: cancel this queued or running job and exit")
-	jobsList := flag.Bool("jobs-list", false, "client mode: list server jobs and exit")
-	storeList := flag.Bool("store-list", false, "client mode: list the server's persistent store and exit")
-	timeout := flag.Duration("timeout", 0, "client mode: overall deadline (0 = none)")
-	flag.Parse()
+// run is the command behind cli.Main's testable seam; cancelling ctx
+// is the server's drain signal.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	cmd := cli.New("darco-serve", stdout, stderr)
+	cfg := serve.Config{Log: stderr}
+	listen := cmd.String("listen", ":8080", "server mode: listen address")
+	storeDir := cmd.String("store", "", "server mode: content-addressed result store directory (empty = in-memory only, cache dies with the process)")
+	cmd.Int64Var(&cfg.StoreMaxBytes, "store-max-bytes", 0, "server mode: persistent-store size quota; least recently used entries are evicted past it (0 = unbounded)")
+	cmd.DurationVar(&cfg.JobTTL, "job-ttl", 0, "server mode: drop completed jobs from the registry after this long (0 = keep forever; stored results survive)")
+	cmd.IntVar(&cfg.Workers, "workers", 0, "server mode: simulation worker-pool size (0 = GOMAXPROCS)")
+	cmd.IntVar(&cfg.QueueLimit, "queue", 0, "server mode: admission queue bound, submissions beyond it get 429 (0 = default, <0 = unbounded)")
+	drain := cmd.Duration("drain", 30*time.Second, "server mode: grace period for in-flight jobs on SIGINT/SIGTERM")
+	noCosim := cmd.Bool("no-cosim", false, "server mode: disable emulator co-simulation in the base config")
 
-	if *server != "" {
-		os.Exit(clientMain(*server, *submit, *cancelID, *scale, *tenant, *modeFlag, *health, *jobsList, *storeList, *timeout))
+	var req serve.SubmitRequest
+	server := cmd.String("server", "", "client mode: darco-serve base URL (selects client mode)")
+	cmd.StringVar(&req.Workload, "submit", "", "client mode: workload reference to submit (<source>:<name>)")
+	cmd.Float64Var(&req.Scale, "scale", 1.0, "client mode: workload dynamic-size multiplier")
+	cmd.StringVar(&req.Tenant, "tenant", "", "client mode: fair-queuing tenant of the submission")
+	cmd.StringVar(&req.Mode, "mode", "", "client mode: timing mode override (shared, app-only, tol-only, split)")
+	health := cmd.Bool("health", false, "client mode: print server health and exit")
+	cancelID := cmd.String("cancel", "", "client mode: cancel this queued or running job and exit")
+	jobsList := cmd.Bool("jobs-list", false, "client mode: list server jobs and exit")
+	storeList := cmd.Bool("store-list", false, "client mode: list the server's persistent store and exit")
+	timeout := cmd.Duration("timeout", 0, "client mode: overall deadline (0 = none)")
+	if code, ok := cmd.Parse(args); !ok {
+		return code
 	}
-	if *submit != "" || *cancelID != "" || *health || *jobsList || *storeList {
-		fmt.Fprintln(os.Stderr, "darco-serve: client flags need -server <url>")
-		os.Exit(2)
+
+	if *server == "" {
+		if req.Workload != "" || *cancelID != "" || *health || *jobsList || *storeList {
+			return cmd.Exit(cli.Usage, "client flags need -server <url>")
+		}
+		return serverMain(ctx, cmd, cfg, *listen, *storeDir, *drain, *noCosim)
 	}
-	os.Exit(serverMain(*listen, *storeDir, *storeMax, *workers, *queue, *drain, *jobTTL, *noCosim))
+	ctx, cancel := cli.WithTimeout(ctx, *timeout)
+	defer cancel()
+	c := serve.NewClient(*server)
+	// dump prints one query's answer as indented JSON.
+	dump := func(v any, err error) int {
+		out, merr := json.MarshalIndent(v, "", "  ")
+		if err = errors.Join(err, merr); err != nil {
+			return cmd.Exit(cli.Fail, err)
+		}
+		fmt.Fprintf(stdout, "%s\n", out)
+		return cli.OK
+	}
+	switch {
+	case *health:
+		return dump(c.Health(ctx))
+	case *jobsList:
+		return dump(c.Jobs(ctx, req.Tenant))
+	case *storeList:
+		return dump(c.StoreList(ctx))
+	case *cancelID != "":
+		return dump(c.Cancel(ctx, *cancelID))
+	case req.Workload == "":
+		return cmd.Exit(cli.Usage, "client mode needs -submit <ref> (or -cancel / -health / -jobs-list / -store-list)")
+	}
+	return submit(ctx, cmd, c, req)
 }
 
-func serverMain(listen, storeDir string, storeMax int64, workers, queue int, drain, jobTTL time.Duration, noCosim bool) int {
-	cfg := serve.Config{Workers: workers, QueueLimit: queue, Log: os.Stderr, JobTTL: jobTTL, StoreMaxBytes: storeMax}
+// serverMain serves cfg on listen until ctx is cancelled, then drains.
+func serverMain(ctx context.Context, cmd *cli.Tool, cfg serve.Config, listen, storeDir string, drain time.Duration, noCosim bool) int {
 	if storeDir != "" {
 		st, err := store.Open(storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "darco-serve:", err)
-			return 1
+			return cmd.Exit(cli.Fail, err)
 		}
 		cfg.Store = st
-		fmt.Fprintf(os.Stderr, "darco-serve: store %s\n", storeDir)
+		cmd.Log("store", storeDir)
 		// Apply the quota to whatever the directory already holds, so a
 		// restart with a tighter bound converges immediately.
-		if storeMax > 0 {
-			if removed, freed, err := st.EvictToSize(storeMax); err != nil {
-				fmt.Fprintln(os.Stderr, "darco-serve: store quota:", err)
-			} else if removed > 0 {
-				fmt.Fprintf(os.Stderr, "darco-serve: store quota: evicted %d entries (%d bytes)\n", removed, freed)
-			}
+		if removed, freed, err := st.EvictToSize(cfg.StoreMaxBytes); err != nil {
+			cmd.Log("store quota:", err)
+		} else if removed > 0 {
+			cmd.Log(fmt.Sprintf("store quota: evicted %d entries (%d bytes)", removed, freed))
 		}
 	}
 	if noCosim {
@@ -106,121 +135,65 @@ func serverMain(listen, storeDir string, storeMax int64, workers, queue int, dra
 		cfg.Base = &base
 	}
 	srv := serve.NewServer(cfg)
-	hs := &http.Server{Addr: listen, Handler: srv}
+
+	// Bind before announcing: the logged address is the one in use (":0"
+	// included) and a bad -listen fails without claiming to listen.
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		return cmd.Exit(cli.Fail, err)
+	}
+	cmd.Log("listening on", ln.Addr())
+	hs := &http.Server{Handler: srv}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
 
 	// Graceful shutdown: stop accepting connections, then drain the
 	// simulation pipeline with the -drain grace period.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "darco-serve: listening on %s\n", listen)
-
 	select {
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "darco-serve:", err)
-		return 1
+		return cmd.Exit(cli.Fail, err)
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills immediately
-	fmt.Fprintf(os.Stderr, "darco-serve: draining (up to %s)...\n", drain)
+	cmd.Log(fmt.Sprintf("draining (up to %s)...", drain))
 	dctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	code := 0
+	code := cli.OK
 	if err := srv.Shutdown(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "darco-serve: drain:", err)
-		code = 1
+		code = cmd.Exit(cli.Fail, "drain:", err)
 	}
 	_ = hs.Shutdown(dctx)
 	return code
 }
 
-func clientMain(base, submit, cancelID string, scale float64, tenant, mode string, health, jobsList, storeList bool, timeout time.Duration) int {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+// submit enqueues one job, relays its events to stderr and prints the
+// terminal record.
+func submit(ctx context.Context, cmd *cli.Tool, c *serve.Client, req serve.SubmitRequest) int {
+	resp, err := c.Submit(ctx, req)
+	if serve.IsOverloaded(err) {
+		return cmd.Exit(cli.Fail, "server overloaded, retry later:", err)
+	} else if err != nil {
+		return cmd.Exit(cli.Fail, err)
 	}
-	c := serve.NewClient(base)
-	c.Tenant = tenant
-
-	dump := func(v any) int {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			fmt.Fprintln(os.Stderr, "darco-serve:", err)
-			return 1
-		}
-		return 0
-	}
-	switch {
-	case health:
-		h, err := c.Health(ctx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "darco-serve:", err)
-			return 1
-		}
-		return dump(h)
-	case jobsList:
-		js, err := c.Jobs(ctx, tenant)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "darco-serve:", err)
-			return 1
-		}
-		return dump(js)
-	case storeList:
-		entries, err := c.StoreList(ctx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "darco-serve:", err)
-			return 1
-		}
-		return dump(entries)
-	case cancelID != "":
-		st, err := c.Cancel(ctx, cancelID)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "darco-serve:", err)
-			return 1
-		}
-		return dump(st)
-	case submit == "":
-		fmt.Fprintln(os.Stderr, "darco-serve: client mode needs -submit <ref> (or -cancel / -health / -jobs-list / -store-list)")
-		return 2
-	}
-
-	resp, err := c.Submit(ctx, serve.SubmitRequest{Workload: submit, Scale: scale, Knobs: darco.Knobs{Mode: mode}})
-	if err != nil {
-		if serve.IsOverloaded(err) {
-			fmt.Fprintln(os.Stderr, "darco-serve: server overloaded, retry later:", err)
-		} else {
-			fmt.Fprintln(os.Stderr, "darco-serve:", err)
-		}
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "submitted %s as %s (key %s)\n", submit, resp.ID, resp.Key)
+	fmt.Fprintf(cmd.Stderr, "submitted %s as %s (key %s)\n", req.Workload, resp.ID, resp.Key)
 	if err := c.Events(ctx, resp.ID, func(ev serve.WireEvent) {
 		if ev.Error != "" {
-			fmt.Fprintf(os.Stderr, "event %-8s %s: %s\n", ev.Kind, ev.Job, ev.Error)
+			fmt.Fprintf(cmd.Stderr, "event %-8s %s: %s\n", ev.Kind, ev.Job, ev.Error)
 		} else if ev.Cycles != 0 {
-			fmt.Fprintf(os.Stderr, "event %-8s %s (%d cycles)\n", ev.Kind, ev.Job, ev.Cycles)
+			fmt.Fprintf(cmd.Stderr, "event %-8s %s (%d cycles)\n", ev.Kind, ev.Job, ev.Cycles)
 		} else {
-			fmt.Fprintf(os.Stderr, "event %-8s %s\n", ev.Kind, ev.Job)
+			fmt.Fprintf(cmd.Stderr, "event %-8s %s\n", ev.Kind, ev.Job)
 		}
 	}); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "darco-serve: event stream:", err)
+		cmd.Log("event stream:", err)
 	}
 	raw, err := c.ResultRaw(ctx, resp.ID, true)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "darco-serve:", err)
-		return 1
+		return cmd.Exit(cli.Fail, err)
 	}
-	os.Stdout.Write(raw)
-	fmt.Println()
+	fmt.Fprintf(cmd.Stdout, "%s\n", raw)
 	var rec darco.Record
 	if json.Unmarshal(raw, &rec) == nil && rec.Error != "" {
-		fmt.Fprintln(os.Stderr, "darco-serve: job failed:", rec.Error)
-		return 1
+		return cmd.Exit(cli.Fail, "job failed:", rec.Error)
 	}
-	return 0
+	return cli.OK
 }

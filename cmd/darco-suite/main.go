@@ -28,171 +28,110 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"strings"
+	"io"
 
+	"repro/internal/cli"
 	"repro/internal/darco"
-	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
-func main() {
-	scale := flag.Float64("scale", 1.0, "workload dynamic-size multiplier")
-	suite := flag.String("suite", "", "restrict to one suite (int, fp, physics, media)")
-	bench := flag.String("bench", "", "restrict to one benchmark (exact name)")
-	modeFlag := flag.String("mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
-	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := flag.Bool("json", false, "emit JSON records (full results) instead of a table")
-	knobs := darco.BindFlags(flag.CommandLine)
-	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	workloadFlag := flag.String("workload", "", "comma-separated workload references (<source>:<name>) added to the selection")
-	verbose := flag.Bool("v", false, "progress to stderr")
-	timeout := flag.Duration("timeout", 0, "overall deadline for the whole sweep (0 = none)")
-	server := flag.String("server", "", "run on a darco-serve instance at this base URL instead of simulating locally")
-	flag.Parse()
+func main() { cli.Main(run) }
 
-	mode, err := timing.ParseMode(*modeFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "darco-suite:", err)
-		os.Exit(2)
+// run is the command behind cli.Main's testable seam.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	cmd := cli.New("darco-suite", stdout, stderr)
+	suite := cmd.String("suite", "", "restrict to one suite (int, fp, physics, media)")
+	bench := cmd.String("bench", "", "restrict to one benchmark (exact name)")
+	csv := cmd.Bool("csv", false, "emit CSV instead of an aligned table")
+	verbose := cmd.Bool("v", false, "progress to stderr")
+	b := cmd.BindBatch("(<source>:<name>) added to the selection",
+		"emit JSON records (full results) instead of a table", "sweep")
+	cmd.StringVar(&b.Knobs.Mode, "mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
+	if code, ok := cmd.Parse(args); !ok {
+		return code
+	}
+	if *bench != "" && *suite != "" {
+		return cmd.Exit(cli.Usage, "-suite has no effect here: -bench selects exactly one benchmark")
 	}
 
-	var specs []workload.Spec
+	// The selection: one benchmark, one suite of the -isa frontend's
+	// catalog, or all of it unless -workload alone replaces it.
+	var names []string
 	switch {
 	case *bench != "":
 		s, err := workload.ByName(*bench)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return cmd.Exit(cli.Usage, err)
 		}
-		specs = []workload.Spec{s}
+		names = []string{s.Name}
 	case *suite != "":
 		su, err := workload.ParseSuite(*suite)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "darco-suite:", err)
-			os.Exit(2)
+			return cmd.Exit(cli.Usage, err)
 		}
-		specs = workload.BySuite(su)
-	case *workloadFlag == "":
-		specs = workload.CatalogFor(knobs.ISA)
-	}
-	refs := make([]string, 0, len(specs))
-	for _, s := range specs {
-		refs = append(refs, workload.RefForISA(s.Name, knobs.ISA))
-	}
-	if *workloadFlag != "" {
-		for _, ref := range strings.Split(*workloadFlag, ",") {
-			refs = append(refs, workload.RefForISA(strings.TrimSpace(ref), knobs.ISA))
+		for _, s := range workload.CatalogFor(b.Knobs.ISA) {
+			if s.Suite == su {
+				names = append(names, s.Name)
+			}
+		}
+		if len(names) == 0 {
+			return cmd.Exit(cli.Usage, fmt.Sprintf("the %s catalog has no %s benchmark", b.Knobs.ISA, su))
+		}
+	case b.Workload == "":
+		for _, s := range workload.CatalogFor(b.Knobs.ISA) {
+			names = append(names, s.Name)
 		}
 	}
 
-	cfg := darco.DefaultConfig()
-	cfg.Mode = mode
-	err = knobs.Apply(&cfg)
-	if err == nil {
-		err = cfg.Validate()
-	}
+	cfg, jobs, err := b.Plan(darco.DefaultConfig(), append(names, b.Workload)...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "darco-suite:", err)
-		os.Exit(2)
+		return cmd.Exit(cli.Usage, err)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sessOpts := []darco.SessionOption{darco.WithWorkers(*jobs)}
-	if *server != "" {
-		sessOpts = append(sessOpts, darco.WithRemote(serve.NewClient(*server)))
-	}
+	var progress []darco.SessionOption
 	if *verbose {
-		sessOpts = append(sessOpts, darco.WithEvents(func(ev darco.Event) {
+		progress = append(progress, darco.WithEvents(func(ev darco.Event) {
 			if ev.Kind == darco.EventStarted {
-				fmt.Fprintf(os.Stderr, "running %s...\n", ev.Job)
+				fmt.Fprintf(stderr, "running %s...\n", ev.Job)
 			}
 		}))
 	}
-	sess := darco.NewSession(sessOpts...)
-	var sessJobs []darco.Job
-	for _, ref := range refs {
-		job, err := darco.WithWorkload(ref, *scale, darco.WithConfig(cfg))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "darco-suite:", err)
-			os.Exit(2)
+	return b.Execute(ctx, cmd, cfg, jobs, func(done []darco.BatchResult) {
+		t := stats.NewTable("DARCO suite summary",
+			"benchmark", "suite", "guest-dyn", "static", "ratio", "cycles", "IPC",
+			"tol%", "im%", "bbm%", "sbm%", "dyn-sbm%", "sbs", "ind/K", "chains", "transitions")
+		for _, br := range done {
+			meta := br.Job.Program.Meta()
+			suiteLabel := meta.Suite
+			if suiteLabel == "" {
+				suiteLabel = meta.Source
+			}
+			res := br.Result
+			dyn := float64(res.GuestDyn())
+			cyc := float64(res.Timing.Cycles)
+			comp := func(c timing.Component) string {
+				return fmt.Sprintf("%.1f", 100*res.Timing.ComponentCycles(c)/cyc)
+			}
+			t.AddRow(br.Job.Program.Name(), suiteLabel,
+				fmt.Sprint(res.GuestDyn()),
+				fmt.Sprint(res.TOL.StaticTotal()),
+				fmt.Sprintf("%.0f", res.DynamicStaticRatio()),
+				fmt.Sprint(res.Timing.Cycles),
+				fmt.Sprintf("%.2f", res.Timing.IPC()),
+				fmt.Sprintf("%.1f", 100*res.Timing.TOLShare()),
+				comp(timing.CompIM), comp(timing.CompBBM), comp(timing.CompSBM),
+				fmt.Sprintf("%.1f", 100*float64(res.TOL.DynSBM)/dyn),
+				fmt.Sprint(res.TOL.SBCreated),
+				fmt.Sprintf("%.1f", 1000*float64(res.TOL.IndirectDyn)/dyn),
+				fmt.Sprint(res.TOL.Chains),
+				fmt.Sprint(res.TOL.Transitions))
 		}
-		sessJobs = append(sessJobs, job)
-	}
-	batch := sess.RunBatch(ctx, sessJobs)
-
-	t := stats.NewTable("DARCO suite summary",
-		"benchmark", "suite", "guest-dyn", "static", "ratio", "cycles", "IPC",
-		"tol%", "im%", "bbm%", "sbm%", "dyn-sbm%", "sbs", "ind/K", "chains", "transitions")
-
-	var records []darco.Record
-	var failures []error
-	for i, br := range batch {
-		prog := sessJobs[i].Program
-		meta := prog.Meta()
-		suiteLabel := meta.Suite
-		if suiteLabel == "" {
-			suiteLabel = meta.Source
+		if *csv {
+			fmt.Fprint(stdout, t.CSV())
+		} else {
+			fmt.Fprint(stdout, t.String())
 		}
-		records = append(records, darco.NewRecord(prog.Name(), meta.Suite, *scale, mode, br.Result, br.Err))
-		if br.Err != nil {
-			failures = append(failures, br.Err)
-			continue
-		}
-		if *jsonOut {
-			continue // the table is never printed on the JSON path
-		}
-		res := br.Result
-		dyn := float64(res.GuestDyn())
-		cyc := float64(res.Timing.Cycles)
-		comp := func(c timing.Component) string {
-			return fmt.Sprintf("%.1f", 100*res.Timing.ComponentCycles(c)/cyc)
-		}
-		t.AddRow(prog.Name(), suiteLabel,
-			fmt.Sprint(res.GuestDyn()),
-			fmt.Sprint(res.TOL.StaticTotal()),
-			fmt.Sprintf("%.0f", res.DynamicStaticRatio()),
-			fmt.Sprint(res.Timing.Cycles),
-			fmt.Sprintf("%.2f", res.Timing.IPC()),
-			fmt.Sprintf("%.1f", 100*res.Timing.TOLShare()),
-			comp(timing.CompIM), comp(timing.CompBBM), comp(timing.CompSBM),
-			fmt.Sprintf("%.1f", 100*float64(res.TOL.DynSBM)/dyn),
-			fmt.Sprint(res.TOL.SBCreated),
-			fmt.Sprintf("%.1f", 1000*float64(res.TOL.IndirectDyn)/dyn),
-			fmt.Sprint(res.TOL.Chains),
-			fmt.Sprint(res.TOL.Transitions))
-	}
-
-	switch {
-	case *jsonOut:
-		if err := darco.EncodeRecords(os.Stdout, records); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *csv:
-		fmt.Print(t.CSV())
-	default:
-		fmt.Print(t.String())
-	}
-
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d of %d benchmarks failed:\n", len(failures), len(sessJobs))
-		for _, err := range failures {
-			// Session errors already carry the benchmark name.
-			fmt.Fprintf(os.Stderr, "  %v\n", err)
-		}
-		os.Exit(1)
-	}
+	}, progress...)
 }

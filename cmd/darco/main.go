@@ -36,151 +36,81 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"io"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/darco"
-	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
-func main() {
-	bench := flag.String("bench", "", "comma-separated benchmark names (see -list)")
-	workloadFlag := flag.String("workload", "", "comma-separated workload references (<source>:<name>; sources: "+strings.Join(workload.Sources(), ", ")+")")
-	record := flag.String("record", "", "record the selected workload's guest image to this trace file (replay with -workload trace:<file>); requires exactly one workload")
-	scale := flag.Float64("scale", 1.0, "workload dynamic-size multiplier")
-	modeFlag := flag.String("mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
-	list := flag.Bool("list", false, "list catalog benchmarks and exit")
-	printConfig := flag.Bool("print-config", false, "print the Table I host configuration and exit")
-	sbth := flag.Int("sbth", 0, "override BB/SBth promotion threshold")
-	bbth := flag.Int("bbth", 0, "override IM/BBth promotion threshold")
-	knobs := darco.BindFlags(flag.CommandLine)
-	jsonOut := flag.Bool("json", false, "emit results as JSON records instead of tables")
-	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "overall deadline for the whole run (0 = none)")
-	server := flag.String("server", "", "run on a darco-serve instance at this base URL instead of simulating locally")
-	flag.Parse()
+func main() { cli.Main(run) }
+
+// run is the command behind cli.Main's testable seam.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	cmd := cli.New("darco", stdout, stderr)
+	bench := cmd.String("bench", "", "comma-separated benchmark names (see -list)")
+	record := cmd.String("record", "", "record the selected workload's guest image to this trace file (replay with -workload trace:<file>); requires exactly one workload")
+	list := cmd.Bool("list", false, "list catalog benchmarks and exit")
+	printConfig := cmd.Bool("print-config", false, "print the Table I host configuration and exit")
+	sbth := cmd.Int("sbth", 0, "override BB/SBth promotion threshold")
+	bbth := cmd.Int("bbth", 0, "override IM/BBth promotion threshold")
+	b := cmd.BindBatch("(<source>:<name>; sources: "+strings.Join(workload.Sources(), ", ")+")",
+		"emit results as JSON records instead of tables", "run")
+	cmd.StringVar(&b.Knobs.Mode, "mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
+	if code, ok := cmd.Parse(args); !ok {
+		return code
+	}
 
 	if *printConfig {
-		dumpConfig()
-		return
+		dumpConfig(stdout)
+		return cli.OK
 	}
 	if *list {
 		for _, s := range workload.Catalog() {
-			fmt.Printf("%-22s %s\n", s.Name, s.Suite)
+			fmt.Fprintf(stdout, "%-22s %s\n", s.Name, s.Suite)
 		}
-		fmt.Printf("\nworkload sources: %s\n", strings.Join(workload.Sources(), ", "))
-		return
+		fmt.Fprintf(stdout, "\nworkload sources: %s\n", strings.Join(workload.Sources(), ", "))
+		return cli.OK
 	}
-	if *bench == "" && *workloadFlag == "" {
-		fmt.Fprintln(os.Stderr, "darco: -bench or -workload required (or -list / -print-config)")
-		os.Exit(2)
-	}
-
-	mode, err := timing.ParseMode(*modeFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "darco:", err)
-		os.Exit(2)
+	if *bench == "" && b.Workload == "" {
+		return cmd.Exit(cli.Usage, "-bench or -workload required (or -list / -print-config)")
 	}
 
-	cfg := darco.DefaultConfig()
-	cfg.Mode = mode
+	base := darco.DefaultConfig()
 	if *sbth > 0 {
-		cfg.TOL.SBThreshold = *sbth
+		base.TOL.SBThreshold = *sbth
 	}
 	if *bbth > 0 {
-		cfg.TOL.BBThreshold = *bbth
+		base.TOL.BBThreshold = *bbth
 	}
-	err = knobs.Apply(&cfg)
-	if err == nil {
-		err = cfg.Validate()
-	}
+	cfg, jobs, err := b.Plan(base, *bench, b.Workload)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "darco:", err)
-		os.Exit(2)
-	}
-
-	var refs []string
-	if *bench != "" {
-		for _, name := range strings.Split(*bench, ",") {
-			refs = append(refs, workload.RefForISA(strings.TrimSpace(name), knobs.ISA))
-		}
-	}
-	if *workloadFlag != "" {
-		for _, ref := range strings.Split(*workloadFlag, ",") {
-			refs = append(refs, workload.RefForISA(strings.TrimSpace(ref), knobs.ISA))
-		}
-	}
-	var sessJobs []darco.Job
-	for _, ref := range refs {
-		job, err := darco.WithWorkload(ref, *scale, darco.WithConfig(cfg))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sessJobs = append(sessJobs, job)
+		return cmd.Exit(cli.Usage, err)
 	}
 
 	if *record != "" {
-		if len(sessJobs) != 1 {
-			fmt.Fprintf(os.Stderr, "darco: -record captures exactly one workload, got %d\n", len(sessJobs))
-			os.Exit(2)
+		if len(jobs) != 1 {
+			return cmd.Exit(cli.Usage, fmt.Sprintf("-record captures exactly one workload, got %d", len(jobs)))
 		}
-		if err := workload.RecordTrace(*record, sessJobs[0].Program); err != nil {
-			fmt.Fprintln(os.Stderr, "darco:", err)
-			os.Exit(1)
+		if err := workload.RecordTrace(*record, jobs[0].Program); err != nil {
+			return cmd.Exit(cli.Fail, err)
 		}
-		fmt.Fprintf(os.Stderr, "recorded %s -> %s (replay with -workload trace:%s)\n",
-			sessJobs[0].Program.Name(), *record, *record)
+		fmt.Fprintf(stderr, "recorded %s -> %s (replay with -workload trace:%s)\n",
+			jobs[0].Program.Name(), *record, *record)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sessOpts := []darco.SessionOption{darco.WithWorkers(*jobs)}
-	if *server != "" {
-		sessOpts = append(sessOpts, darco.WithRemote(serve.NewClient(*server)))
-	}
-	sess := darco.NewSession(sessOpts...)
-	batch := sess.RunBatch(ctx, sessJobs)
-
-	var records []darco.Record
-	failed := 0
-	for i, br := range batch {
-		prog := sessJobs[i].Program
-		records = append(records, darco.NewRecord(prog.Name(), prog.Meta().Suite, *scale, mode, br.Result, br.Err))
-		if br.Err != nil {
-			failed++
-			if !*jsonOut {
-				// Session errors already carry the benchmark name.
-				fmt.Fprintln(os.Stderr, br.Err)
-			}
-		} else if !*jsonOut {
-			report(prog, br.Result)
+	return b.Execute(ctx, cmd, cfg, jobs, func(done []darco.BatchResult) {
+		for _, br := range done {
+			report(stdout, br.Job.Program, br.Result)
 		}
-	}
-	if *jsonOut {
-		if err := darco.EncodeRecords(os.Stdout, records); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if failed > 0 {
-		os.Exit(1)
-	}
+	})
 }
 
-func report(prog workload.Program, res *darco.Result) {
+func report(w io.Writer, prog workload.Program, res *darco.Result) {
 	tr := res.Timing
 	cyc := float64(tr.Cycles)
 	meta := prog.Meta()
@@ -191,13 +121,13 @@ func report(prog workload.Program, res *darco.Result) {
 	if meta.Phases > 1 {
 		origin = fmt.Sprintf("%s, %d phases", origin, meta.Phases)
 	}
-	fmt.Printf("benchmark        %s (%s)\n", prog.Name(), origin)
-	fmt.Printf("guest insts      %d (static %d, dyn/static %.0f)\n",
+	fmt.Fprintf(w, "benchmark        %s (%s)\n", prog.Name(), origin)
+	fmt.Fprintf(w, "guest insts      %d (static %d, dyn/static %.0f)\n",
 		res.GuestDyn(), res.TOL.StaticTotal(), res.DynamicStaticRatio())
-	fmt.Printf("host insts       %d (app %d, tol %d)\n",
+	fmt.Fprintf(w, "host insts       %d (app %d, tol %d)\n",
 		tr.TotalInsts(), tr.Insts[timing.OwnerApp], tr.Insts[timing.OwnerTOL])
-	fmt.Printf("cycles           %d   IPC %.3f\n", tr.Cycles, tr.IPC())
-	fmt.Printf("TOL overhead     %.2f%% of execution time\n\n", 100*tr.TOLShare())
+	fmt.Fprintf(w, "cycles           %d   IPC %.3f\n", tr.Cycles, tr.IPC())
+	fmt.Fprintf(w, "TOL overhead     %.2f%% of execution time\n\n", 100*tr.TOLShare())
 
 	if rep := res.Sampled; rep != nil {
 		note := ""
@@ -212,7 +142,7 @@ func report(prog workload.Program, res *darco.Result) {
 			st.AddRow(m.Name, fmt.Sprintf("%.6g", m.Estimate),
 				fmt.Sprintf("%.3g", m.CI95), stats.Pct(m.RelErr))
 		}
-		fmt.Println(st.String())
+		fmt.Fprintln(w, st.String())
 	}
 
 	bt := stats.NewTable("Execution-time breakdown (Fig. 6/7 quantities)", "component", "% of cycles")
@@ -222,7 +152,7 @@ func report(prog workload.Program, res *darco.Result) {
 	} {
 		bt.AddRowf(2, c.String(), 100*tr.ComponentCycles(c)/cyc)
 	}
-	fmt.Println(bt.String())
+	fmt.Fprintln(w, bt.String())
 
 	bb := stats.NewTable("Cycle accounting (Fig. 9 quantities)", "category", "app %", "tol %")
 	bb.AddRowf(2, "instructions",
@@ -231,7 +161,7 @@ func report(prog workload.Program, res *darco.Result) {
 		bb.AddRowf(2, k.String()+" bubbles",
 			100*tr.Bubbles[timing.OwnerApp][k]/cyc, 100*tr.Bubbles[timing.OwnerTOL][k]/cyc)
 	}
-	fmt.Println(bb.String())
+	fmt.Fprintln(w, bb.String())
 
 	ct := stats.NewTable("Microarchitecture", "structure", "accesses", "miss rate")
 	ct.AddRow("L1I", fmt.Sprint(tr.L1I.Accesses[0]+tr.L1I.Accesses[1]), stats.Pct(tr.L1I.MissRate()))
@@ -240,7 +170,7 @@ func report(prog workload.Program, res *darco.Result) {
 	ct.AddRow("L1 TLB", fmt.Sprint(tr.L1TLB.Accesses[0]+tr.L1TLB.Accesses[1]), stats.Pct(tr.L1TLB.MissRate()))
 	ct.AddRow("L2 TLB", fmt.Sprint(tr.L2TLB.Accesses[0]+tr.L2TLB.Accesses[1]), stats.Pct(tr.L2TLB.MissRate()))
 	ct.AddRow("branch pred", fmt.Sprint(tr.Branch.Branches[0]+tr.Branch.Branches[1]), stats.Pct(tr.Branch.MispredictRate()))
-	fmt.Println(ct.String())
+	fmt.Fprintln(w, ct.String())
 
 	tt := stats.NewTable("TOL activity", "metric", "value")
 	tt.AddRow("mode dyn IM/BBM/SBM", fmt.Sprintf("%d / %d / %d", res.TOL.DynIM, res.TOL.DynBBM, res.TOL.DynSBM))
@@ -258,7 +188,7 @@ func report(prog workload.Program, res *darco.Result) {
 	tt.AddRow("evictions / flushes", fmt.Sprintf("%d / %d", res.TOL.Evictions, res.TOL.FlushCount))
 	tt.AddRow("retranslations", fmt.Sprint(res.TOL.Retranslations))
 	tt.AddRow("cosim checks", fmt.Sprint(res.TOL.CosimChecks))
-	fmt.Println(tt.String())
+	fmt.Fprintln(w, tt.String())
 
 	if len(res.TOL.SBPasses) > 0 {
 		sbmCyc := tr.ComponentCycles(timing.CompSBM)
@@ -277,11 +207,11 @@ func report(prog workload.Program, res *darco.Result) {
 		}
 		pt.AddRow("(trace+emit)", "", "", "", share(res.TOL.SBOtherInsts))
 		pt.AddRow("SBM total", "", "", "", fmt.Sprintf("%.2f%% of cycles", 100*sbmCyc/cyc))
-		fmt.Println(pt.String())
+		fmt.Fprintln(w, pt.String())
 	}
 }
 
-func dumpConfig() {
+func dumpConfig(w io.Writer) {
 	cfg := timing.DefaultConfig()
 	t := stats.NewTable("Host processor microarchitectural parameters (paper Table I)",
 		"component", "parameter", "value")
@@ -304,5 +234,5 @@ func dumpConfig() {
 	t.AddRow("", "Hit latency", fmt.Sprint(cfg.L1TLB.HitLatency))
 	t.AddRow("L2 TLB", "Entries/Assoc", fmt.Sprintf("%d/%d", cfg.L2TLB.Entries, cfg.L2TLB.Assoc))
 	t.AddRow("", "Hit latency", fmt.Sprint(cfg.L2TLB.HitLatency))
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 }

@@ -10,6 +10,17 @@ import (
 	"repro/internal/workload"
 )
 
+// figSubset is a representative slice of the catalog: one benchmark
+// per characterization regime the paper analyzes.
+var figSubset = []string{
+	"462.libquantum",    // extreme dynamic/static ratio
+	"470.lbm",           // high-ratio FP outlier
+	"400.perlbench",     // indirect-branch dominated
+	"107.novis_ragdoll", // low ratio, high IM activity
+	"007.jpg2000enc",    // ratio close to the promotion threshold
+	"000.cjpeg",         // low repetition, sizeable static code
+}
+
 // TestSessionConcurrentMatchesSequential runs the figSubset through a
 // darco.Session both sequentially (one worker) and concurrently (many
 // workers) and requires byte-identical results — the determinism

@@ -2,10 +2,9 @@ package guest
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/mem"
+	"repro/internal/registry"
 )
 
 // ISA describes one guest instruction-set frontend: how its encodings
@@ -97,27 +96,19 @@ var X86 = &ISA{
 	},
 }
 
-var (
-	isaMu       sync.RWMutex
-	isaRegistry = map[string]*ISA{}
-)
+var isaRegistry = registry.New[*ISA]("guest: ISA %q registered twice")
 
 // RegisterISA adds a frontend to the registry. Like the workload
 // source registry, registration happens in init functions and panics
 // on conflicts — a duplicate name is a programming error.
 func RegisterISA(isa *ISA) {
-	isaMu.Lock()
-	defer isaMu.Unlock()
 	if isa.Name == "" {
 		panic("guest: RegisterISA with empty name")
-	}
-	if _, dup := isaRegistry[isa.Name]; dup {
-		panic(fmt.Sprintf("guest: ISA %q registered twice", isa.Name))
 	}
 	if isa.NumRegs > MaxGuestRegs {
 		panic(fmt.Sprintf("guest: ISA %q has %d registers, State holds %d", isa.Name, isa.NumRegs, MaxGuestRegs))
 	}
-	isaRegistry[isa.Name] = isa
+	isaRegistry.Register(isa.Name, isa)
 }
 
 // LookupISA resolves a frontend by name. The empty name is the x86
@@ -126,26 +117,14 @@ func LookupISA(name string) (*ISA, error) {
 	if name == "" {
 		return X86, nil
 	}
-	isaMu.RLock()
-	isa, ok := isaRegistry[name]
-	isaMu.RUnlock()
-	if ok {
+	if isa, ok := isaRegistry.Lookup(name); ok {
 		return isa, nil
 	}
 	return nil, fmt.Errorf("guest: unknown ISA %q (registered: %v)", name, ISANames())
 }
 
 // ISANames lists the registered frontends in sorted order.
-func ISANames() []string {
-	isaMu.RLock()
-	defer isaMu.RUnlock()
-	names := make([]string, 0, len(isaRegistry))
-	for n := range isaRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func ISANames() []string { return isaRegistry.Sorted() }
 
 // ISAOf resolves a program's frontend (empty Program.ISA means x86).
 func ISAOf(p *Program) (*ISA, error) {

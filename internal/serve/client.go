@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -131,7 +132,7 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 func (c *Client) Jobs(ctx context.Context, tenant string) ([]JobStatus, error) {
 	path := "/jobs"
 	if tenant != "" {
-		path += "?tenant=" + tenant
+		path += "?" + url.Values{"tenant": {tenant}}.Encode()
 	}
 	var out []JobStatus
 	err := c.do(ctx, http.MethodGet, path, nil, &out)

@@ -259,7 +259,9 @@ func TestFairQueuingAcrossTenants(t *testing.T) {
 	a2 := submit("a2", "tenant-a")
 	a3 := submit("a3", "tenant-a")
 	a4 := submit("a4", "tenant-a")
-	b1 := submit("b1", "tenant-b")
+	// Tenant B's name needs query escaping on its way through GET /jobs.
+	const tenantB = "a&b c"
+	b1 := submit("b1", tenantB)
 
 	for _, rel := range release {
 		rel()
@@ -277,6 +279,20 @@ func TestFairQueuingAcrossTenants(t *testing.T) {
 	for name, w := range want {
 		if seq[name] != w {
 			t.Fatalf("dispatch order %v, want %v (tenant B starved or misordered)", seq, want)
+		}
+	}
+
+	// The tenant filter of the job listing round-trips any tenant name.
+	for tenant, n := range map[string]int{"tenant-a": 4, tenantB: 1} {
+		jobs, err := c.Jobs(ctx, tenant)
+		if err != nil {
+			t.Fatalf("Jobs(%q): %v", tenant, err)
+		}
+		if len(jobs) != n {
+			t.Fatalf("Jobs(%q) lists %d jobs, want %d: %+v", tenant, len(jobs), n, jobs)
+		}
+		if tenant == tenantB && (jobs[0].ID != b1 || jobs[0].Tenant != tenantB) {
+			t.Fatalf("Jobs(%q) = %+v, want job %s", tenant, jobs[0], b1)
 		}
 	}
 }

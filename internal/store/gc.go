@@ -1,11 +1,9 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -21,15 +19,11 @@ func (s *Store) touch(key string) {
 // Usage reports the store's committed entries and their total size in
 // bytes (temporary files and foreign files are not counted).
 func (s *Store) Usage() (entries int, bytes int64, err error) {
-	ents, err := os.ReadDir(s.dir)
+	ents, err := s.scan()
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: %w", err)
+		return 0, 0, err
 	}
 	for _, de := range ents {
-		name := de.Name()
-		if de.IsDir() || strings.HasPrefix(name, tmpPrefix) || !strings.HasSuffix(name, entrySuffix) {
-			continue
-		}
 		info, err := de.Info()
 		if err != nil {
 			continue // raced with eviction
@@ -51,9 +45,9 @@ func (s *Store) EvictToSize(maxBytes int64) (removed int, freed int64, err error
 	if maxBytes <= 0 {
 		return 0, 0, nil
 	}
-	ents, err := os.ReadDir(s.dir)
+	ents, err := s.scan()
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: %w", err)
+		return 0, 0, err
 	}
 	type entry struct {
 		name  string
@@ -63,15 +57,11 @@ func (s *Store) EvictToSize(maxBytes int64) (removed int, freed int64, err error
 	var all []entry
 	var total int64
 	for _, de := range ents {
-		name := de.Name()
-		if de.IsDir() || strings.HasPrefix(name, tmpPrefix) || !strings.HasSuffix(name, entrySuffix) {
-			continue
-		}
 		info, err := de.Info()
 		if err != nil {
 			continue
 		}
-		all = append(all, entry{name: name, size: info.Size(), mtime: info.ModTime()})
+		all = append(all, entry{name: de.Name(), size: info.Size(), mtime: info.ModTime()})
 		total += info.Size()
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -144,32 +145,45 @@ func (s *Store) PutRaw(key string, record json.RawMessage) error {
 	return nil
 }
 
-// load reads and validates one entry file. Any corruption — unreadable
-// JSON, wrong format, a key whose hash does not match the filename —
-// is reported as corrupt, which callers treat as a miss.
-func (s *Store) load(key string) (*Entry, bool, error) {
-	raw, err := os.ReadFile(s.path(key))
+// readEntry reads and validates the entry file at path — the one
+// place the tolerant-read rule lives. A missing file, unreadable JSON
+// (a torn or truncated envelope), a wrong format, an empty record or a
+// key whose hash does not match the filename all report ok=false with
+// a nil error: corrupt or foreign is a miss, never fatal.
+func readEntry(path string) (env Entry, ok bool, err error) {
+	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, false, nil
+		return Entry{}, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("store: read %q: %w", key, err)
+		return Entry{}, false, fmt.Errorf("store: read entry: %w", err)
 	}
-	var env Entry
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, false, nil // corrupt entry: miss, not fatal
+	if json.Unmarshal(raw, &env) != nil || env.Format != entryFormat || len(env.Record) == 0 ||
+		Addr(env.Key)+entrySuffix != filepath.Base(path) {
+		return Entry{}, false, nil
 	}
-	if env.Format != entryFormat || env.Key != key || len(env.Record) == 0 {
-		return nil, false, nil // foreign or damaged entry: miss
+	return env, true, nil
+}
+
+// scan lists the directory's committed entry files; subdirectories,
+// in-flight or leftover temporary files and foreign names are not
+// entries.
+func (s *Store) scan() ([]os.DirEntry, error) {
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &env, true, nil
+	return slices.DeleteFunc(ents, func(de os.DirEntry) bool {
+		name := de.Name()
+		return de.IsDir() || strings.HasPrefix(name, tmpPrefix) || !strings.HasSuffix(name, entrySuffix)
+	}), nil
 }
 
 // GetRaw returns the stored record bytes for a memo key exactly as
 // they were written — the byte-stable fetch path of the serving
 // layer. A corrupt entry is a miss, not an error.
 func (s *Store) GetRaw(key string) (json.RawMessage, bool, error) {
-	env, ok, err := s.load(key)
+	env, ok, err := readEntry(s.path(key))
 	if !ok || err != nil {
 		return nil, false, err
 	}
@@ -182,7 +196,7 @@ func (s *Store) GetRaw(key string) (json.RawMessage, bool, error) {
 // Session with this store serves restart-surviving cache hits. A
 // corrupt entry is a miss, not an error.
 func (s *Store) Get(key string) (*darco.Record, bool, error) {
-	env, ok, err := s.load(key)
+	env, ok, err := readEntry(s.path(key))
 	if !ok || err != nil {
 		return nil, false, err
 	}
@@ -202,21 +216,8 @@ func (s *Store) GetRawByAddr(addr string) (record json.RawMessage, key string, o
 	if addr == "" || strings.ContainsAny(addr, "/\\.") {
 		return nil, "", false, nil // never escape the store directory
 	}
-	raw, err := os.ReadFile(filepath.Join(s.dir, addr+entrySuffix))
-	if os.IsNotExist(err) {
-		return nil, "", false, nil
-	}
-	if err != nil {
-		return nil, "", false, fmt.Errorf("store: read addr %q: %w", addr, err)
-	}
-	var env Entry
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, "", false, nil
-	}
-	if env.Format != entryFormat || Addr(env.Key) != addr || len(env.Record) == 0 {
-		return nil, "", false, nil
-	}
-	return env.Record, env.Key, true, nil
+	env, ok, err := readEntry(filepath.Join(s.dir, addr+entrySuffix))
+	return env.Record, env.Key, ok, err
 }
 
 // Delete removes the entry of a memo key (a missing entry is not an
@@ -232,27 +233,15 @@ func (s *Store) Delete(key string) error {
 // Corrupt or foreign files in the directory are skipped, so one
 // damaged entry never hides the rest of the store.
 func (s *Store) List() ([]Meta, error) {
-	ents, err := os.ReadDir(s.dir)
+	ents, err := s.scan()
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
 	var out []Meta
 	for _, de := range ents {
-		name := de.Name()
-		if de.IsDir() || strings.HasPrefix(name, tmpPrefix) || !strings.HasSuffix(name, entrySuffix) {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			continue // raced with eviction or unreadable: skip
-		}
-		var env Entry
-		if err := json.Unmarshal(raw, &env); err != nil {
-			continue // corrupt entry: skip
-		}
-		addr := strings.TrimSuffix(name, entrySuffix)
-		if env.Format != entryFormat || Addr(env.Key) != addr {
-			continue // foreign or misfiled entry: skip
+		env, ok, err := readEntry(filepath.Join(s.dir, de.Name()))
+		if !ok || err != nil {
+			continue // corrupt, foreign, unreadable or raced with eviction: skip
 		}
 		var rec darco.Record
 		if err := json.Unmarshal(env.Record, &rec); err != nil {
@@ -260,7 +249,7 @@ func (s *Store) List() ([]Meta, error) {
 		}
 		out = append(out, Meta{
 			Key:       env.Key,
-			Addr:      addr,
+			Addr:      strings.TrimSuffix(de.Name(), entrySuffix),
 			Benchmark: rec.Benchmark,
 			Suite:     rec.Suite,
 			Scale:     rec.Scale,

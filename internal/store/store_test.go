@@ -88,9 +88,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptEntryTolerated damages one of two entries and requires
-// the damage to be contained: Get on the bad key misses, Get on the
-// good key still hits, and List skips the bad file instead of failing.
+// TestCorruptEntryTolerated damages a store the ways a torn write or a
+// SIGKILL mid-Put can and requires the damage to be contained: Get on
+// a damaged key misses, Get on the good key still hits, List skips the
+// bad files instead of failing, and a leftover temporary file is not
+// an entry to Usage or EvictToSize.
 func TestCorruptEntryTolerated(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -98,23 +100,39 @@ func TestCorruptEntryTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := darco.Record{Benchmark: "good", Mode: "shared"}
-	bad := darco.Record{Benchmark: "bad", Mode: "shared"}
-	if err := st.Put("good-key", &rec); err != nil {
+	for _, key := range []string{"good-key", "bad-key", "cut-key"} {
+		if err := st.Put(key, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := os.ReadFile(st.path("cut-key"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put("bad-key", &bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(st.path("bad-key"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// An unrelated junk file in the directory must also be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not an entry"), 0o644); err != nil {
-		t.Fatal(err)
+	for path, content := range map[string][]byte{
+		st.path("bad-key"): []byte("{torn"),
+		// An entry truncated mid-envelope.
+		st.path("cut-key"): whole[:len(whole)/2],
+		// What a writer killed before its rename leaves behind.
+		filepath.Join(dir, tmpPrefix+"123"): whole[:len(whole)/2],
+		// An unrelated junk file in the directory must also be ignored.
+		filepath.Join(dir, "README.txt"): []byte("not an entry"),
+	} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	if _, ok, err := st.Get("bad-key"); err != nil || ok {
-		t.Fatalf("corrupt entry: got ok=%v err=%v, want miss without error", ok, err)
+	for _, key := range []string{"bad-key", "cut-key"} {
+		if _, ok, err := st.Get(key); err != nil || ok {
+			t.Fatalf("Get(%s): got ok=%v err=%v, want miss without error", key, ok, err)
+		}
+		if _, ok, err := st.GetRaw(key); err != nil || ok {
+			t.Fatalf("GetRaw(%s): got ok=%v err=%v, want miss without error", key, ok, err)
+		}
+		if _, _, ok, err := st.GetRawByAddr(Addr(key)); err != nil || ok {
+			t.Fatalf("GetRawByAddr(%s): got ok=%v err=%v, want miss without error", key, ok, err)
+		}
 	}
 	if got, ok, err := st.Get("good-key"); err != nil || !ok || got.Benchmark != "good" {
 		t.Fatalf("good entry after corruption elsewhere: ok=%v err=%v rec=%+v", ok, err, got)
@@ -128,6 +146,29 @@ func TestCorruptEntryTolerated(t *testing.T) {
 	}
 	if metas[0].Addr != Addr("good-key") {
 		t.Fatalf("List addr = %s, want %s", metas[0].Addr, Addr("good-key"))
+	}
+
+	// Usage and EvictToSize work on entry files without opening them: the
+	// damaged entries still occupy quota (eviction is what reclaims them),
+	// the temporary and the junk file are neither counted nor removed.
+	var size int64
+	for _, key := range []string{"good-key", "bad-key", "cut-key"} {
+		info, err := os.Stat(st.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += info.Size()
+	}
+	if n, bytes, err := st.Usage(); err != nil || n != 3 || bytes != size {
+		t.Fatalf("Usage = %d entries, %d bytes, %v; want 3 entries, %d bytes", n, bytes, err, size)
+	}
+	if removed, freed, err := st.EvictToSize(1); err != nil || removed != 3 || freed != size {
+		t.Fatalf("EvictToSize(1) = %d removed, %d freed, %v; want 3 removed, %d freed", removed, freed, err, size)
+	}
+	for _, name := range []string{tmpPrefix + "123", "README.txt"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("EvictToSize touched a non-entry: %v", err)
+		}
 	}
 }
 

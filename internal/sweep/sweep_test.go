@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/darco"
@@ -157,6 +159,39 @@ func TestRunResumesFromStore(t *testing.T) {
 		if !row.Cached {
 			t.Fatalf("row %s/%v simulated on third run", row.Workload, row.Coords)
 		}
+	}
+
+	// Leg 4: a writer killed mid-Put (SIGKILL, power loss) leaves a
+	// temporary file behind, and a torn disk an entry truncated
+	// mid-envelope. The next sweep re-simulates exactly the damaged cell.
+	metas, err := st.List()
+	if err != nil || len(metas) != total {
+		t.Fatalf("List = %d entries, %v; want %d", len(metas), err, total)
+	}
+	victim := filepath.Join(st.Dir(), metas[0].Addr+".json")
+	whole, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{victim, filepath.Join(st.Dir(), ".tmp-killed")} {
+		if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	started, cached = 0, 0
+	rs4, err := Run(context.Background(), g, Options{
+		Jobs:    1,
+		Session: []darco.SessionOption{darco.WithStore(st), countEvents},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started != 1 || cached != total-1 {
+		t.Fatalf("sweep over a damaged store simulated %d and cached %d of %d cells, want exactly the damaged one re-simulated",
+			started, cached, total)
+	}
+	if rs4.CSV() != rs3.CSV() {
+		t.Fatalf("CSV changed after repairing a damaged cell:\n%s\nvs:\n%s", rs4.CSV(), rs3.CSV())
 	}
 }
 

@@ -2,11 +2,11 @@ package tol
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/host"
 	"repro/internal/mem"
+	"repro/internal/registry"
 )
 
 // Eviction policies decide which translations leave a bounded code
@@ -45,7 +45,7 @@ type EvictionPolicy interface {
 // EvictionFactory builds a fresh policy instance for one cache.
 type EvictionFactory func() EvictionPolicy
 
-var evictionRegistry = map[string]EvictionFactory{}
+var evictionRegistry = registry.New[EvictionFactory]("tol: duplicate eviction policy %q")
 
 // RegisterEvictionPolicy adds a policy factory to the registry. Names
 // must be unique, non-empty, and free of separator characters. Like
@@ -54,10 +54,7 @@ func RegisterEvictionPolicy(name string, f EvictionFactory) {
 	if name == "" || strings.ContainsAny(name, ", \t") {
 		panic(fmt.Sprintf("tol: invalid eviction policy name %q", name))
 	}
-	if _, dup := evictionRegistry[name]; dup {
-		panic(fmt.Sprintf("tol: duplicate eviction policy %q", name))
-	}
-	evictionRegistry[name] = f
+	evictionRegistry.Register(name, f)
 }
 
 func init() {
@@ -72,14 +69,7 @@ const DefaultEvictionPolicy = "flush-all"
 
 // RegisteredEvictionPolicies returns the registered policy names,
 // sorted.
-func RegisteredEvictionPolicies() []string {
-	names := make([]string, 0, len(evictionRegistry))
-	for n := range evictionRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func RegisteredEvictionPolicies() []string { return evictionRegistry.Sorted() }
 
 // NewEvictionPolicy resolves the configured eviction policy into a
 // fresh instance ("" selects flush-all). It returns (nil, nil) for the
@@ -92,7 +82,7 @@ func (cc *CacheConfig) NewEvictionPolicy() (EvictionPolicy, error) {
 	if spec == "" {
 		spec = DefaultEvictionPolicy
 	}
-	f, ok := evictionRegistry[spec]
+	f, ok := evictionRegistry.Lookup(spec)
 	if !ok {
 		return nil, fmt.Errorf("tol: unknown eviction policy %q (registered: %s)",
 			spec, strings.Join(RegisteredEvictionPolicies(), ", "))

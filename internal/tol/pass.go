@@ -3,6 +3,8 @@ package tol
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/registry"
 )
 
 // The SBM optimizer is a pipeline of named passes. Each pass is a
@@ -65,10 +67,7 @@ type Pass interface {
 	Run(p *tracePlan) PassReport
 }
 
-var (
-	passRegistry = map[string]Pass{}
-	passOrder    []string
-)
+var passRegistry = registry.New[Pass]("tol: duplicate pass %q")
 
 // RegisterPass adds a pass to the registry, making its name available
 // to pipeline specs and the O-level presets. Names must be unique and
@@ -83,11 +82,7 @@ func RegisterPass(p Pass) {
 	if name == "" || name == PassesNone || strings.ContainsAny(name, ", \t") {
 		panic(fmt.Sprintf("tol: invalid pass name %q", name))
 	}
-	if _, dup := passRegistry[name]; dup {
-		panic(fmt.Sprintf("tol: duplicate pass %q", name))
-	}
-	passRegistry[name] = p
-	passOrder = append(passOrder, name)
+	passRegistry.Register(name, p)
 }
 
 func init() {
@@ -99,15 +94,10 @@ func init() {
 
 // RegisteredPasses returns the names of all registered passes in
 // registration order.
-func RegisteredPasses() []string {
-	return append([]string(nil), passOrder...)
-}
+func RegisteredPasses() []string { return passRegistry.Names() }
 
 // LookupPass returns the registered pass with the given name.
-func LookupPass(name string) (Pass, bool) {
-	p, ok := passRegistry[name]
-	return p, ok
-}
+func LookupPass(name string) (Pass, bool) { return passRegistry.Lookup(name) }
 
 // Pipeline spec constants.
 const (

@@ -2,8 +2,9 @@ package tol
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+
+	"repro/internal/registry"
 )
 
 // PromotionPolicy decides when guest code climbs the translation
@@ -39,34 +40,20 @@ type PromotionPolicy interface {
 // config's BBThreshold/SBThreshold fields.
 type PromotionFactory func(cfg *Config) PromotionPolicy
 
-var promotionRegistry = map[string]PromotionFactory{}
-
-func registerPromotionPolicy(name string, f PromotionFactory) {
-	if _, dup := promotionRegistry[name]; dup {
-		panic(fmt.Sprintf("tol: duplicate promotion policy %q", name))
-	}
-	promotionRegistry[name] = f
-}
+var promotionRegistry = registry.New[PromotionFactory]("tol: duplicate promotion policy %q")
 
 func init() {
-	registerPromotionPolicy("fixed", func(cfg *Config) PromotionPolicy {
+	promotionRegistry.Register("fixed", func(cfg *Config) PromotionPolicy {
 		return &FixedPromotion{BB: cfg.BBThreshold, SB: cfg.SBThreshold}
 	})
-	registerPromotionPolicy("adaptive", func(cfg *Config) PromotionPolicy {
+	promotionRegistry.Register("adaptive", func(cfg *Config) PromotionPolicy {
 		return &AdaptivePromotion{BB: cfg.BBThreshold, SB: cfg.SBThreshold}
 	})
 }
 
 // RegisteredPromotionPolicies returns the registered policy names,
 // sorted.
-func RegisteredPromotionPolicies() []string {
-	names := make([]string, 0, len(promotionRegistry))
-	for n := range promotionRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func RegisteredPromotionPolicies() []string { return promotionRegistry.Sorted() }
 
 // NewPromotionPolicy resolves the configured policy ("" selects the
 // paper's fixed-threshold policy).
@@ -75,7 +62,7 @@ func (c *Config) NewPromotionPolicy() (PromotionPolicy, error) {
 	if spec == "" {
 		spec = "fixed"
 	}
-	f, ok := promotionRegistry[spec]
+	f, ok := promotionRegistry.Lookup(spec)
 	if !ok {
 		return nil, fmt.Errorf("tol: unknown promotion policy %q (registered: %s)",
 			spec, strings.Join(RegisteredPromotionPolicies(), ", "))

@@ -66,18 +66,6 @@ func Names() []string {
 	return out
 }
 
-// BySuite returns the catalog entries of one suite.
-func BySuite(s Suite) []Spec {
-	catalogOnce.Do(buildCatalog)
-	var out []Spec
-	for _, b := range catalogSpecs {
-		if b.Suite == s {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // Outliers returns the four special cases the paper analyzes in
 // Figures 9–11: high ratio (470.lbm), ratio close to the promotion
 // threshold with high SBM activity (007.jpg2000enc), low ratio with

@@ -3,10 +3,10 @@ package workload
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/guest"
+	"repro/internal/registry"
 )
 
 // The guest-program layer is pluggable: a Program is any named,
@@ -102,7 +102,7 @@ type Lister interface {
 	List() []string
 }
 
-var sourceRegistry = map[string]Source{}
+var sourceRegistry = registry.New[Source]("workload: duplicate source %q")
 
 // DefaultSource is the scheme assumed by Open for bare references
 // without a "scheme:" prefix.
@@ -119,10 +119,7 @@ func Register(s Source) {
 	if scheme == "" || strings.ContainsAny(scheme, ":, \t") {
 		panic(fmt.Sprintf("workload: invalid source scheme %q", scheme))
 	}
-	if _, dup := sourceRegistry[scheme]; dup {
-		panic(fmt.Sprintf("workload: duplicate source %q", scheme))
-	}
-	sourceRegistry[scheme] = s
+	sourceRegistry.Register(scheme, s)
 }
 
 func init() {
@@ -135,20 +132,10 @@ func init() {
 }
 
 // Sources returns the registered scheme names, sorted.
-func Sources() []string {
-	out := make([]string, 0, len(sourceRegistry))
-	for scheme := range sourceRegistry {
-		out = append(out, scheme)
-	}
-	sort.Strings(out)
-	return out
-}
+func Sources() []string { return sourceRegistry.Sorted() }
 
 // LookupSource returns the source registered under a scheme.
-func LookupSource(scheme string) (Source, bool) {
-	s, ok := sourceRegistry[scheme]
-	return s, ok
-}
+func LookupSource(scheme string) (Source, bool) { return sourceRegistry.Lookup(scheme) }
 
 // SplitRef splits a workload reference into its scheme and name. A
 // bare reference without a separator belongs to DefaultSource, so
@@ -181,7 +168,7 @@ func RefForISA(ref, isa string) string {
 // fragment selectors); only the first one delimits the scheme.
 func Open(ref string) (Program, error) {
 	scheme, name := SplitRef(ref)
-	src, ok := sourceRegistry[scheme]
+	src, ok := sourceRegistry.Lookup(scheme)
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown source %q in reference %q (registered: %s)",
 			scheme, ref, strings.Join(Sources(), ", "))

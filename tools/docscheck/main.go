@@ -1,40 +1,42 @@
 // Command docscheck verifies that documentation stays truthful: every
 // backticked `pkg.Identifier` (or `pkg.Type.Member`) reference in the
-// given markdown files must name an exported identifier that actually
-// exists in the corresponding internal package. CI runs it over
-// docs/*.md and README.md, so the architecture walkthrough cannot
-// silently rot as the code evolves.
+// checked markdown files must name an exported identifier that actually
+// exists in the corresponding internal package, so the architecture
+// walkthrough cannot silently rot as the code evolves.
 //
 // Usage:
 //
-//	go run ./tools/docscheck docs/ARCHITECTURE.md docs/EXPERIMENTS.md README.md
-//	go run ./tools/docscheck -must workload.Program,workload.Register docs/*.md
+//	go run ./tools/docscheck                    # docs/*.md README.md + must.txt
+//	go run ./tools/docscheck docs/EXPERIMENTS.md  # these files' references only
+//	go test ./tools/docscheck                   # the first form, as a tier-1 test
 //
-// -must names identifiers that are required to appear (inside
-// backticks) in at least one of the checked files, so new API surface
-// cannot ship undocumented: each must both exist in its package and be
-// referenced somewhere in the given docs.
+// With no arguments it checks the repository's documentation set and
+// also requires every identifier listed in must.txt (next to this
+// file, one per line) to be referenced inside backticks somewhere in
+// that set, so new API surface cannot ship undocumented: each must both
+// exist in its package and be documented.
 //
 // References are recognized inside backticks as <pkg>.<Exported> with
 // an optional .<Member> tail, where <pkg> is one of the repository's
-// package names (guest, emu, host, mem, tol, timing, darco,
-// workload, experiments, sweep, stats, store, serve, snapshot,
-// sample, fuzz).
-// Member references are checked
-// against the type's method and struct-field sets; anything deeper is
-// accepted once the first two levels resolve.
+// package names (the keys of packages below). Member references are
+// checked against the type's method and struct-field sets; anything
+// deeper is accepted once the first two levels resolve.
 package main
 
 import (
-	"flag"
+	"context"
+	_ "embed"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+
+	"repro/internal/cli"
 )
 
 // packages maps doc-reference package names to their source
@@ -56,7 +58,14 @@ var packages = map[string]string{
 	"snapshot":    "internal/snapshot",
 	"sample":      "internal/sample",
 	"fuzz":        "internal/fuzz",
+	"cli":         "internal/cli",
+	"registry":    "internal/registry",
 }
+
+// mustList names the identifiers the documentation set has to mention.
+//
+//go:embed must.txt
+var mustList string
 
 // pkgIndex holds one package's exported surface.
 type pkgIndex struct {
@@ -64,80 +73,53 @@ type pkgIndex struct {
 	members map[string]map[string]bool // type -> exported methods + struct fields
 }
 
-func main() {
-	must := flag.String("must", "", "comma-separated pkg.Ident references that must appear in the checked files")
-	flag.Parse()
-	files := flag.Args()
-	if len(files) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: docscheck [-must pkg.Ident,...] <markdown files...>")
-		os.Exit(2)
+func main() { cli.Main(run) }
+
+// run is the command behind cli.Main's testable seam.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	cmd := cli.New("docscheck", stdout, stderr)
+	if code, ok := cmd.Parse(args); !ok {
+		return code
 	}
 	root, err := repoRoot()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "docscheck:", err)
-		os.Exit(2)
+		return cmd.Exit(cli.Usage, err)
+	}
+	files := cmd.Args()
+	var must []string
+	if len(files) == 0 {
+		if files, err = filepath.Glob(filepath.Join(root, "docs", "*.md")); err != nil {
+			return cmd.Exit(cli.Usage, err)
+		}
+		files = append(files, filepath.Join(root, "README.md"))
+		must = strings.Fields(mustList)
 	}
 	index := map[string]*pkgIndex{}
 	for name, dir := range packages {
-		idx, err := indexPackage(filepath.Join(root, dir))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "docscheck: indexing %s: %v\n", dir, err)
-			os.Exit(2)
+		if index[name], err = indexPackage(filepath.Join(root, dir)); err != nil {
+			return cmd.Exit(cli.Usage, fmt.Sprintf("indexing %s: %v", dir, err))
 		}
-		index[name] = idx
 	}
 
-	failures := 0
+	var bad []string
 	seen := map[string]bool{}
 	for _, path := range files {
-		for _, bad := range checkFile(path, index, seen) {
-			fmt.Fprintln(os.Stderr, bad)
-			failures++
+		bad = append(bad, checkFile(path, index, seen)...)
+	}
+	for _, ref := range must {
+		if !seen[ref] {
+			// checkFile only records references that resolve, so a listed
+			// identifier that no longer exists is reported here too.
+			bad = append(bad, fmt.Sprintf("must.txt: %s is not documented in any checked file (or does not exist)", ref))
 		}
 	}
-	if *must != "" {
-		for _, ref := range strings.Split(*must, ",") {
-			ref = strings.TrimSpace(ref)
-			if ref == "" {
-				continue
-			}
-			pkg, rest, ok := strings.Cut(ref, ".")
-			idx := index[pkg]
-			if !ok || idx == nil {
-				fmt.Fprintf(os.Stderr, "docscheck: -must %s: unknown package\n", ref)
-				failures++
-				continue
-			}
-			ident := rest
-			if dot := strings.IndexByte(rest, '.'); dot >= 0 {
-				ident = rest[:dot]
-			}
-			if !idx.idents[ident] {
-				fmt.Fprintf(os.Stderr, "docscheck: -must %s: identifier does not exist\n", ref)
-				failures++
-				continue
-			}
-			if member := strings.TrimPrefix(strings.TrimPrefix(rest, ident), "."); member != "" {
-				first := member
-				if dot := strings.IndexByte(first, '.'); dot >= 0 {
-					first = first[:dot]
-				}
-				if members, isType := idx.members[ident]; isType && !members[first] {
-					fmt.Fprintf(os.Stderr, "docscheck: -must %s: %s has no exported member %s\n", ref, ident, first)
-					failures++
-					continue
-				}
-			}
-			if !seen[ref] {
-				fmt.Fprintf(os.Stderr, "docscheck: -must %s: not documented in any checked file\n", ref)
-				failures++
-			}
-		}
+	for _, line := range bad {
+		fmt.Fprintln(stderr, line)
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d stale or missing reference(s)\n", failures)
-		os.Exit(1)
+	if len(bad) > 0 {
+		return cmd.Exit(cli.Fail, len(bad), "stale or missing reference(s)")
 	}
+	return cli.OK
 }
 
 // repoRoot walks up from the working directory to the directory
