@@ -35,12 +35,14 @@ func TestSessionConcurrentMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec = spec.Scale(0.25)
-			jobs = append(jobs, darco.Job{
+			job := darco.Job{
 				Name:    spec.Name,
 				Variant: "scale=0.25",
 				Program: workload.SpecProgram{Spec: spec},
-				Opts:    []darco.Option{darco.WithCosim(false)},
-			})
+				Config:  darco.DefaultConfig(),
+			}
+			job.Config.TOL.Cosim = false
+			jobs = append(jobs, job)
 		}
 		return jobs
 	}

@@ -39,15 +39,12 @@ func main() {
 		{"IM + BBM + SBM (full TOL)", func(c *darco.Config) {}},
 	}
 
+	sess := darco.NewSession()
 	var cycles []uint64
 	for _, cc := range cases {
-		p, err := spec.Build()
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := darco.DefaultConfig()
-		cc.mut(&cfg)
-		res, err := darco.Run(context.Background(), p, darco.WithConfig(cfg))
+		job := darco.JobForProgram(workload.SpecProgram{Spec: spec}, 0.5)
+		cc.mut(&job.Config)
+		res, err := sess.Run(context.Background(), job)
 		if err != nil {
 			log.Fatal(err)
 		}

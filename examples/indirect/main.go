@@ -27,14 +27,11 @@ func main() {
 	t := stats.NewTable("Indirect-branch handling (400.perlbench-like)",
 		"configuration", "cycles", "tol-share", "code$-lookup%", "tol-other%", "transitions", "ibtc-fills")
 
+	sess := darco.NewSession()
 	for _, ibtc := range []bool{true, false} {
-		p, err := spec.Build()
-		if err != nil {
-			log.Fatal(err)
-		}
-		tc := darco.DefaultConfig().TOL
-		tc.EnableIBTC = ibtc
-		res, err := darco.Run(context.Background(), p, darco.WithTOLConfig(tc))
+		job := darco.JobForProgram(workload.SpecProgram{Spec: spec}, 0.5)
+		job.Config.TOL.EnableIBTC = ibtc
+		res, err := sess.Run(context.Background(), job)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,15 +28,19 @@ func main() {
 		log.Fatal(err)
 	}
 	spec = spec.Scale(*scale)
-	p, err := spec.Build()
-	if err != nil {
-		log.Fatal(err)
+	// One job timed in both modes. Identical streams; timing-only
+	// experiment, so skip co-simulation.
+	shared := darco.JobForProgram(workload.SpecProgram{Spec: spec}, *scale)
+	shared.Config.TOL.Cosim = false
+	split := shared
+	split.Config.Mode = timing.ModeSplit
+	runs := darco.NewSession().RunBatch(context.Background(), []darco.Job{shared, split})
+	for _, br := range runs {
+		if br.Err != nil {
+			log.Fatal(br.Err)
+		}
 	}
-	// Identical streams; timing-only experiment, so skip co-simulation.
-	ir, err := darco.RunInteraction(context.Background(), p, darco.WithCosim(false))
-	if err != nil {
-		log.Fatal(err)
-	}
+	ir := darco.InteractionResult{Shared: runs[0].Result, Split: runs[1].Result}
 
 	fmt.Printf("benchmark: %s, %d guest instructions\n\n", spec.Name, ir.Shared.GuestDyn())
 

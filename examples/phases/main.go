@@ -17,11 +17,13 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/stats"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
 func main() {
 	const capacity = 640
+	cache := tol.CacheConfig{CapacityInsts: capacity, Policy: "lru-translation"}
 	refs := []string{
 		"phased:401.bzip2",
 		"phased:401.bzip2+462.libquantum",
@@ -43,13 +45,13 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, bounded := range []bool{false, true} {
-			var opts []darco.Option
+			job := darco.JobForProgram(p, 0.3)
 			cc := "unbounded"
 			if bounded {
-				opts = append(opts, darco.WithCodeCache(capacity, "lru-translation"))
+				job.Config.TOL.Cache = cache
 				cc = fmt.Sprint(capacity)
 			}
-			res, err := sess.Run(context.Background(), darco.JobForProgram(p, 0.3, opts...))
+			res, err := sess.Run(context.Background(), job)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -82,15 +84,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []darco.Option{darco.WithCodeCache(capacity, "lru-translation")}
-	direct, err := sess.Run(context.Background(), darco.JobForProgram(last, 0.3, opts...))
-	if err != nil {
-		log.Fatal(err)
+	run := func(p workload.Program) *darco.Result {
+		job := darco.JobForProgram(p, 0.3)
+		job.Config.TOL.Cache = cache
+		res, err := sess.Run(context.Background(), job)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	replayed, err := sess.Run(context.Background(), darco.JobForProgram(replay, 0.3, opts...))
-	if err != nil {
-		log.Fatal(err)
-	}
+	direct, replayed := run(last), run(replay)
 	fmt.Printf("recorded %s -> %s\n", last.Name(), path)
 	fmt.Printf("replay cycles %d vs direct %d, evictions %d vs %d (exact: %v)\n",
 		replayed.Timing.Cycles, direct.Timing.Cycles,

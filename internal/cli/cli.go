@@ -148,10 +148,11 @@ func (b *Batch) Plan(base darco.Config, lists ...string) (cfg darco.Config, jobs
 		return cfg, nil, err
 	}
 	for _, ref := range b.Refs(lists...) {
-		job, err := darco.WithWorkload(ref, b.Scale, darco.WithConfig(cfg))
+		job, err := darco.WithWorkload(ref, b.Scale)
 		if err != nil {
 			return cfg, nil, err
 		}
+		job.Config = cfg
 		jobs = append(jobs, job)
 	}
 	return cfg, jobs, nil

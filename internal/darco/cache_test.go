@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -45,15 +46,17 @@ func pressureLoop(loops, iters, outer int32) func() (*guest.Program, error) {
 // ccSweepJobs builds the cache-pressure sweep job list: the unbounded
 // baseline plus every policy at every capacity.
 func ccSweepJobs(build func() (*guest.Program, error)) []Job {
-	jobs := []Job{{Name: "pressure", Variant: "cc=inf", Program: workload.Func("pressure", build)}}
+	jobs := []Job{{Name: "pressure", Variant: "cc=inf", Program: workload.Func("pressure", build), Config: DefaultConfig()}}
 	for _, policy := range []string{"flush-all", "fifo-region", "lru-translation"} {
 		for _, capacity := range []int{2048, 1024, 512} {
-			jobs = append(jobs, Job{
+			job := Job{
 				Name:    "pressure",
 				Variant: fmt.Sprintf("cc=%d/%s", capacity, policy),
 				Program: workload.Func("pressure", build),
-				Opts:    []Option{WithCosim(true), WithCodeCache(capacity, policy)},
-			})
+				Config:  DefaultConfig(),
+			}
+			job.Config.TOL.Cache = tol.CacheConfig{CapacityInsts: capacity, Policy: policy}
+			jobs = append(jobs, job)
 		}
 	}
 	return jobs
@@ -114,7 +117,9 @@ func TestBoundedWithoutPressureIsCycleIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, err := Run(context.Background(), prog, WithCodeCache(1<<20, "fifo-region"))
+	cfg := DefaultConfig()
+	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: 1 << 20, Policy: "fifo-region"}
+	bounded, err := cfg.runWith(context.Background(), prog, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +160,15 @@ func TestSessionNoPreloadBypassesPreload(t *testing.T) {
 	sess.Preload("p", DefaultConfig().Mode, &poisoned)
 
 	build := func() (*guest.Program, error) { return prog, nil }
-	served, err := sess.Run(context.Background(), Job{Name: "p", Program: workload.Func("p", build)})
+	served, err := sess.Run(context.Background(), Job{Name: "p", Program: workload.Func("p", build), Config: DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if served.Translations != -1 {
 		t.Fatal("job without NoPreload should have been served the preloaded result")
 	}
-	fresh, err := sess.Run(context.Background(), Job{Name: "p", Variant: "v2", Program: workload.Func("p", build), NoPreload: true})
+	fresh, err := sess.Run(context.Background(), Job{Name: "p", Variant: "v2", Program: workload.Func("p", build),
+		Config: DefaultConfig(), NoPreload: true})
 	if err != nil {
 		t.Fatal(err)
 	}

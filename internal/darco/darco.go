@@ -7,18 +7,20 @@
 //
 // The host-facing API has four pillars:
 //
-//   - Run(ctx, p, opts...): a context-aware single run configured with
-//     functional options (WithMode, WithTOLConfig, WithTiming,
-//     WithMaxCycles, WithCosim, WithPasses, WithOptLevel,
-//     WithPromotion, WithCodeCache, WithProgress). Cancelling ctx
-//     aborts the run promptly from inside the timing simulator's cycle
-//     loop; invalid configurations (unknown pass, promotion-policy or
-//     eviction-policy names, bad thresholds or cache bounds) are
-//     rejected by Config.Validate before simulating.
-//   - Session: a concurrent batch executor with a worker pool and a
-//     config-hash memo cache, for the paper's many-benchmark sweeps
-//     (see session.go). The engine is fully deterministic, so
-//     concurrent Session results are identical to sequential ones.
+//   - Job: one run as a value — a workload program plus the Config it
+//     runs under (Job.Config). WithWorkload builds a Job from a
+//     "<source>:<name>" reference (synthetic:, file:, trace:,
+//     phased:) and JobForProgram wraps an already-resolved program,
+//     both under DefaultConfig; callers then edit Job.Config directly.
+//     Config.Validate rejects invalid configurations (unknown pass,
+//     promotion-policy or eviction-policy names, bad thresholds, cache
+//     bounds or timing geometries) before simulating.
+//   - Session: the concurrent executor of Jobs, with a worker pool, a
+//     config-hash memo cache and a per-job event stream, for the
+//     paper's many-benchmark sweeps (see session.go). Cancelling the
+//     context aborts a run promptly from inside the timing simulator's
+//     cycle loop. The engine is fully deterministic, so concurrent
+//     Session results are identical to sequential ones.
 //   - JSON-serializable results: Result, Summary and Record marshal to
 //     JSON, making suite output machine-readable (cmd/darco-suite
 //     -json emits Records that cmd/darco-figs -from consumes).
@@ -27,15 +29,10 @@
 //     spell a knob through it, and Knobs.Apply folds it into a Config
 //     (see knobs.go).
 //
-// Programs come from the pluggable workload layer: a Job carries any
-// workload.Program, WithWorkload builds a Job from a
-// "<source>:<name>" reference (synthetic:, file:, trace:, phased:),
-// and JobForProgram/JobForSpec wrap already-resolved programs.
-//
 // Co-simulation against the authoritative guest emulator (the x86
-// component) is performed inside the engine when enabled; the
-// controller additionally exposes isolation runs (ignoring the TOL or
-// application stream) used by the interaction experiments.
+// component) is performed inside the engine when enabled; Config.Mode
+// additionally selects isolation runs (ignoring the TOL or application
+// stream) and the split run of the interaction experiments.
 package darco
 
 import (
@@ -78,29 +75,7 @@ type Config struct {
 	// the JSON form, so sampled and full runs never share a memo-cache
 	// entry.
 	Sampling *sample.Config `json:"sampling,omitempty"`
-
-	// Progress, when non-nil, receives periodic in-run progress
-	// reports. It is observability only — it cannot affect results —
-	// and is excluded from JSON (and therefore from Session cache
-	// keys).
-	Progress ProgressFunc `json:"-"`
-
-	// ProgressEvery is the Progress period in simulated cycles
-	// (0 = the timing simulator's default).
-	ProgressEvery uint64 `json:"-"`
 }
-
-// Progress is one in-run progress report.
-type Progress struct {
-	// Cycles and HostInsts are the simulated cycle count and retired
-	// host instructions at the time of the report.
-	Cycles    uint64
-	HostInsts uint64
-}
-
-// ProgressFunc receives periodic Progress reports from inside the
-// timing simulator's cycle loop.
-type ProgressFunc func(Progress)
 
 // DefaultConfig returns the paper's host configuration with the scaled
 // TOL thresholds of tol.DefaultConfig.
@@ -115,11 +90,15 @@ func DefaultConfig() Config {
 // Validate rejects configurations that would fail mid-run or silently
 // simulate garbage (tol.Config.Validate: negative thresholds,
 // degenerate superblock bounds, unknown pass or promotion-policy
-// names, an empty pipeline with SBM enabled). Run, RunInteraction and
+// names, an empty pipeline with SBM enabled; timing.Config.Validate:
+// structure geometries the simulator cannot build). Run, Job.Key and
 // Session.Run call it before simulating, so bad configs fail fast with
 // a clear error.
 func (c *Config) Validate() error {
 	if err := c.TOL.Validate(); err != nil {
+		return fmt.Errorf("darco: invalid config: %w", err)
+	}
+	if err := c.Timing.Validate(); err != nil {
 		return fmt.Errorf("darco: invalid config: %w", err)
 	}
 	if c.Sampling != nil {
@@ -260,38 +239,36 @@ func DecodeRecords(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// Run executes the program to completion under DefaultConfig modified
-// by the given options. Cancelling ctx aborts the simulation promptly
-// (the context is polled inside the timing simulator's cycle loop) and
-// returns ctx.Err().
+// Run executes an already-built program to completion under
+// DefaultConfig edited by opts (see Option). Cancelling ctx aborts the
+// simulation promptly (the context is polled inside the timing
+// simulator's cycle loop) and returns ctx.Err().
 func Run(ctx context.Context, p *guest.Program, opts ...Option) (*Result, error) {
 	cfg := DefaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return cfg.run(ctx, p)
+	return cfg.runWith(ctx, p, runEnv{})
 }
 
-// sampleEnv carries the execution-environment knobs of a sampled run
-// that live outside Config (and therefore outside the memo-cache key):
-// measurement parallelism, the fast-forward bundle cache, and the
-// workload fingerprint the bundles are keyed by. The zero value means
-// GOMAXPROCS parallelism with no warm-start cache — what a plain Run
-// gets; Session fills it from its worker pool and persistent store.
-type sampleEnv struct {
+// runEnv carries what a run takes from its caller outside Config, and
+// therefore outside the memo-cache key: for sampled runs the
+// measurement parallelism, the fast-forward bundle cache and the
+// workload fingerprint the bundles are keyed by; for full runs the
+// in-run progress hook, called from inside the timing simulator's
+// cycle loop. The zero value means GOMAXPROCS parallelism, no
+// warm-start cache and no progress reports — what a plain Run gets;
+// Session fills it from its worker pool, persistent store and event
+// stream.
+type runEnv struct {
 	parallel int
 	cache    sample.BlobCache
 	program  string
+	progress func(cycles, hostInsts uint64)
 }
 
-// run is the single execution path behind Run, Session and the
-// experiment runners.
-func (cfg Config) run(ctx context.Context, p *guest.Program) (*Result, error) {
-	return cfg.runWith(ctx, p, sampleEnv{})
-}
-
-// runWith is run plus the sampled-execution environment.
-func (cfg Config) runWith(ctx context.Context, p *guest.Program, env sampleEnv) (*Result, error) {
+// runWith is the single execution path behind Run and Session.
+func (cfg Config) runWith(ctx context.Context, p *guest.Program, env runEnv) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -318,13 +295,7 @@ func (cfg Config) runWith(ctx context.Context, p *guest.Program, env sampleEnv) 
 	} else {
 		sim.MaxCycles = defaultMaxCycles
 	}
-	if cfg.Progress != nil {
-		fn := cfg.Progress
-		sim.Progress = func(cycles, insts uint64) {
-			fn(Progress{Cycles: cycles, HostInsts: insts})
-		}
-		sim.ProgressEvery = cfg.ProgressEvery
-	}
+	sim.Progress = env.progress
 	tres, err := sim.RunContext(ctx, eng)
 	if err != nil {
 		return nil, err
@@ -350,7 +321,7 @@ func (cfg Config) runWith(ctx context.Context, p *guest.Program, env sampleEnv) 
 // Result shape. The estimator combines intervals in index order, so the
 // result is bit-identical for any parallelism — the property that lets
 // sampled runs share the Session memo cache.
-func (cfg Config) runSampled(ctx context.Context, p *guest.Program, env sampleEnv) (*Result, error) {
+func (cfg Config) runSampled(ctx context.Context, p *guest.Program, env runEnv) (*Result, error) {
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = defaultMaxCycles
@@ -380,39 +351,14 @@ func (cfg Config) runSampled(ctx context.Context, p *guest.Program, env sampleEn
 }
 
 // InteractionResult holds the two runs of the interaction methodology
-// of Figures 10 and 11: with interaction modeled (shared structures)
-// and without (per-entity private structures, identical streams). The
-// engine is fully deterministic, so the co-design behaviour is
-// identical across the runs; only resource sharing differs.
+// of Figures 10 and 11: one Job run with interaction modeled
+// (ModeShared: shared structures) and without (ModeSplit: per-entity
+// private structures, identical streams). The engine is fully
+// deterministic, so the co-design behaviour is identical across the
+// runs; only resource sharing differs.
 type InteractionResult struct {
 	Shared *Result `json:"shared"`
 	Split  *Result `json:"split"`
-}
-
-// RunInteraction performs the interaction experiment's two runs.
-// Options apply to both runs; the mode is overridden per leg.
-func RunInteraction(ctx context.Context, p *guest.Program, opts ...Option) (*InteractionResult, error) {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var out InteractionResult
-	for _, m := range []struct {
-		mode timing.Mode
-		dst  **Result
-	}{
-		{timing.ModeShared, &out.Shared},
-		{timing.ModeSplit, &out.Split},
-	} {
-		c := cfg
-		c.Mode = m.mode
-		r, err := c.run(ctx, p)
-		if err != nil {
-			return nil, fmt.Errorf("darco: %v run: %w", m.mode, err)
-		}
-		*m.dst = r
-	}
-	return &out, nil
 }
 
 // AppSlowdown returns the relative execution-time increase of the

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/guest"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -61,8 +62,8 @@ func ExampleSession() {
 	}
 	sess := darco.NewSession(darco.WithWorkers(2))
 	jobs := []darco.Job{
-		{Name: "count-40", Program: workload.Func("count-40", countdown(40))},
-		{Name: "count-60", Program: workload.Func("count-60", countdown(60))},
+		darco.JobForProgram(workload.Func("count-40", countdown(40)), 1),
+		darco.JobForProgram(workload.Func("count-60", countdown(60)), 1),
 	}
 	for _, br := range sess.RunBatch(context.Background(), jobs) {
 		if br.Err != nil {
@@ -77,35 +78,35 @@ func ExampleSession() {
 	// count-60: 121 guest insts, eax=0
 }
 
-// ExampleWithCodeCache bounds the translation code cache so the
-// working set no longer fits: TOL evicts translations under the
-// configured policy and transparently retranslates them on re-entry,
-// and the run reports the pressure in its statistics.
-func ExampleWithCodeCache() {
-	b := guest.NewBuilder()
-	b.MovRI(guest.ESI, 3) // outer repetitions: evicted loops re-enter
-	b.Label("outer")
-	for k := int32(0); k < 12; k++ {
-		lbl := fmt.Sprintf("loop%d", k)
-		b.MovRI(guest.ECX, 30)
-		b.MovRI(guest.EAX, k)
-		b.Label(lbl)
-		b.AddRI(guest.EAX, 3)
-		b.XorRI(guest.EAX, 0x55)
-		b.Dec(guest.ECX)
-		b.Jcc(guest.CondNE, lbl)
-	}
-	b.Dec(guest.ESI)
-	b.Jcc(guest.CondNE, "outer")
-	b.Halt()
-	prog, err := b.Build()
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
+// ExampleJob_config configures a run by editing the job's Config, here
+// bounding the translation code cache so the working set no longer
+// fits: TOL evicts translations under the configured policy and
+// transparently retranslates them on re-entry, and the run reports the
+// pressure in its statistics.
+func ExampleJob_config() {
+	loops := workload.Func("loops", func() (*guest.Program, error) {
+		b := guest.NewBuilder()
+		b.MovRI(guest.ESI, 3) // outer repetitions: evicted loops re-enter
+		b.Label("outer")
+		for k := int32(0); k < 12; k++ {
+			lbl := fmt.Sprintf("loop%d", k)
+			b.MovRI(guest.ECX, 30)
+			b.MovRI(guest.EAX, k)
+			b.Label(lbl)
+			b.AddRI(guest.EAX, 3)
+			b.XorRI(guest.EAX, 0x55)
+			b.Dec(guest.ECX)
+			b.Jcc(guest.CondNE, lbl)
+		}
+		b.Dec(guest.ESI)
+		b.Jcc(guest.CondNE, "outer")
+		b.Halt()
+		return b.Build()
+	})
 
-	res, err := darco.Run(context.Background(), prog,
-		darco.WithCodeCache(256, "lru-translation"))
+	job := darco.JobForProgram(loops, 1)
+	job.Config.TOL.Cache = tol.CacheConfig{CapacityInsts: 256, Policy: "lru-translation"}
+	res, err := darco.NewSession().Run(context.Background(), job)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/guest"
 	"repro/internal/sample"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -41,7 +43,12 @@ func TestRV32EndToEndCosimO3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), p, WithOptLevel(3), WithCosim(true), WithISA("rv32"))
+	cfg := DefaultConfig()
+	cfg.ISA = "rv32"
+	if err := tol.ApplyOptLevel(&cfg.TOL, 3); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cfg.runWith(context.Background(), p, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +80,9 @@ func TestRV32BoundedCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, err := Run(ctx, p, WithCosim(true), WithCodeCache(256, "lru-translation"))
+	cfg := DefaultConfig()
+	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: 256, Policy: "lru-translation"}
+	bounded, err := cfg.runWith(ctx, p, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +110,10 @@ func TestRV32SampledMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Run(ctx, p, WithCosim(false),
-		WithSampling(sample.Config{Interval: 5_000, Every: 2, Warmup: 500}))
+	cfg := DefaultConfig()
+	cfg.TOL.Cosim = false
+	cfg.Sampling = &sample.Config{Interval: 5_000, Every: 2, Warmup: 500}
+	sampled, err := cfg.runWith(ctx, p, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +139,13 @@ func TestISAPinRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), px, WithISA("rv32")); err == nil ||
+	pinned := func(isa string, p *guest.Program) error {
+		cfg := DefaultConfig()
+		cfg.ISA = isa
+		_, err := cfg.runWith(context.Background(), p, runEnv{})
+		return err
+	}
+	if err := pinned("rv32", px); err == nil ||
 		!strings.Contains(err.Error(), `pinned to ISA "rv32"`) {
 		t.Fatalf("x86 program under -isa rv32: err = %v, want pin rejection", err)
 	}
@@ -137,11 +154,11 @@ func TestISAPinRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), prv, WithISA("x86")); err == nil ||
+	if err := pinned("x86", prv); err == nil ||
 		!strings.Contains(err.Error(), `pinned to ISA "x86"`) {
 		t.Fatalf("rv32 program under -isa x86: err = %v, want pin rejection", err)
 	}
-	if _, err := Run(context.Background(), prv, WithISA("z80")); err == nil ||
+	if err := pinned("z80", prv); err == nil ||
 		!strings.Contains(err.Error(), "z80") {
 		t.Fatalf("unknown ISA accepted: %v", err)
 	}

@@ -22,8 +22,8 @@ type Knobs struct {
 	// Mode selects the timing-simulator stream mode ("shared",
 	// "app-only", "tol-only", "split").
 	Mode string `json:"mode,omitempty"`
-	// ISA pins the run to one guest frontend ("x86" or "rv32") —
-	// WithISA semantics. Entry points that resolve workload references
+	// ISA pins the run to one guest frontend ("x86" or "rv32"), as
+	// Config.ISA does. Entry points that resolve workload references
 	// also redirect synthetic-catalog references to that frontend's
 	// catalog (workload.RefForISA), so the same benchmark name runs
 	// across frontends.

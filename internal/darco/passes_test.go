@@ -31,15 +31,21 @@ func hotProgram() *guest.Program {
 	return b.MustBuild()
 }
 
-func lowThreshold() Option {
-	return func(c *Config) { c.TOL.SBThreshold = 50 }
+// lowThreshold is DefaultConfig with co-simulation off and a
+// superblock threshold low enough for hotProgram to promote.
+func lowThreshold() Config {
+	cfg := DefaultConfig()
+	cfg.TOL.Cosim = false
+	cfg.TOL.SBThreshold = 50
+	return cfg
 }
 
 // TestRecordPassStatsRoundTrip: the per-pass SBM breakdown must
 // survive the Record JSON interchange (darco-suite -json →
 // darco-figs -from) exactly.
 func TestRecordPassStatsRoundTrip(t *testing.T) {
-	res, err := Run(context.Background(), hotProgram(), WithCosim(false), lowThreshold())
+	cfg := lowThreshold()
+	res, err := cfg.runWith(context.Background(), hotProgram(), runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +82,10 @@ func TestRecordPassStatsRoundTrip(t *testing.T) {
 // the figure harness rely on).
 func TestPipelineResultDeterminism(t *testing.T) {
 	run := func() string {
-		res, err := Run(context.Background(), hotProgram(), WithCosim(false),
-			lowThreshold(), WithPasses("dce,constprop,rle,sched"), WithPromotion("adaptive"))
+		cfg := lowThreshold()
+		cfg.TOL.Passes, cfg.TOL.OptLevel = "dce,constprop,rle,sched", ""
+		cfg.TOL.Promotion = "adaptive"
+		res, err := cfg.runWith(context.Background(), hotProgram(), runEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,32 +100,28 @@ func TestPipelineResultDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunValidatesConfig: bad pipeline and policy specs must fail fast
-// with a clear error from Run, RunInteraction and Session.Run alike.
+// TestRunValidatesConfig: bad pipeline, policy and timing specs must
+// fail fast with a clear error from the run path and Session.Run alike.
 func TestRunValidatesConfig(t *testing.T) {
 	ctx := context.Background()
 	p := hotProgram()
 
-	if _, err := Run(ctx, p, WithPasses("bogus")); err == nil ||
-		!strings.Contains(err.Error(), "unknown pass") {
-		t.Fatalf("Run with bad pipeline: %v", err)
-	}
-	if _, err := Run(ctx, p, WithPromotion("bogus")); err == nil ||
-		!strings.Contains(err.Error(), "unknown promotion policy") {
-		t.Fatalf("Run with bad policy: %v", err)
-	}
-	if _, err := Run(ctx, p, WithOptLevel(9)); err == nil ||
-		!strings.Contains(err.Error(), "optimization level") {
-		t.Fatalf("Run with bad opt level: %v", err)
-	}
-	if _, err := RunInteraction(ctx, p, WithPasses("bogus")); err == nil {
-		t.Fatal("RunInteraction with bad pipeline succeeded")
-	}
-
-	// WithPasses("none") alone leaves SBM enabled: rejected.
-	if _, err := Run(ctx, p, WithPasses(tol.PassesNone)); err == nil ||
-		!strings.Contains(err.Error(), "empty optimization pipeline") {
-		t.Fatalf("Run with empty pipeline + SBM: %v", err)
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Config)
+	}{
+		{"bad pipeline", "unknown pass", func(c *Config) { c.TOL.Passes = "bogus" }},
+		{"bad policy", "unknown promotion policy", func(c *Config) { c.TOL.Promotion = "bogus" }},
+		{"bad opt level", "optimization level", func(c *Config) { c.TOL.Passes, c.TOL.OptLevel = "", "O9" }},
+		// An empty pipeline alone leaves SBM enabled: rejected.
+		{"empty pipeline + SBM", "empty optimization pipeline", func(c *Config) { c.TOL.Passes = tol.PassesNone }},
+		{"zero timing", "IssueWidth", func(c *Config) { c.Timing = timing.Config{} }},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		if _, err := cfg.runWith(ctx, p, runEnv{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 
 	sess := NewSession(WithWorkers(1))
@@ -127,8 +131,8 @@ func TestRunValidatesConfig(t *testing.T) {
 			failed++
 		}
 	}))
-	job := Job{Name: "bad", Program: workload.Func("bad", func() (*guest.Program, error) { return p, nil }),
-		Opts: []Option{WithPasses("bogus")}}
+	job := JobForProgram(workload.Func("bad", func() (*guest.Program, error) { return p, nil }), 1)
+	job.Config.TOL.Passes = "bogus"
 	if _, err := sess.Run(ctx, job); err == nil {
 		t.Fatal("Session.Run with bad pipeline succeeded")
 	}
@@ -143,7 +147,12 @@ func TestRunValidatesConfig(t *testing.T) {
 // TestWithOptLevelZero: O0 stops at BBM (no superblocks, no per-pass
 // stats) and still computes correctly.
 func TestWithOptLevelZero(t *testing.T) {
-	res, err := Run(context.Background(), hotProgram(), WithCosim(true), lowThreshold(), WithOptLevel(0))
+	cfg := lowThreshold()
+	cfg.TOL.Cosim = true
+	if err := tol.ApplyOptLevel(&cfg.TOL, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cfg.runWith(context.Background(), hotProgram(), runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,11 @@ func TestOptLevelsOrdered(t *testing.T) {
 	}
 	var prevCC int
 	for level := 1; level <= 3; level++ {
-		res, err := Run(context.Background(), p, WithCosim(true), WithOptLevel(level))
+		cfg := DefaultConfig()
+		if err := tol.ApplyOptLevel(&cfg.TOL, level); err != nil {
+			t.Fatal(err)
+		}
+		res, err := cfg.runWith(context.Background(), p, runEnv{})
 		if err != nil {
 			t.Fatalf("O%d: %v", level, err)
 		}

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
-
-	"repro/internal/timing"
 )
 
 // TestStreamBatchKnobDistinctCacheEntries audits the memo-key rule for
@@ -26,16 +24,16 @@ func TestStreamBatchKnobDistinctCacheEntries(t *testing.T) {
 		}
 	}))
 
-	withBatch := func(n int) Option {
-		cfg := timing.DefaultConfig()
-		cfg.StreamBatch = n
-		return WithTiming(cfg)
+	withBatch := func(n int) Job {
+		job := benchJob(t, "462.libquantum", 0.1)
+		job.Config.Timing.StreamBatch = n
+		return job
 	}
-	a, err := s.Run(context.Background(), benchJob(t, "462.libquantum", 0.1, withBatch(64)))
+	a, err := s.Run(context.Background(), withBatch(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run(context.Background(), benchJob(t, "462.libquantum", 0.1, withBatch(2048)))
+	b, err := s.Run(context.Background(), withBatch(2048))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func TestStreamBatchKnobDistinctCacheEntries(t *testing.T) {
 	}
 
 	// And the same batch size twice is still a single execution.
-	if _, err := s.Run(context.Background(), benchJob(t, "462.libquantum", 0.1, withBatch(64))); err != nil {
+	if _, err := s.Run(context.Background(), withBatch(64)); err != nil {
 		t.Fatal(err)
 	}
 	if started != 2 {

@@ -38,29 +38,32 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestRunCancelledMidSimulation cancels from inside the progress
-// callback — i.e. while the timing simulator's cycle loop is running —
-// and requires Run to return ctx.Err() promptly instead of simulating
-// to MaxCycles.
+// TestRunCancelledMidSimulation cancels from the session's event
+// stream on the second EventProgress — i.e. while the timing
+// simulator's cycle loop is running — and requires Session.Run to
+// return ctx.Err() promptly instead of simulating to MaxCycles.
 func TestRunCancelledMidSimulation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	const progressEvery = 50_000
 	var reports int
 	var cancelledAt uint64
-	_, err := Run(ctx, longLoop(100_000_000),
-		WithCosim(false),
-		WithMaxCycles(100_000_000_000),
-		WithProgressInterval(progressEvery),
-		WithProgress(func(p Progress) {
-			reports++
-			if reports == 2 {
-				cancelledAt = p.Cycles
-				cancel()
-			}
-		}))
-	if !errors.Is(err, context.Canceled) {
+	s := NewSession(WithWorkers(1), WithEvents(func(ev Event) {
+		if ev.Kind != EventProgress {
+			return
+		}
+		reports++
+		if reports == 2 {
+			cancelledAt = ev.Cycles
+			cancel()
+		}
+	}))
+	job := JobForProgram(workload.Func("long-loop", func() (*guest.Program, error) {
+		return longLoop(100_000_000), nil
+	}), 1)
+	job.Config.TOL.Cosim = false
+	job.Config.MaxCycles = 100_000_000_000
+	if _, err := s.Run(ctx, job); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Cancellation is polled every few thousand cycles, well under one
@@ -72,17 +75,23 @@ func TestRunCancelledMidSimulation(t *testing.T) {
 	}
 }
 
+// TestRunOptionsApply: Run folds its options onto DefaultConfig in
+// order — WithConfig replaces the base, a later WithCosim edits it —
+// and the folded configuration is what simulates.
 func TestRunOptionsApply(t *testing.T) {
 	p := longLoop(2_000)
-	tc := timing.DefaultConfig()
-	tc.IssueWidth = 1
-	res1, err := Run(context.Background(), p, WithCosim(false), WithTiming(tc))
+	narrow := DefaultConfig()
+	narrow.Timing.IssueWidth = 1
+	res1, err := Run(context.Background(), p, WithConfig(narrow), WithCosim(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res2, err := Run(context.Background(), p, WithCosim(false))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res1.TOL.CosimChecks != 0 {
+		t.Errorf("WithCosim(false) after WithConfig did not apply: %d cosim checks", res1.TOL.CosimChecks)
 	}
 	if res1.Timing.Cycles <= res2.Timing.Cycles {
 		t.Errorf("1-wide run (%d cycles) not slower than 2-wide (%d cycles)",

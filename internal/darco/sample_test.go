@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// sampleTestOpts keeps the sampled-run tests fast: scaled-down TOL
+// sampleTestTOL keeps the sampled-run tests fast: scaled-down TOL
 // thresholds so all tiers engage on small programs.
 func sampleTestTOL() tol.Config {
 	tc := tol.DefaultConfig()
@@ -20,12 +20,16 @@ func sampleTestTOL() tol.Config {
 	return tc
 }
 
-func openWorkload(t *testing.T, ref string, scale float64) Job {
+// openWorkload is the job for ref at scale under sampleTestTOL,
+// sampled under plan when it is non-nil.
+func openWorkload(t *testing.T, ref string, scale float64, plan *sample.Config) Job {
 	t.Helper()
-	job, err := WithWorkload(ref, scale, WithTOLConfig(sampleTestTOL()))
+	job, err := WithWorkload(ref, scale)
 	if err != nil {
 		t.Fatalf("open %s: %v", ref, err)
 	}
+	job.Config.TOL = sampleTestTOL()
+	job.Config.Sampling = plan
 	return job
 }
 
@@ -33,17 +37,17 @@ func openWorkload(t *testing.T, ref string, scale float64) Job {
 // end through the controller: exact TOL statistics and final state,
 // estimate report attached, estimated timing populated.
 func TestSampledRunExactFunctionalOutputs(t *testing.T) {
-	job := openWorkload(t, "phased:401.bzip2+462.libquantum", 0.05)
+	job := openWorkload(t, "phased:401.bzip2+462.libquantum", 0.05, nil)
 	p, err := job.Program.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	full, err := Run(context.Background(), p, WithTOLConfig(sampleTestTOL()))
+	full, err := job.Config.runWith(context.Background(), p, runEnv{})
 	if err != nil {
 		t.Fatalf("full run: %v", err)
 	}
-	sc := sample.Config{Interval: 5_000, Every: 3, Warmup: 1_000}
-	sampled, err := Run(context.Background(), p, WithTOLConfig(sampleTestTOL()), WithSampling(sc))
+	job.Config.Sampling = &sample.Config{Interval: 5_000, Every: 3, Warmup: 1_000}
+	sampled, err := job.Config.runWith(context.Background(), p, runEnv{})
 	if err != nil {
 		t.Fatalf("sampled run: %v", err)
 	}
@@ -77,18 +81,12 @@ func TestSampledRunExactFunctionalOutputs(t *testing.T) {
 // sampled run through a multi-worker session must be byte-identical to
 // a direct single-threaded run.
 func TestSampledSessionDeterminism(t *testing.T) {
-	sc := sample.Config{Interval: 4_000, Every: 2, Warmup: 500}
-	ref := "synthetic:429.mcf"
-
-	job, err := WithWorkload(ref, 0.05, WithTOLConfig(sampleTestTOL()), WithSampling(sc))
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	job := openWorkload(t, "synthetic:429.mcf", 0.05, &sample.Config{Interval: 4_000, Every: 2, Warmup: 500})
 	p, err := job.Program.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	direct, err := Run(context.Background(), p, WithTOLConfig(sampleTestTOL()), WithSampling(sc))
+	direct, err := job.Config.runWith(context.Background(), p, runEnv{})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
@@ -109,11 +107,10 @@ func TestSampledSessionDeterminism(t *testing.T) {
 // participates in the memo key: a session must never serve a sampled
 // job a full run's cached result or vice versa.
 func TestSampledAndFullRunsDoNotShareCacheKey(t *testing.T) {
-	sc := sample.Config{Interval: 4_000, Every: 2}
-	fullJob := openWorkload(t, "synthetic:429.mcf", 0.05)
+	fullJob := openWorkload(t, "synthetic:429.mcf", 0.05, nil)
 	fullJob.NoPreload = true
 	sampledJob := fullJob
-	sampledJob.Opts = append(append([]Option{}, fullJob.Opts...), WithSampling(sc))
+	sampledJob.Config.Sampling = &sample.Config{Interval: 4_000, Every: 2}
 
 	k1, err := fullJob.Key()
 	if err != nil {
@@ -133,7 +130,7 @@ func TestSampledAndFullRunsDoNotShareCacheKey(t *testing.T) {
 // phase structure, snapshot, restore, resume, and compare the stream
 // and final statistics with an uninterrupted run.
 func TestSnapshotRoundTripPhasedWorkload(t *testing.T) {
-	job := openWorkload(t, "phased:401.bzip2+462.libquantum", 0.05)
+	job := openWorkload(t, "phased:401.bzip2+462.libquantum", 0.05, nil)
 	p, err := job.Program.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)

@@ -14,12 +14,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Job is one unit of batch work: a workload program plus the
-// configuration options of the run. Name identifies the benchmark (it
-// is the display label and the key Preload records match on); Variant
-// distinguishes different programs sharing a Name — typically the
-// workload source and scale — and participates in the memo-cache key
-// alongside the hash of the resolved Config.
+// Job is one unit of batch work, and a plain value: a workload program
+// plus the configuration it runs under. Name identifies the benchmark
+// (it is the display label and the key Preload records match on);
+// Variant distinguishes different programs sharing a Name — typically
+// the workload source and scale — and participates in the memo-cache
+// key alongside the hash of Config.
 type Job struct {
 	Name    string
 	Variant string
@@ -28,7 +28,11 @@ type Job struct {
 	// spec, a recorded trace replay, a phased composite, or a
 	// hand-assembled program wrapped with workload.Func.
 	Program workload.Program
-	Opts    []Option
+	// Config is the configuration the job runs under, read as is by Key
+	// and Session.Run. JobForProgram and WithWorkload start it at
+	// DefaultConfig; the zero Config is invalid, so a hand-built Job
+	// must set it.
+	Config Config
 
 	// NoPreload excludes the job from the preload shortcut. Preloaded
 	// Records are matched by (name, mode) only and carry no Config, so
@@ -40,7 +44,7 @@ type Job struct {
 	// Ref is the workload Source-registry reference the program was
 	// resolved from ("<source>:<name>"), when it was resolved from one
 	// (WithWorkload fills it; hand-assembled jobs leave it empty). A
-	// remote session (WithRemote) ships Ref plus the resolved Config to
+	// remote session (WithRemote) ships Ref plus Config to
 	// a darco-serve instance instead of simulating locally, so only
 	// reference-built jobs are remotely runnable.
 	Ref string
@@ -126,7 +130,7 @@ func WithEvents(fn func(Event)) SessionOption {
 
 // ResultStore is the persistence hook of a Session: a durable,
 // shareable result cache keyed by the Session memo key (Job.Key — the
-// program fingerprint × resolved-config hash). A session with a store
+// program fingerprint × config hash). A session with a store
 // consults it after a memory-cache miss and saves every successful run
 // into it, so results survive process restarts and are shared across
 // replicas pointed at the same store. internal/store implements it on
@@ -153,16 +157,14 @@ func WithStore(st ResultStore) SessionOption {
 // install it with WithRemote.
 type RemoteExecutor interface {
 	// RunRemote submits the workload reference at the given scale with
-	// the fully resolved configuration, streams remote progress into
-	// events (nil-safe) until the job completes, and returns the
-	// result. The configuration's Progress hook is stripped before the
-	// call (it cannot cross the wire).
+	// the job's configuration, streams remote progress into events
+	// (nil-safe) until the job completes, and returns the result.
 	RunRemote(ctx context.Context, ref string, scale float64, cfg Config, events func(Event)) (*Result, error)
 }
 
 // WithRemote makes the session execute jobs on a remote darco-serve
 // instance: instead of simulating locally, each cache-missing job is
-// submitted by workload reference + resolved Config. Only jobs built
+// submitted by workload reference + Job.Config. Only jobs built
 // from a Source-registry reference (Job.Ref non-empty — anything from
 // WithWorkload) are remotely runnable; hand-assembled programs fail
 // with a clear error. Memoization, dedup of identical in-flight jobs
@@ -237,22 +239,16 @@ func (s *Session) notify(job *Job, ev Event) {
 	s.evMu.Unlock()
 }
 
-// JobForSpec builds the session job for one already-scaled synthetic
-// workload spec — the Spec-typed shorthand for JobForProgram.
-func JobForSpec(spec workload.Spec, scale float64, opts ...Option) Job {
-	return JobForProgram(workload.SpecProgram{Spec: spec}, scale, opts...)
-}
-
 // JobForProgram builds the session job for one already-scaled workload
-// program. It is the single place the Variant cache-key component is
-// derived from the program source, scale factor and content
-// fingerprint, so every tool keys identically and two programs sharing
-// a benchmark name (two traces recorded at different scales, a file:
-// spec named after a catalog entry) never alias one memoized result.
-// Non-synthetic programs opt out of the preload shortcut: preloaded
-// Records are matched by benchmark name only, and a trace or phased
-// program sharing a catalog name is not the run those records came
-// from.
+// program, under DefaultConfig edited by opts (see Option). It is the
+// single place the Variant cache-key component is derived from the
+// program source, scale factor and content fingerprint, so every tool
+// keys identically and two programs sharing a benchmark name (two
+// traces recorded at different scales, a file: spec named after a
+// catalog entry) never alias one memoized result. Non-synthetic
+// programs opt out of the preload shortcut: preloaded Records are
+// matched by benchmark name only, and a trace or phased program
+// sharing a catalog name is not the run those records came from.
 func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
 	meta := p.Meta()
 	variant := fmt.Sprintf("src=%s|scale=%g", meta.Source, scale)
@@ -266,11 +262,15 @@ func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
 	if fp := workload.Fingerprint(p); fp != "" {
 		variant += "|id=" + fp
 	}
+	cfg := DefaultConfig()
+	for _, o := range opts {
+		o(&cfg)
+	}
 	return Job{
 		Name:      p.Name(),
 		Variant:   variant,
 		Program:   p,
-		Opts:      opts,
+		Config:    cfg,
 		NoPreload: meta.Source != workload.DefaultSource,
 		Scale:     scale,
 	}
@@ -281,7 +281,7 @@ func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
 // "phased:401.bzip2+462.libquantum"; a bare name means synthetic)
 // through the workload Source registry, applies the scale factor, and
 // returns the session job running it — the reference-string
-// counterpart of JobForSpec shared by the command-line tools.
+// counterpart of JobForProgram shared by the command-line tools.
 func WithWorkload(ref string, scale float64, opts ...Option) (Job, error) {
 	p, err := workload.Open(ref)
 	if err != nil {
@@ -296,21 +296,11 @@ func WithWorkload(ref string, scale float64, opts ...Option) (Job, error) {
 	return job, nil
 }
 
-// resolve applies the job's options on top of DefaultConfig.
-func (j *Job) resolve() Config {
-	cfg := DefaultConfig()
-	for _, o := range j.Opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
 // cacheKey derives the memo key: the job name and variant plus the
-// hash of the JSON form of the resolved config (Progress is excluded
-// via json:"-", so observability hooks never fragment the cache). A
-// config that fails to marshal is an error: a nondeterministic
-// fallback key would not only defeat sharing, it would poison any
-// persistent ResultStore keyed by it across runs.
+// hash of the JSON form of the config. A config that fails to marshal
+// is an error: a nondeterministic fallback key would not only defeat
+// sharing, it would poison any persistent ResultStore keyed by it
+// across runs.
 func cacheKey(name, variant string, cfg *Config) (string, error) {
 	b, err := json.Marshal(cfg)
 	if err != nil {
@@ -327,12 +317,13 @@ func cacheKey(name, variant string, cfg *Config) (string, error) {
 
 // Key returns the job's memo-cache key: "<name>|<16-hex-digit hash>"
 // over the name, the variant (workload source, scale and content
-// fingerprint) and the resolved configuration. It is the content
-// address of the run — equal keys mean interchangeable results — and
-// the key a persistent ResultStore files the record under. Invalid or
-// unhashable configurations are errors, mirroring Session.Run.
+// fingerprint) and Config. It is the content address of the run —
+// equal keys mean interchangeable results — and the key a persistent
+// ResultStore files the record under. Invalid or unhashable
+// configurations are errors, which Session.Run reports before taking a
+// worker slot.
 func (j Job) Key() (string, error) {
-	cfg := j.resolve()
+	cfg := j.Config
 	if err := cfg.Validate(); err != nil {
 		return "", fmt.Errorf("%s: %w", j.Name, err)
 	}
@@ -369,26 +360,21 @@ func (s *Session) Preload(name string, mode timing.Mode, res *Result) {
 // share the result. Context-cancellation errors are not memoized, so
 // a cancelled job can be retried.
 func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
-	cfg := job.resolve()
+	mode := job.Config.Mode
 	// Fail fast on invalid configs: no worker slot, no cache entry —
 	// every submission of a bad job reports the same clear error.
-	if err := cfg.Validate(); err != nil {
-		err = fmt.Errorf("%s: %w", job.Name, err)
-		s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventFailed, Err: err})
-		return nil, err
-	}
-	key, err := cacheKey(job.Name, job.Variant, &cfg)
+	key, err := job.Key()
 	if err != nil {
-		s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventFailed, Err: err})
+		s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventFailed, Err: err})
 		return nil, err
 	}
 
 	var e *sessionEntry
 	for {
 		s.mu.Lock()
-		if res, ok := s.preload[preloadKey(job.Name, cfg.Mode)]; ok && !job.NoPreload {
+		if res, ok := s.preload[preloadKey(job.Name, mode)]; ok && !job.NoPreload {
 			s.mu.Unlock()
-			s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventCached})
+			s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventCached})
 			return res, nil
 		}
 		prev, inFlight := s.cache[key]
@@ -407,7 +393,7 @@ func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 			if isCancellation(prev.err) && ctx.Err() == nil {
 				continue
 			}
-			s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventCached})
+			s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventCached})
 			return prev.res, prev.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -420,41 +406,41 @@ func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 	if s.store != nil {
 		if rec, ok, serr := s.store.Get(key); serr == nil && ok && rec.Result != nil {
 			s.finish(key, e, rec.Result, nil)
-			s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventCached})
+			s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventCached})
 			return rec.Result, nil
 		}
 	}
 
-	s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventQueued})
+	s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventQueued})
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		s.finish(key, e, nil, ctx.Err())
 		return nil, ctx.Err()
 	}
-	s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventStarted})
+	s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventStarted})
 
 	var res *Result
 	if s.remote != nil {
-		res, err = s.runRemote(ctx, &job, cfg)
+		res, err = s.runRemote(ctx, &job)
 	} else {
-		res, err = s.execute(ctx, job, cfg)
+		res, err = s.execute(ctx, &job)
 	}
 	<-s.sem
 
 	if err == nil && s.store != nil {
 		// Best-effort persistence: a full Record (digest + result), so
 		// the store serves the established interchange format directly.
-		rec := NewRecord(job.Name, jobSuite(&job), job.Scale, cfg.Mode, res, nil)
+		rec := NewRecord(job.Name, jobSuite(&job), job.Scale, mode, res, nil)
 		_ = s.store.Put(key, &rec)
 	}
 
 	s.finish(key, e, res, err)
 	if err != nil {
-		s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventFailed, Err: err})
+		s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventFailed, Err: err})
 		return nil, err
 	}
-	s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventDone, Cycles: res.Timing.Cycles})
+	s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventDone, Cycles: res.Timing.Cycles})
 	return res, nil
 }
 
@@ -472,20 +458,18 @@ func jobSuite(job *Job) string {
 // the remote side emits its own queued/started/done lifecycle, so only
 // in-run progress is forwarded to avoid duplicating lifecycle events
 // the local session already emitted.
-func (s *Session) runRemote(ctx context.Context, job *Job, cfg Config) (*Result, error) {
+func (s *Session) runRemote(ctx context.Context, job *Job) (*Result, error) {
 	if job.Ref == "" {
 		return nil, fmt.Errorf("darco: job %q was not built from a workload reference; remote sessions can only run WithWorkload jobs", job.Name)
 	}
-	cfg.Progress = nil // not serializable; progress arrives as remote events
-	cfg.ProgressEvery = 0
-	return s.remote.RunRemote(ctx, job.Ref, job.Scale, cfg, func(ev Event) {
+	return s.remote.RunRemote(ctx, job.Ref, job.Scale, job.Config, func(ev Event) {
 		if ev.Kind == EventProgress {
 			s.notify(job, ev)
 		}
 	})
 }
 
-func (s *Session) execute(ctx context.Context, job Job, cfg Config) (*Result, error) {
+func (s *Session) execute(ctx context.Context, job *Job) (*Result, error) {
 	if job.Program == nil {
 		return nil, fmt.Errorf("darco: job %q has no program", job.Name)
 	}
@@ -493,23 +477,22 @@ func (s *Session) execute(ctx context.Context, job Job, cfg Config) (*Result, er
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", job.Name, err)
 	}
-	// Chain session progress events onto any caller-installed hook.
-	prev := cfg.Progress
-	cfg.Progress = func(pr Progress) {
-		s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventProgress, Cycles: pr.Cycles})
-		if prev != nil {
-			prev(pr)
-		}
+	// In-run progress becomes EventProgress. Sampled runs inherit the
+	// session's worker-pool width for their interval measurements and
+	// warm-start their fast-forward pass from the persistent store when
+	// it can hold raw blobs (internal/store can). The job holds one
+	// session slot; the fan-out happens inside.
+	env := runEnv{
+		parallel: s.workers,
+		program:  workload.Fingerprint(job.Program),
+		progress: func(cycles, _ uint64) {
+			s.notify(job, Event{Job: job.Name, Mode: job.Config.Mode, Kind: EventProgress, Cycles: cycles})
+		},
 	}
-	// Sampled runs inherit the session's worker-pool width for their
-	// interval measurements and warm-start their fast-forward pass from
-	// the persistent store when it can hold raw blobs (internal/store
-	// can). The job holds one session slot; the fan-out happens inside.
-	env := sampleEnv{parallel: s.workers, program: workload.Fingerprint(job.Program)}
 	if bc, ok := s.store.(sample.BlobCache); ok {
 		env.cache = bc
 	}
-	res, err := cfg.runWith(ctx, p, env)
+	res, err := job.Config.runWith(ctx, p, env)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", job.Name, err)
 	}

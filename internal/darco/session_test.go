@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,19 +14,23 @@ import (
 	"repro/internal/workload"
 )
 
-func benchJob(t *testing.T, name string, scale float64, opts ...Option) Job {
+// benchJob is the catalog benchmark at scale under DefaultConfig with
+// co-simulation off.
+func benchJob(t *testing.T, name string, scale float64) Job {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec = spec.Scale(scale)
-	return Job{
+	job := Job{
 		Name:    spec.Name,
 		Variant: fmt.Sprintf("scale=%g", scale),
 		Program: workload.SpecProgram{Spec: spec},
-		Opts:    append([]Option{WithCosim(false)}, opts...),
+		Config:  DefaultConfig(),
 	}
+	job.Config.TOL.Cosim = false
+	return job
 }
 
 // TestSessionVariantsDoNotCollide runs the same benchmark at two
@@ -87,7 +92,7 @@ func TestSessionMemoizes(t *testing.T) {
 
 	// A different config must NOT hit the cache.
 	alt := job
-	alt.Opts = append(alt.Opts, WithMode(timing.ModeSplit))
+	alt.Config.Mode = timing.ModeSplit
 	if _, err := s.Run(context.Background(), alt); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +187,8 @@ func TestSessionBatchReportsPerJobErrors(t *testing.T) {
 	boom := errors.New("boom")
 	jobs := []Job{
 		benchJob(t, "462.libquantum", 0.1),
-		{Name: "broken", Program: workload.Func("broken", func() (*guest.Program, error) { return nil, boom })},
+		{Name: "broken", Program: workload.Func("broken", func() (*guest.Program, error) { return nil, boom }),
+			Config: DefaultConfig()},
 	}
 	out := s.RunBatch(context.Background(), jobs)
 	if out[0].Err != nil {
@@ -190,6 +196,22 @@ func TestSessionBatchReportsPerJobErrors(t *testing.T) {
 	}
 	if !errors.Is(out[1].Err, boom) {
 		t.Errorf("bad job error = %v, want wrapped boom", out[1].Err)
+	}
+}
+
+// TestSessionRejectsZeroConfig: a hand-built Job that never set its
+// Config is rejected by Session.Run before it takes a worker slot —
+// the zero timing geometry would otherwise panic inside the simulator.
+func TestSessionRejectsZeroConfig(t *testing.T) {
+	var kinds []EventKind
+	s := NewSession(WithWorkers(1), WithEvents(func(ev Event) { kinds = append(kinds, ev.Kind) }))
+	job := benchJob(t, "462.libquantum", 0.1)
+	job.Config = Config{}
+	if _, err := s.Run(context.Background(), job); err == nil || !strings.Contains(err.Error(), "invalid config") {
+		t.Fatalf("err = %v, want an invalid-config rejection", err)
+	}
+	if len(kinds) != 1 || kinds[0] != EventFailed {
+		t.Errorf("events %v, want a lone failed event (never queued or started)", kinds)
 	}
 }
 

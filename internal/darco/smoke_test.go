@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
@@ -82,10 +83,17 @@ func TestSmokeInteraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Timing-only experiment; the functional path is tested elsewhere.
-	ir, err := RunInteraction(context.Background(), p, WithCosim(false))
-	if err != nil {
-		t.Fatal(err)
+	run := func(mode timing.Mode) *Result {
+		cfg := DefaultConfig()
+		cfg.TOL.Cosim = false
+		cfg.Mode = mode
+		res, err := cfg.runWith(context.Background(), p, runEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	ir := InteractionResult{Shared: run(timing.ModeShared), Split: run(timing.ModeSplit)}
 	t.Logf("interaction perlbench: app slowdown=%.3f tol slowdown=%.3f",
 		ir.AppSlowdown(), ir.TOLSlowdown())
 	// The indirect-branch heavy outlier must show a clear TOL-side

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func TestSyntheticSourceCycleIdentical(t *testing.T) {
 		}
 		spec = spec.Scale(0.25)
 		sess := NewSession(WithWorkers(2))
-		old, err := sess.Run(context.Background(), JobForSpec(spec, 0.25))
+		old, err := sess.Run(context.Background(), JobForProgram(workload.SpecProgram{Spec: spec}, 0.25))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,12 +107,16 @@ func TestTraceReplayCrossConfig(t *testing.T) {
 
 	// Replay under a deliberately different configuration: bounded
 	// code cache and a different optimization preset.
-	cross := []Option{WithOptLevel(1), WithCodeCache(512, "lru-translation")}
-	direct, err := Run(context.Background(), mustBuild(t, orig), cross...)
+	cross := DefaultConfig()
+	if err := tol.ApplyOptLevel(&cross.TOL, 1); err != nil {
+		t.Fatal(err)
+	}
+	cross.TOL.Cache = tol.CacheConfig{CapacityInsts: 512, Policy: "lru-translation"}
+	direct, err := cross.runWith(context.Background(), mustBuild(t, orig), runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := Run(context.Background(), mustBuild(t, back.Program()), cross...)
+	replay, err := cross.runWith(context.Background(), mustBuild(t, back.Program()), runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func (r *Runner) oracleSampleJob(p workload.Program, plan *sample.Config) darco.
 	cfg.Sampling = nil
 	j := darco.JobForProgram(p, r.opts.Scale, darco.WithConfig(cfg))
 	if plan != nil {
-		j.Opts = append(j.Opts, darco.WithSampling(*plan))
+		j.Config.Sampling = plan
 	}
 	j.Ref = r.refs[p.Name()]
 	j.NoPreload = true

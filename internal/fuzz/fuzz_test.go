@@ -26,10 +26,6 @@ func demoSpec() workload.Spec {
 	}
 }
 
-func withFault(name string) darco.Option {
-	return func(c *darco.Config) { c.TOL.Fault = name }
-}
-
 // TestInjectedFaultCaughtAndMinimized is the oracle's mutation test —
 // the acceptance demo: a deliberately injected translator bug (the BBM
 // emitter silently drops inc instructions) must be caught by the
@@ -38,7 +34,7 @@ func withFault(name string) darco.Option {
 func TestInjectedFaultCaughtAndMinimized(t *testing.T) {
 	ctx := context.Background()
 	o := New(SmokeMatrix())
-	o.Extra = []darco.Option{withFault(tol.FaultDropInc)}
+	o.Fault = tol.FaultDropInc
 
 	spec := demoSpec()
 	rep, err := o.Check(ctx, spec)
@@ -120,7 +116,7 @@ func mustBuild(t *testing.T, p workload.Program) *guest.Program {
 // that fuzzing sweeps can select.
 func TestRLEStaleBaseFaultRegistered(t *testing.T) {
 	cfg := darco.DefaultConfig()
-	withFault(tol.FaultRLEStaleBase)(&cfg)
+	cfg.TOL.Fault = tol.FaultRLEStaleBase
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

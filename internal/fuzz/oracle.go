@@ -29,9 +29,10 @@ type Oracle struct {
 	Cells []Cell
 	// MaxGuestInsts guards each cell (defaultMaxGuestInsts if 0).
 	MaxGuestInsts uint64
-	// Extra options are appended to every cell — the fault-injection
-	// hook of the mutation tests (e.g. setting tol.Config.Fault).
-	Extra []darco.Option
+	// Fault, when non-empty, injects the registered translator fault
+	// (tol.Config.Fault) into every cell — the hook of the mutation
+	// tests.
+	Fault string
 	// SnapshotCheck adds the checkpoint/restore leg: the first cell is
 	// paused mid-run, snapshotted through the JSON envelope, restored
 	// and resumed, and must finish architecturally identical to its
@@ -174,7 +175,7 @@ func (o *Oracle) session() *darco.Session {
 // config renders a cell into the full run configuration: the cell's
 // knobs over the defaults, co-simulation forced on — it is the
 // per-instruction half of the oracle — the guard against generated
-// programs that outrun their estimate, then the oracle's extra options.
+// programs that outrun their estimate, then the oracle's fault.
 func (o *Oracle) config(cell Cell) (darco.Config, error) {
 	cfg := darco.DefaultConfig()
 	if err := cell.Apply(&cfg); err != nil {
@@ -182,16 +183,16 @@ func (o *Oracle) config(cell Cell) (darco.Config, error) {
 	}
 	cfg.TOL.Cosim = true
 	cfg.TOL.MaxGuestInsts = o.maxInsts()
-	for _, opt := range o.Extra {
-		opt(&cfg)
-	}
+	cfg.TOL.Fault = o.Fault
 	return cfg, nil
 }
 
 // job builds the session job running spec under cell.
 func (o *Oracle) job(spec workload.Spec, cell Cell) (darco.Job, error) {
 	cfg, err := o.config(cell)
-	return darco.JobForSpec(spec, 0, darco.WithConfig(cfg)), err
+	job := darco.JobForProgram(workload.SpecProgram{Spec: spec}, 0)
+	job.Config = cfg
+	return job, err
 }
 
 // Check runs one spec across the matrix and cross-checks the results.
@@ -351,7 +352,7 @@ func (o *Oracle) checkSampledVsFull(ctx context.Context, spec workload.Spec, cel
 	if err != nil {
 		return fmt.Errorf("full run: %w", err)
 	}
-	job.Opts = append(job.Opts, darco.WithSampling(sample.Config{Interval: 20_000, Every: 2, Warmup: 2_000}))
+	job.Config.Sampling = &sample.Config{Interval: 20_000, Every: 2, Warmup: 2_000}
 	sampled, err := o.session().Run(ctx, job)
 	if err != nil {
 		return fmt.Errorf("sampled run: %w", err)

@@ -20,7 +20,6 @@ type job struct {
 	mode   string
 	key    string
 	sjob   darco.Job
-	cfg    darco.Config
 
 	// ctx governs this job's simulation only; cancel fires on POST
 	// /jobs/{id}/cancel and on server drain (the parent is the server's
@@ -43,17 +42,16 @@ type job struct {
 	done chan struct{} // closed when the job reaches a terminal state
 }
 
-func newJob(parent context.Context, id, tenant string, sjob darco.Job, key string, cfg darco.Config) *job {
+func newJob(parent context.Context, id, tenant string, sjob darco.Job, key string) *job {
 	ctx, cancel := context.WithCancel(parent)
 	return &job{
 		id:      id,
 		tenant:  tenant,
 		ref:     sjob.Ref,
 		scale:   sjob.Scale,
-		mode:    cfg.Mode.String(),
+		mode:    sjob.Config.Mode.String(),
 		key:     key,
 		sjob:    sjob,
-		cfg:     cfg,
 		ctx:     ctx,
 		cancel:  cancel,
 		state:   StateQueued,

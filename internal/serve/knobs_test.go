@@ -86,11 +86,7 @@ func TestKnobsOneSchema(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", way, err)
 				}
-				cfg := darco.DefaultConfig()
-				for _, o := range job.Opts {
-					o(&cfg)
-				}
-				raw, err := json.Marshal(&cfg)
+				raw, err := json.Marshal(&job.Config)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +121,9 @@ func argvJob(base darco.Config, ref string, scale float64, argv []string) (darco
 	if err := cfg.Validate(); err != nil {
 		return darco.Job{}, err
 	}
-	return darco.WithWorkload(workload.RefForISA(ref, k.ISA), scale, darco.WithConfig(cfg))
+	job, err := darco.WithWorkload(workload.RefForISA(ref, k.ISA), scale)
+	job.Config = cfg
+	return job, err
 }
 
 // gridJob decodes a one-cell grid whose only axis value carries the
@@ -199,10 +197,11 @@ func TestSubmitISARedirectsCatalogRef(t *testing.T) {
 	if want := workload.RefForISA("429.mcf", "rv32"); st.Workload != want {
 		t.Fatalf("submitted workload resolved to %q, want %q", st.Workload, want)
 	}
-	cli, err := darco.WithWorkload("rv32:429.mcf", 0.05, darco.WithISA("rv32"))
+	cli, err := darco.WithWorkload("rv32:429.mcf", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cli.Config.ISA = "rv32"
 	if key, err := cli.Key(); err != nil || key != resp.Key {
 		t.Fatalf("served key %q, `darco -isa rv32` key %q (%v)", resp.Key, key, err)
 	}

@@ -132,7 +132,6 @@ func NewServer(cfg Config) *Server {
 	base := darco.DefaultConfig()
 	if cfg.Base != nil {
 		base = *cfg.Base
-		base.Progress = nil
 	}
 	runCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -198,7 +197,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return errors.New("serve: Shutdown called twice")
 	}
 	for _, j := range s.queue.close() {
-		j.note(darco.Event{Job: j.sjob.Name, Mode: j.cfg.Mode, Kind: darco.EventFailed, Err: ErrShuttingDown})
+		j.note(darco.Event{Job: j.sjob.Name, Mode: j.sjob.Config.Mode, Kind: darco.EventFailed, Err: ErrShuttingDown})
 		j.finish(s.recordBytes(j, nil, ErrShuttingDown), ErrShuttingDown)
 	}
 	done := make(chan struct{})
@@ -245,7 +244,7 @@ func (s *Server) recordBytes(j *job, res *darco.Result, err error) json.RawMessa
 	if j.sjob.Program != nil {
 		suite = j.sjob.Program.Meta().Suite
 	}
-	rec := darco.NewRecord(j.sjob.Name, suite, j.scale, j.cfg.Mode, res, err)
+	rec := darco.NewRecord(j.sjob.Name, suite, j.scale, j.sjob.Config.Mode, res, err)
 	raw, merr := json.Marshal(&rec)
 	if merr != nil {
 		raw, _ = json.Marshal(&darco.Record{Benchmark: j.sjob.Name, Mode: j.mode, Error: merr.Error()})
@@ -293,7 +292,7 @@ func (s *Server) runJob(j *job) {
 	if j.ctx.Err() != nil {
 		// Cancelled (or drained) while still queued: settle without
 		// ever occupying a simulation slot.
-		j.note(darco.Event{Job: j.sjob.Name, Mode: j.cfg.Mode, Kind: darco.EventFailed, Err: ErrCancelled})
+		j.note(darco.Event{Job: j.sjob.Name, Mode: j.sjob.Config.Mode, Kind: darco.EventFailed, Err: ErrCancelled})
 		j.finish(s.recordBytes(j, nil, ErrCancelled), ErrCancelled)
 		s.logf("job %s cancelled while queued", j.id)
 		return
@@ -336,8 +335,6 @@ func (s *Server) resolveConfig(req *SubmitRequest) (darco.Config, error) {
 	cfg := s.base
 	if req.Config != nil {
 		cfg = *req.Config
-		cfg.Progress = nil
-		cfg.ProgressEvery = 0
 	}
 	if err := req.Knobs.Apply(&cfg); err != nil {
 		return cfg, err
@@ -386,11 +383,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if scale == 0 {
 		scale = 1
 	}
-	sjob, err := darco.WithWorkload(workload.RefForISA(req.Workload, cfg.ISA), scale, darco.WithConfig(cfg))
+	sjob, err := darco.WithWorkload(workload.RefForISA(req.Workload, cfg.ISA), scale)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	sjob.Config = cfg
 	key, err := sjob.Key()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -405,7 +403,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobSeq++
 	id := fmt.Sprintf("j-%06d", s.jobSeq)
-	j := newJob(s.runCtx, id, tenant, sjob, key, cfg)
+	j := newJob(s.runCtx, id, tenant, sjob, key)
 	j.sjob.Events = j.note
 	s.jobs[id] = j
 	s.mu.Unlock()

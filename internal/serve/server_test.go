@@ -13,6 +13,7 @@ import (
 	"repro/internal/darco"
 	"repro/internal/guest"
 	"repro/internal/store"
+	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
@@ -377,7 +378,7 @@ func TestRemoteSession(t *testing.T) {
 	}
 
 	// A job with no workload reference cannot run remotely.
-	specJob := darco.JobForSpec(mustSpec(t, "470.lbm"), 1, darco.WithCosim(false))
+	specJob := darco.JobForProgram(workload.SpecProgram{Spec: mustSpec(t, "470.lbm")}, 1)
 	if _, err := sess.Run(ctx, specJob); err == nil {
 		t.Fatal("reference-less job ran remotely, want error")
 	}
@@ -472,7 +473,8 @@ func asStatus(err error, se **StatusError) bool {
 }
 
 // TestSubmitValidation exercises the 400 paths: unknown workload,
-// unknown mode, contradictory pipeline flags.
+// unknown mode, contradictory pipeline flags, and host geometries the
+// timing simulator cannot build (which would otherwise panic a worker).
 func TestSubmitValidation(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
@@ -487,6 +489,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{CCPolicy: "flush-all"}},
 		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{ISA: "sparc"}},
 		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{Sample: &darco.SamplePlan{Every: -1}}},
+		{Workload: "462.libquantum", Knobs: darco.Knobs{Timing: &timing.Config{}}},
+		{Workload: "462.libquantum", Config: &darco.Config{}},
 	}
 	for i, req := range bad {
 		_, err := c.Submit(ctx, req)

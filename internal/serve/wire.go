@@ -28,7 +28,7 @@ type SubmitRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 
 	// Config replaces the server's base configuration wholesale
-	// (darco.Config JSON; the Progress hook does not travel).
+	// (darco.Config JSON).
 	Config *darco.Config `json:"config,omitempty"`
 
 	darco.Knobs

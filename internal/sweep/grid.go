@@ -341,8 +341,8 @@ func JobFor(p workload.Program, ref string, scale float64, base darco.Config, kn
 	if err := cfg.Validate(); err != nil {
 		return darco.Job{}, fmt.Errorf("sweep: %s: %w", p.Name(), err)
 	}
-	j := darco.JobForProgram(p, scale, darco.WithConfig(cfg))
-	j.Ref = ref
+	j := darco.JobForProgram(p, scale)
+	j.Config, j.Ref = cfg, ref
 	deviates, err := configDeviates(base, cfg)
 	if err != nil {
 		return darco.Job{}, fmt.Errorf("sweep: %s: %w", p.Name(), err)
@@ -357,7 +357,6 @@ func JobFor(p workload.Program, ref string, scale float64, base darco.Config, kn
 // same rendering the memo key hashes.
 func configDeviates(base, cfg darco.Config) (bool, error) {
 	base.Mode = cfg.Mode
-	base.Progress, cfg.Progress = nil, nil
 	a, err := json.Marshal(&base)
 	if err != nil {
 		return false, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/darco"
+	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
@@ -194,9 +195,8 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	if !j.NoPreload {
 		t.Fatal("config deviation kept preload")
 	}
-	cfg := jobConfig(t, j)
-	if cfg.Timing.StreamBatch != 256 {
-		t.Fatalf("StreamBatch = %d", cfg.Timing.StreamBatch)
+	if j.Config.Timing.StreamBatch != 256 {
+		t.Fatalf("StreamBatch = %d", j.Config.Timing.StreamBatch)
 	}
 
 	// An explicit cc_size 0 restores the unbounded cache and clears a
@@ -206,9 +206,8 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg = jobConfig(t, j)
-	if cfg.TOL.Cache.CapacityInsts != 0 || cfg.TOL.Cache.Policy != "" {
-		t.Fatalf("cache = %+v, want unbounded", cfg.TOL.Cache)
+	if c := j.Config.TOL.Cache; c.CapacityInsts != 0 || c.Policy != "" {
+		t.Fatalf("cache = %+v, want unbounded", c)
 	}
 
 	// Invalid knob combinations fail at job construction.
@@ -222,15 +221,9 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Sample: &darco.SamplePlan{Every: bad}}); err == nil {
 		t.Fatal("bad sample plan accepted")
 	}
-}
-
-// jobConfig resolves the job's options into the configuration the
-// session would run.
-func jobConfig(t *testing.T, j darco.Job) darco.Config {
-	t.Helper()
-	cfg := darco.DefaultConfig()
-	for _, o := range j.Opts {
-		o(&cfg)
+	// A timing override replaces the whole host configuration, so a
+	// partial one leaves a geometry the simulator cannot build.
+	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Timing: &timing.Config{MemLatency: 200}}); err == nil {
+		t.Fatal("degenerate timing override accepted")
 	}
-	return cfg
 }

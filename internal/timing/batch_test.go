@@ -31,40 +31,23 @@ func batchStream(n int) []DynInst {
 	return insts
 }
 
-// nextOnlySource hides SliceSource's NextBatch so the simulator takes
-// the item-wise refill path.
-type nextOnlySource struct{ s SliceSource }
-
-func (n *nextOnlySource) Next(d *DynInst) bool { return n.s.Next(d) }
-
 // TestBatchedSourceResultsIdentical pins that the batched transport
-// changes nothing observable: the same stream consumed through
-// BatchSource, through a plain StreamSource, and under different
+// changes nothing observable: the same stream consumed under different
 // StreamBatch sizes produces deeply identical Results.
 func TestBatchedSourceResultsIdentical(t *testing.T) {
 	insts := batchStream(50_000)
-	run := func(cfg Config, batched bool) *Result {
-		sim := NewSimulator(cfg, ModeShared)
-		var src StreamSource
-		if batched {
-			src = &SliceSource{Insts: insts}
-		} else {
-			src = &nextOnlySource{s: SliceSource{Insts: insts}}
-		}
-		res, err := sim.Run(src)
+	run := func(cfg Config) *Result {
+		res, err := NewSimulator(cfg, ModeShared).Run(&SliceSource{Insts: insts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	base := run(DefaultConfig(), true)
-	if got := run(DefaultConfig(), false); !reflect.DeepEqual(base, got) {
-		t.Error("plain StreamSource result differs from BatchSource result")
-	}
+	base := run(DefaultConfig())
 	for _, batch := range []int{1, 7, 256, 100_000} {
 		cfg := DefaultConfig()
 		cfg.StreamBatch = batch
-		if got := run(cfg, true); !reflect.DeepEqual(base, got) {
+		if got := run(cfg); !reflect.DeepEqual(base, got) {
 			t.Errorf("StreamBatch=%d result differs from default", batch)
 		}
 	}
@@ -78,8 +61,6 @@ type cancellingSource struct {
 	cancel func()
 	done   bool
 }
-
-func (c *cancellingSource) Next(d *DynInst) bool { panic("batched path expected") }
 
 func (c *cancellingSource) NextBatch(buf []DynInst) int {
 	if c.done {

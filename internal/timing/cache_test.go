@@ -299,3 +299,50 @@ func TestDefaultConfigMatchesPaperTableI(t *testing.T) {
 		t.Error("misprediction penalty must be 6")
 	}
 }
+
+// TestValidateGuardsNewSimulator: Validate accepts DefaultConfig and
+// the smallest buildable geometries — which NewSimulator then builds —
+// and rejects every configuration that would panic in NewSimulator,
+// overflow the issue stage or ask for an unbounded table.
+func TestValidateGuardsNewSimulator(t *testing.T) {
+	edit := func(f func(*Config)) Config {
+		c := DefaultConfig()
+		f(&c)
+		return c
+	}
+	for i, c := range []Config{
+		DefaultConfig(),
+		edit(func(c *Config) {
+			c.IssueWidth, c.IQSize, c.BPHistoryBits = 8, 1, 1
+			c.BTBEntries, c.BTBAssoc = 1, 1
+			c.L1I = CacheConfig{Size: 64, BlockSize: 64, Assoc: 1}
+			c.L1TLB = TLBConfig{Entries: 16, Assoc: 16}
+			c.PrefetcherEntries = 0
+		}),
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("buildable config %d rejected: %v", i, err)
+			continue
+		}
+		NewSimulator(c, ModeSplit)
+	}
+	for name, c := range map[string]Config{
+		"zero":             {},
+		"partial override": {MemLatency: 200},
+		"issue width 9":    edit(func(c *Config) { c.IssueWidth = 9 }),
+		"empty IQ":         edit(func(c *Config) { c.IQSize = 0 }),
+		"history bits 40":  edit(func(c *Config) { c.BPHistoryBits = 40 }),
+		"BTB 3 ways":       edit(func(c *Config) { c.BTBAssoc = 3 }),
+		"L1D 48 B blocks":  edit(func(c *Config) { c.L1D.BlockSize = 48 }),
+		"L1I 3 sets":       edit(func(c *Config) { c.L1I.Size = 3 * 64 * 4 }),
+		"L2 1 TiB":         edit(func(c *Config) { c.L2.Size = 1 << 40 }),
+		"L1 TLB 32 ways":   edit(func(c *Config) { c.L1TLB = TLBConfig{Entries: 64, Assoc: 32} }),
+		"L2 TLB no ways":   edit(func(c *Config) { c.L2TLB.Assoc = 0 }),
+		"prefetcher 3":     edit(func(c *Config) { c.PrefetcherEntries = 3 }),
+		"stream batch -1":  edit(func(c *Config) { c.StreamBatch = -1 }),
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

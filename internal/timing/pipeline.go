@@ -75,8 +75,7 @@ type Simulator struct {
 	batch    []DynInst
 	batchPos int
 	batchLen int
-	src      StreamSource
-	bsrc     BatchSource
+	src      BatchSource
 	runCtx   context.Context
 	ctxErr   error
 
@@ -94,15 +93,11 @@ type Simulator struct {
 	MaxCycles uint64
 
 	// Progress, when non-nil, is invoked from inside the cycle loop
-	// every ProgressEvery cycles with the cycle count and the number of
+	// every progressEvery cycles with the cycle count and the number of
 	// retired host instructions so far. It must not mutate the
 	// simulator; it exists purely for observability (and is the hook
 	// darco uses to stream per-job progress events).
 	Progress func(cycles, insts uint64)
-
-	// ProgressEvery is the Progress callback period in cycles
-	// (0 = defaultProgressEvery).
-	ProgressEvery uint64
 
 	// StopWhen, when non-nil, is evaluated at the top of every cycle;
 	// returning true pauses the simulation at that cycle boundary and
@@ -116,9 +111,9 @@ type Simulator struct {
 	StopWhen func() bool
 }
 
-// defaultProgressEvery is the Progress period when unset: frequent
-// enough for interactive feedback, rare enough to be free.
-const defaultProgressEvery = 1 << 22
+// progressEvery is the Progress period in cycles: frequent enough for
+// interactive feedback, rare enough to be free.
+const progressEvery = 1 << 22
 
 // ctxCheckMask throttles context-cancellation polls inside the cycle
 // loop: the context is consulted every ctxCheckMask+1 cycles, so a
@@ -265,7 +260,7 @@ func (s *Simulator) dataAccess(pc, addr uint32, owner Owner) (lat int, l1Miss bo
 }
 
 // Run consumes the stream to completion and returns the results.
-func (s *Simulator) Run(src StreamSource) (*Result, error) {
+func (s *Simulator) Run(src BatchSource) (*Result, error) {
 	return s.RunContext(context.Background(), src)
 }
 
@@ -274,19 +269,14 @@ func (s *Simulator) Run(src StreamSource) (*Result, error) {
 // as a fallback, every few thousand cycles inside the cycle loop, so
 // cancelling ctx aborts a simulation promptly with ctx.Err()
 // regardless of MaxCycles.
-func (s *Simulator) RunContext(ctx context.Context, src StreamSource) (*Result, error) {
-	progressEvery := s.ProgressEvery
-	if progressEvery == 0 {
-		progressEvery = defaultProgressEvery
-	}
+func (s *Simulator) RunContext(ctx context.Context, src BatchSource) (*Result, error) {
 	// Next period boundary strictly above the current cycle, so resumed
 	// simulators (restored snapshots, ErrPaused continuations) keep
 	// reporting instead of waiting for a boundary already behind them.
 	s.nextProgress = (s.cycle/progressEvery + 1) * progressEvery
 	s.runCtx = ctx
 	s.src = src
-	s.bsrc, _ = src.(BatchSource)
-	defer func() { s.runCtx, s.src, s.bsrc = nil, nil, nil }()
+	defer func() { s.runCtx, s.src = nil, nil }()
 	for {
 		if s.ctxErr != nil {
 			return nil, s.ctxErr
@@ -326,23 +316,13 @@ func (s *Simulator) RunContext(ctx context.Context, src StreamSource) (*Result, 
 	return &s.res, nil
 }
 
-// refill pulls the next batch from the source. Sources implementing
-// BatchSource fill the buffer in one call; plain StreamSources are
-// drained item-wise into the same buffer so the cycle loop sees a
-// single shape either way.
+// refill pulls the next batch from the source in one call.
 func (s *Simulator) refill() bool {
 	if err := s.runCtx.Err(); err != nil {
 		s.ctxErr = err
 		return false
 	}
-	var n int
-	if s.bsrc != nil {
-		n = s.bsrc.NextBatch(s.batch)
-	} else {
-		for n < len(s.batch) && s.src.Next(&s.batch[n]) {
-			n++
-		}
-	}
+	n := s.src.NextBatch(s.batch)
 	s.batchPos, s.batchLen = 0, n
 	return n > 0
 }

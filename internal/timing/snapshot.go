@@ -144,7 +144,10 @@ func (s *Simulator) Snapshot() *SimSnapshot {
 // validated against the snapshot's own Config; a mismatch (a corrupt
 // or hand-edited snapshot) is an error, never a panic.
 func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
-	if sn.Cfg.IQSize <= 0 || len(sn.IQ) > sn.Cfg.IQSize {
+	if err := sn.Cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(sn.IQ) > sn.Cfg.IQSize {
 		return nil, fmt.Errorf("timing: snapshot IQ holds %d entries, config IQSize=%d", len(sn.IQ), sn.Cfg.IQSize)
 	}
 	s := NewSimulator(sn.Cfg, sn.Mode)

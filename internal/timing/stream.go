@@ -82,32 +82,27 @@ type DynInst struct {
 	Target     uint32
 }
 
-// StreamSource produces the dynamic instruction stream consumed by the
-// simulator. Next fills *d and returns false when the stream ends.
-type StreamSource interface {
-	Next(d *DynInst) bool
-}
-
-// BatchSource is the bulk-transfer fast path of StreamSource: NextBatch
-// fills a prefix of buf and returns how many instructions it wrote (0 =
-// stream end). The simulator consumes sources through slices of
-// Config.StreamBatch instructions at a time, so a source implementing
-// BatchSource pays one call and one memory copy per batch instead of an
-// interface call per instruction. The delivered instruction sequence
-// must be identical to the Next sequence — batching is transport, not
-// semantics — which the stream-equality tests pin.
+// BatchSource produces the dynamic instruction stream consumed by the
+// simulator: NextBatch fills a prefix of buf and returns how many
+// instructions it wrote (0 = stream end). The simulator pulls
+// Config.StreamBatch instructions at a time, so a source pays one call
+// and one memory copy per batch instead of an interface call per
+// instruction. The batch size must not change the delivered sequence —
+// batching is transport, not semantics — which the stream-equality
+// tests pin.
 type BatchSource interface {
 	NextBatch(buf []DynInst) int
 }
 
-// SliceSource adapts a materialized trace to StreamSource, mainly for
+// SliceSource adapts a materialized trace to BatchSource, mainly for
 // tests and microbenchmarks.
 type SliceSource struct {
 	Insts []DynInst
 	pos   int
 }
 
-// Next implements StreamSource.
+// Next delivers one instruction: the item-wise reference the
+// stream-equality tests compare batched delivery against.
 func (s *SliceSource) Next(d *DynInst) bool {
 	if s.pos >= len(s.Insts) {
 		return false

@@ -14,7 +14,7 @@ import (
 
 // Engine is the co-design component: the host CPU, the TOL services,
 // and the cost model, driven as a pull-based dynamic instruction
-// stream (timing.StreamSource). Interleaved with the functional
+// stream (timing.BatchSource). Interleaved with the functional
 // execution it emits every host instruction — translated application
 // code executed by the CPU, and TOL activity rendered by the cost
 // model — tagged with owner and component.
@@ -197,7 +197,8 @@ func (e *Engine) stopDue() bool {
 	return e.stopAfter != 0 && e.Stats.DynTotal() >= e.stopAfter
 }
 
-// Next implements timing.StreamSource.
+// Next delivers one stream instruction: the item-wise reference the
+// stream-equality tests compare NextBatch against.
 func (e *Engine) Next(d *timing.DynInst) bool {
 	for {
 		if e.queue.pop(d) {
