@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/darco"
 	"repro/internal/workload"
 )
 
@@ -44,6 +45,58 @@ func TestRunGolden(t *testing.T) {
 				t.Errorf("stdout differs from testdata/%s:\n%s", tc.golden, stdout.String())
 			}
 		})
+	}
+}
+
+// TestRunFromRecords: records written the way darco-suite -json writes
+// them serve every run of a figure over the same selection — no "run "
+// progress line — and the figure is byte-identical to a fresh one.
+func TestRunFromRecords(t *testing.T) {
+	refs := []string{"429.mcf", "462.libquantum", "470.lbm"}
+	cfg := darco.DefaultConfig()
+	cfg.TOL.Cosim = false
+	var jobs []darco.Job
+	for _, ref := range refs {
+		job, err := darco.WithWorkload(ref, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Config = cfg
+		jobs = append(jobs, job)
+	}
+	var recs []darco.Record
+	for _, br := range darco.NewSession().RunBatch(context.Background(), jobs) {
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+		p := br.Job.Program
+		recs = append(recs, darco.NewRecord(p.Name(), p.Meta().Suite, br.Job.Scale, cfg.Mode, br.Result, nil))
+	}
+	var buf bytes.Buffer
+	if err := darco.EncodeRecords(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "suite.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	args := []string{"-fig", "6", "-scale", "0.1", "-cosim=false", "-benchmarks", strings.Join(refs, ",")}
+	var fresh, freshErr bytes.Buffer
+	if code := run(context.Background(), append([]string{"-q"}, args...), &fresh, &freshErr); code != 0 {
+		t.Fatalf("fresh: exit %d: %s", code, freshErr.String())
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), append(args, "-from", path), &stdout, &stderr); code != 0 {
+		t.Fatalf("-from: exit %d: %s", code, stderr.String())
+	}
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(line, "run ") {
+			t.Errorf("-from re-simulated: %q", line)
+		}
+	}
+	if !bytes.Equal(stdout.Bytes(), fresh.Bytes()) {
+		t.Errorf("-from output differs from a fresh run:\n%s\nwant:\n%s", stdout.String(), fresh.String())
 	}
 }
 

@@ -144,6 +144,7 @@ func TestExitCodes(t *testing.T) {
 		{"-bench", "429.mcf,470.lbm", "-record", filepath.Join(t.TempDir(), "x.trace.json")},
 		{"-bench", "no.such.benchmark"},
 		{"-bench", "429.mcf", "-O", "0", "-passes", "dce"},
+		{"-bench", "429.mcf", "-scale", "-1"},
 	} {
 		code, stdout, stderr := runCmd(t, args...)
 		if code != 2 || stdout != "" {

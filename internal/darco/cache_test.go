@@ -139,40 +139,3 @@ func TestBoundedWithoutPressureIsCycleIdentical(t *testing.T) {
 		t.Fatalf("bounded-but-unpressured run differs from unbounded:\n%s\nvs\n%s", a, b)
 	}
 }
-
-// TestSessionNoPreloadBypassesPreload checks that sweep jobs which opt
-// out of preloading really simulate instead of being served a
-// preloaded result from a different configuration.
-func TestSessionNoPreloadBypassesPreload(t *testing.T) {
-	prog, err := pressureLoop(4, 20, 1)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	genuine, err := Run(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(WithWorkers(1))
-	// Poison the preload slot for this (name, mode): a job that honours
-	// preloads would get the poisoned result back.
-	poisoned := *genuine
-	poisoned.Translations = -1
-	sess.Preload("p", DefaultConfig().Mode, &poisoned)
-
-	build := func() (*guest.Program, error) { return prog, nil }
-	served, err := sess.Run(context.Background(), Job{Name: "p", Program: workload.Func("p", build), Config: DefaultConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Translations != -1 {
-		t.Fatal("job without NoPreload should have been served the preloaded result")
-	}
-	fresh, err := sess.Run(context.Background(), Job{Name: "p", Variant: "v2", Program: workload.Func("p", build),
-		Config: DefaultConfig(), NoPreload: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Translations == -1 {
-		t.Fatal("NoPreload job was served the preloaded result")
-	}
-}

@@ -108,7 +108,6 @@ func TestSampledSessionDeterminism(t *testing.T) {
 // job a full run's cached result or vice versa.
 func TestSampledAndFullRunsDoNotShareCacheKey(t *testing.T) {
 	fullJob := openWorkload(t, "synthetic:429.mcf", 0.05, nil)
-	fullJob.NoPreload = true
 	sampledJob := fullJob
 	sampledJob.Config.Sampling = &sample.Config{Interval: 4_000, Every: 2}
 

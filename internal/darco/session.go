@@ -16,10 +16,9 @@ import (
 
 // Job is one unit of batch work, and a plain value: a workload program
 // plus the configuration it runs under. Name identifies the benchmark
-// (it is the display label and the key Preload records match on);
-// Variant distinguishes different programs sharing a Name — typically
-// the workload source and scale — and participates in the memo-cache
-// key alongside the hash of Config.
+// (the display label); Variant distinguishes different programs sharing
+// a Name — typically the workload source and scale — and participates
+// in the memo-cache key alongside the hash of Config.
 type Job struct {
 	Name    string
 	Variant string
@@ -33,13 +32,6 @@ type Job struct {
 	// DefaultConfig; the zero Config is invalid, so a hand-built Job
 	// must set it.
 	Config Config
-
-	// NoPreload excludes the job from the preload shortcut. Preloaded
-	// Records are matched by (name, mode) only and carry no Config, so
-	// jobs that deliberately vary the configuration for one benchmark —
-	// e.g. the cache-pressure sweep's bounded-cache legs — must opt out
-	// or they would be served a result from a different configuration.
-	NoPreload bool
 
 	// Ref is the workload Source-registry reference the program was
 	// resolved from ("<source>:<name>"), when it was resolved from one
@@ -191,9 +183,8 @@ type Session struct {
 
 	sem chan struct{}
 
-	mu      sync.Mutex
-	cache   map[string]*sessionEntry
-	preload map[string]*Result
+	mu    sync.Mutex
+	cache map[string]*sessionEntry
 
 	evMu sync.Mutex
 }
@@ -210,7 +201,6 @@ func NewSession(opts ...SessionOption) *Session {
 	s := &Session{
 		workers: runtime.GOMAXPROCS(0),
 		cache:   make(map[string]*sessionEntry),
-		preload: make(map[string]*Result),
 	}
 	for _, o := range opts {
 		o(s)
@@ -245,10 +235,7 @@ func (s *Session) notify(job *Job, ev Event) {
 // program source, scale factor and content fingerprint, so every tool
 // keys identically and two programs sharing a benchmark name (two
 // traces recorded at different scales, a file: spec named after a
-// catalog entry) never alias one memoized result. Non-synthetic
-// programs opt out of the preload shortcut: preloaded Records are
-// matched by benchmark name only, and a trace or phased program
-// sharing a catalog name is not the run those records came from.
+// catalog entry) never alias one memoized result.
 func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
 	meta := p.Meta()
 	variant := fmt.Sprintf("src=%s|scale=%g", meta.Source, scale)
@@ -266,14 +253,7 @@ func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return Job{
-		Name:      p.Name(),
-		Variant:   variant,
-		Program:   p,
-		Config:    cfg,
-		NoPreload: meta.Source != workload.DefaultSource,
-		Scale:     scale,
-	}
+	return Job{Name: p.Name(), Variant: variant, Program: p, Config: cfg, Scale: scale}
 }
 
 // WithWorkload resolves a "<source>:<name>" workload reference (e.g.
@@ -336,21 +316,23 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// preloadKey indexes externally supplied results by (name, mode) only:
-// preloaded Records carry no Config, so the caller vouches that they
-// were produced under the configuration the session would use.
-func preloadKey(name string, mode timing.Mode) string {
-	return name + "\x00" + mode.String()
-}
-
-// Preload seeds the session with an externally obtained result for
-// (name, mode), e.g. one loaded from a cmd/darco-suite -json Record.
-// Subsequent jobs with that name and mode are served from it without
-// simulating.
-func (s *Session) Preload(name string, mode timing.Mode, res *Result) {
+// Preload seeds the memo cache with an externally obtained result for
+// job, e.g. one loaded from a cmd/darco-suite -json Record: later runs
+// under the job's Key are served from it (EventCached) exactly like a
+// memo hit. A Record carries no Config, so the caller vouches that res
+// came from the job's configuration. Preload before running jobs; an
+// invalid configuration is reported as the Key error.
+func (s *Session) Preload(job Job, res *Result) error {
+	key, err := job.Key()
+	if err != nil {
+		return err
+	}
+	e := &sessionEntry{done: make(chan struct{}), res: res}
+	close(e.done)
 	s.mu.Lock()
-	s.preload[preloadKey(name, mode)] = res
+	s.cache[key] = e
 	s.mu.Unlock()
+	return nil
 }
 
 // Run executes one job through the session, deduplicating it against
@@ -372,11 +354,6 @@ func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 	var e *sessionEntry
 	for {
 		s.mu.Lock()
-		if res, ok := s.preload[preloadKey(job.Name, mode)]; ok && !job.NoPreload {
-			s.mu.Unlock()
-			s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventCached})
-			return res, nil
-		}
 		prev, inFlight := s.cache[key]
 		if !inFlight {
 			e = &sessionEntry{done: make(chan struct{})}

@@ -215,25 +215,52 @@ func TestSessionRejectsZeroConfig(t *testing.T) {
 	}
 }
 
-// TestSessionPreload checks externally supplied results short-circuit
-// simulation.
+// TestSessionPreload checks that an externally supplied result seeds
+// the memo cache under the job's Key: the seeded job is served without
+// simulating, while the same name and mode under another Config or
+// Variant simulates, and a job with an invalid Config is refused with
+// its Key error.
 func TestSessionPreload(t *testing.T) {
-	started := false
+	started := 0
 	s := NewSession(WithEvents(func(ev Event) {
 		if ev.Kind == EventStarted {
-			started = true
+			started++
 		}
 	}))
+	job := benchJob(t, "462.libquantum", 0.1)
 	canned := &Result{Timing: &timing.Result{Cycles: 42}}
-	s.Preload("462.libquantum", timing.ModeShared, canned)
-	res, err := s.Run(context.Background(), benchJob(t, "462.libquantum", 0.1))
+	if err := s.Preload(job, canned); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != canned {
-		t.Error("preloaded result not returned")
+	if res != canned || started != 0 {
+		t.Fatalf("preloaded job: result %p (want %p), %d runs started (want 0)", res, canned, started)
 	}
-	if started {
-		t.Error("preloaded job was simulated anyway")
+
+	batched := job
+	batched.Config.Timing.StreamBatch = 256
+	renamed := job
+	renamed.Variant = "other"
+	for _, j := range []Job{batched, renamed} {
+		res, err := s.Run(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res == canned {
+			t.Errorf("job %s (variant %q) was served a result preloaded under another key", j.Name, j.Variant)
+		}
+	}
+	if started != 2 {
+		t.Errorf("%d runs started, want 2 (one per non-preloaded key)", started)
+	}
+
+	bad := job
+	bad.Config = Config{}
+	_, keyErr := bad.Key()
+	if err := s.Preload(bad, canned); err == nil || keyErr == nil || err.Error() != keyErr.Error() {
+		t.Errorf("Preload of an invalid config: err = %v, want the Key error %v", err, keyErr)
 	}
 }

@@ -136,18 +136,14 @@ func TestWithWorkloadJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Name != "401.bzip2" || job.NoPreload {
+	if job.Name != "401.bzip2" {
 		t.Fatalf("job %+v", job)
 	}
 	if job.Program.(workload.SpecProgram).Spec.OuterIters == 0 {
 		t.Fatal("scale not applied")
 	}
-	phased, err := WithWorkload("phased:401.bzip2+998.specrand", 0.5)
-	if err != nil {
+	if _, err := WithWorkload("phased:401.bzip2+998.specrand", 0.5); err != nil {
 		t.Fatal(err)
-	}
-	if !phased.NoPreload {
-		t.Error("non-synthetic job did not opt out of preloading")
 	}
 	if _, err := WithWorkload("nope:x", 1); err == nil {
 		t.Fatal("unknown source accepted")

@@ -14,8 +14,9 @@
 //
 // The parameterized sweeps (FigCC, FigPhase, FigSample) declare their
 // own workloads × axes grids. Every job is built by the one cell→Job
-// mapper (sweep.JobFor), so identical runs share one memo key across
-// figures, preloads, and persistent stores.
+// mapper (sweep.JobFor), preloaded records included, so identical runs
+// share one memo key across figures, -from records and persistent
+// stores.
 package experiments
 
 import (
@@ -53,9 +54,12 @@ type Options struct {
 	Jobs int
 	// Context cancels in-flight simulations (nil = Background).
 	Context context.Context
-	// Preload seeds the session with previously computed full results
-	// (e.g. loaded from cmd/darco-suite -json output); matching
-	// (benchmark, mode) jobs are served without simulating.
+	// Preload seeds the session memo cache with previously computed
+	// full results (e.g. loaded from cmd/darco-suite -json output). A
+	// record naming a selected synthetic program is filed under the key
+	// the runner computes for that program at Config in the record's
+	// mode, so that run is served without simulating. Records carry no
+	// configuration: the caller vouches they were produced under Config.
 	Preload []darco.Record
 	// SessionOptions are appended to the runner's session construction
 	// — the hook commands use to install a persistent result store
@@ -129,11 +133,19 @@ func NewRunner(opts Options) (*Runner, error) {
 			return nil, fmt.Errorf("experiments: preload record %q was produced at -scale %g, session runs at -scale %g",
 				rec.Benchmark, rec.Scale, opts.Scale)
 		}
-		m, err := timing.ParseMode(rec.Mode)
+		// A suite record describes a synthetic catalog program only; one
+		// naming no such selected program is ignored.
+		i := slices.IndexFunc(progs, func(p workload.Program) bool { return p.Name() == rec.Benchmark })
+		if i < 0 || progs[i].Meta().Source != workload.DefaultSource {
+			continue
+		}
+		job, err := sweep.JobFor(progs[i], refs[rec.Benchmark], opts.Scale, opts.Config, &darco.Knobs{Mode: rec.Mode})
+		if err == nil {
+			err = sess.Preload(job, rec.Result)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: preload record %q: %w", rec.Benchmark, err)
 		}
-		sess.Preload(rec.Benchmark, m, rec.Result)
 	}
 	return &Runner{opts: opts, progs: progs, workloads: selected, refs: refs, sess: sess}, nil
 }
@@ -165,14 +177,15 @@ func (r *Runner) runGrid(g *sweep.Grid) (*sweep.ResultSet, error) {
 // longer fit, so every policy is exercised under real pressure.
 var DefaultCCCapacities = []int{0, 4096, 2048, 1024, 512, 256}
 
-// ccGrid builds the cache-pressure sweep as a grid spec: a policy
-// axis (the unbounded baseline plus every registered eviction policy)
-// crossed with a cc-size axis ("inf" plus the bounded capacities in
-// descending order), with the meaningless combinations — unbounded ×
-// bounded size, real policy × inf — skipped, and the baseline cell
-// declared for derived metrics. Bounded cells opt out of preloading
-// automatically: their configuration deviates from the runner base.
-func (r *Runner) ccGrid(caps []int, policies []string) *sweep.Grid {
+// ccGrid builds the cache-pressure sweep of the workloads as a grid
+// spec: a policy axis (the unbounded baseline plus every registered
+// eviction policy) crossed with a cc-size axis ("inf" plus the bounded
+// capacities in descending order), with the meaningless combinations —
+// unbounded × bounded size, real policy × inf — skipped, and the
+// baseline cell declared for derived metrics. FigCC and FigPhase (one
+// capacity) both run it. Only the baseline cell runs the runner base
+// configuration, so only it can be served from preloaded records.
+func (r *Runner) ccGrid(workloads []string, caps []int, policies []string) *sweep.Grid {
 	zero := 0
 	polVals := []sweep.Value{{Name: "unbounded"}}
 	for _, pol := range policies {
@@ -186,7 +199,7 @@ func (r *Runner) ccGrid(caps []int, policies []string) *sweep.Grid {
 	}
 	g := &sweep.Grid{
 		Name:      "fig-cc",
-		Workloads: r.workloads,
+		Workloads: workloads,
 		Scale:     r.opts.Scale,
 		Base:      &darco.Knobs{Mode: timing.ModeShared.String()},
 		Axes: []sweep.Axis{
@@ -229,7 +242,7 @@ func (r *Runner) FigCC(capacities []int) (*stats.Table, error) {
 	caps = slices.Compact(caps)
 	policies := tol.RegisteredEvictionPolicies()
 
-	rs, err := r.runGrid(r.ccGrid(caps, policies))
+	rs, err := r.runGrid(r.ccGrid(r.workloads, caps, policies))
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/stats"
+	"repro/internal/timing"
+	"repro/internal/tol"
 )
 
 // testRunner builds a small-session runner over three contrasting
@@ -264,6 +266,69 @@ func TestFiguresShareRuns(t *testing.T) {
 	}
 	if got := startedByMode(&log); got["tol-only"] != n || len(got) != 1 {
 		t.Fatalf("preloaded figure set started %v, want only the %d tol-only runs", got, n)
+	}
+}
+
+// TestPreloadServesOnlyBaseRuns: shared-mode records serve FigCC's
+// unbounded baseline cells, which run the base configuration, and never
+// a bounded cell, which does not.
+func TestPreloadServesOnlyBaseRuns(t *testing.T) {
+	var log bytes.Buffer
+	opts := DefaultOptions()
+	opts.Scale = 0.1
+	opts.Benchmarks = []string{"429.mcf", "462.libquantum"}
+	opts.Config = darco.DefaultConfig()
+	opts.Config.TOL.Cosim = false
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := r.results(sharedMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range r.progs {
+		opts.Preload = append(opts.Preload, darco.NewRecord(p.Name(), p.Meta().Suite, opts.Scale, timing.ModeShared, all[i][timing.ModeShared], nil))
+	}
+	opts.Log = &log
+	if r, err = NewRunner(opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.FigCC([]int{0, 1024}); err != nil {
+		t.Fatal(err)
+	}
+	want := len(opts.Benchmarks) * len(tol.RegisteredEvictionPolicies())
+	if got := startedByMode(&log); got["shared"] != want || len(got) != 1 {
+		t.Fatalf("preloaded FigCC started %v, want only the %d bounded shared cells", got, want)
+	}
+}
+
+// TestPreloadSkipsPhasedPrograms: a record named like a selected phased:
+// composite does not describe it, so Figure 6 still simulates it.
+func TestPreloadSkipsPhasedPrograms(t *testing.T) {
+	var log bytes.Buffer
+	opts := DefaultOptions()
+	opts.Scale = 0.1
+	opts.Benchmarks = []string{"phased:401.bzip2+462.libquantum"}
+	opts.Config = darco.DefaultConfig()
+	opts.Config.TOL.Cosim = false
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := r.results(sharedMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := r.progs[0]
+	opts.Preload = []darco.Record{darco.NewRecord(p.Name(), p.Meta().Suite, opts.Scale, timing.ModeShared, all[0][timing.ModeShared], nil)}
+	opts.Log = &log
+	if r, err = NewRunner(opts); err != nil {
+		t.Fatal(err)
+	}
+	mustFigure(t, r, "6")
+	if got := startedByMode(&log); got["shared"] != 1 || len(got) != 1 {
+		t.Fatalf("Figure 6 over a preloaded phased name started %v, want its 1 shared run", got)
 	}
 }
 

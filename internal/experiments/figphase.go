@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/darco"
 	"repro/internal/stats"
-	"repro/internal/sweep"
-	"repro/internal/timing"
 	"repro/internal/tol"
 	"repro/internal/workload"
 )
@@ -63,30 +60,6 @@ func (r *Runner) phasePool() []string {
 	return pool
 }
 
-// phaseGrid builds the phase sweep as a grid spec: the 1..maxPhases
-// composites as phased: workload references (the canonical "a+b"
-// member join is exactly the reference that re-opens each composite,
-// locally or on a remote session) against a single policy axis — the
-// unbounded baseline plus every registered eviction policy at the
-// bounded capacity. Phased programs opt out of preloading by
-// construction (suite records never describe composites).
-func phaseGrid(workloads []string, policies []string, capacityInsts int, scale float64) *sweep.Grid {
-	zero := 0
-	vals := []sweep.Value{{Name: "unbounded", Knobs: darco.Knobs{CCSize: &zero}}}
-	for _, pol := range policies {
-		vals = append(vals, sweep.Value{Name: pol,
-			Knobs: darco.Knobs{CCSize: &capacityInsts, CCPolicy: pol}})
-	}
-	return &sweep.Grid{
-		Name:      "fig-phase",
-		Workloads: workloads,
-		Scale:     scale,
-		Base:      &darco.Knobs{Mode: timing.ModeShared.String()},
-		Axes:      []sweep.Axis{{Name: "policy", Values: vals}},
-		Baseline:  map[string]string{"policy": "unbounded"},
-	}
-}
-
 // FigPhase runs the phase-behaviour characterization: composites of
 // 1..maxPhases members under the unbounded baseline and under every
 // registered eviction policy at capacityInsts. Zero arguments select
@@ -106,10 +79,12 @@ func (r *Runner) FigPhase(maxPhases, capacityInsts int) (*stats.Table, error) {
 	}
 	pool := r.phasePool()
 
-	// The 1..maxPhases composites, cycling the pool. The grid engine
-	// re-opens each reference and scales the members; the runner's
-	// session programs are not reused because a composite is one
-	// program, not a batch of its members.
+	// The 1..maxPhases composites, cycling the pool, swept by FigCC's
+	// grid at the one capacity. The canonical "a+b" member join is the
+	// reference that re-opens each composite, locally or on a remote
+	// session; the grid engine scales the members. The runner's session
+	// programs are not reused because a composite is one program, not a
+	// batch of its members.
 	workloads := make([]string, 0, maxPhases)
 	for n := 1; n <= maxPhases; n++ {
 		names := make([]string, n)
@@ -120,7 +95,7 @@ func (r *Runner) FigPhase(maxPhases, capacityInsts int) (*stats.Table, error) {
 	}
 	policies := tol.RegisteredEvictionPolicies()
 
-	rs, err := r.runGrid(phaseGrid(workloads, policies, capacityInsts, r.opts.Scale))
+	rs, err := r.runGrid(r.ccGrid(workloads, []int{capacityInsts}, policies))
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,11 @@ var (
 	interaction = []timing.Mode{timing.ModeShared, timing.ModeSplit}
 )
 
-// figures lists Figures 5–11 in paper order.
+// figures lists Figures 5–11 in paper order. The cc, phase and sample
+// sweeps are not entries: a figure row is a benchmark under a set of
+// modes, while their rows are grid cells (benchmark × policy × size,
+// composite × policy, benchmark × full/sampled), and FigSample times
+// fresh runs on a private session instead of sharing the runner's.
 var figures = []figure{
 	{id: "5", modes: sharedMode, avg: true, tables: []table{
 		{"Figure 5a: static guest code distribution (%)", 1, []column{

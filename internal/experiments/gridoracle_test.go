@@ -40,7 +40,6 @@ func (r *Runner) oracleCCJob(p workload.Program, capacity int, policy string) da
 	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: capacity, Policy: policy}
 	j := darco.JobForProgram(p, r.opts.Scale, darco.WithConfig(cfg))
 	j.Ref = r.refs[p.Name()]
-	j.NoPreload = j.NoPreload || capacity > 0
 	return j
 }
 
@@ -51,7 +50,6 @@ func (r *Runner) oraclePhaseJob(p workload.Program, capacity int, policy string)
 	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: capacity, Policy: policy}
 	j := darco.JobForProgram(p, r.opts.Scale, darco.WithConfig(cfg))
 	j.Ref = "phased:" + p.Name()
-	j.NoPreload = true
 	return j
 }
 
@@ -65,7 +63,6 @@ func (r *Runner) oracleSampleJob(p workload.Program, plan *sample.Config) darco.
 		j.Config.Sampling = plan
 	}
 	j.Ref = r.refs[p.Name()]
-	j.NoPreload = true
 	return j
 }
 
@@ -573,7 +570,7 @@ func TestGridJobKeysMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = key(sweep.JobFor(pp, ref, r.opts.Scale, r.opts.Config,
-		&darco.Knobs{Mode: "shared"}, &darco.Knobs{CCSize: &capacity, CCPolicy: "flush-all"}))
+		&darco.Knobs{Mode: "shared"}, &darco.Knobs{CCPolicy: "flush-all"}, &darco.Knobs{CCSize: &capacity}))
 	if want := key(ok(r.oraclePhaseJob(op, capacity, "flush-all"))); got != want {
 		t.Errorf("phase: key %q, want %q", got, want)
 	}

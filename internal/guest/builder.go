@@ -109,15 +109,6 @@ func (b *Builder) Data(addr uint32, bytes []byte) *Builder {
 	return b
 }
 
-// DataWords adds a data segment of little-endian 32-bit words.
-func (b *Builder) DataWords(addr uint32, words []uint32) *Builder {
-	raw := make([]byte, 4*len(words))
-	for i, w := range words {
-		put32(raw[4*i:], w)
-	}
-	return b.Data(addr, raw)
-}
-
 // Nop and the rest of the instruction constructors mirror the ISA.
 func (b *Builder) Nop() *Builder  { return b.emit(Inst{Op: OpNop}) }
 func (b *Builder) Halt() *Builder { return b.emit(Inst{Op: OpHalt}) }

@@ -23,10 +23,8 @@ type RV32Builder struct {
 type rv32FixupKind uint8
 
 const (
-	rv32FixB  rv32FixupKind = iota // B-type (branches)
-	rv32FixJ                       // J-type (jal)
-	rv32FixHi                      // U-type %hi for a Li-style pair
-	rv32FixLo                      // I-type %lo for a Li-style pair
+	rv32FixB rv32FixupKind = iota // B-type (branches)
+	rv32FixJ                      // J-type (jal)
 )
 
 type rv32Fixup struct {
@@ -247,16 +245,6 @@ func (b *RV32Builder) Jalr(rd, rs1 int, imm int32) *RV32Builder {
 	return b.word(rv32EncI(b.checkImm12(imm, "jalr")&0xfff, b.reg(rs1, "rs1"), 0, b.reg(rd, "rd"), 0x67))
 }
 
-// La materializes the absolute guest address of label into rd with a
-// lui+addi pair, resolved at Build time. It always occupies two words
-// so layout stays a single pass.
-func (b *RV32Builder) La(rd int, label string) *RV32Builder {
-	b.fixups[len(b.words)] = rv32Fixup{label: label, kind: rv32FixHi}
-	b.word(b.reg(rd, "rd")<<7 | 0x37)
-	b.fixups[len(b.words)] = rv32Fixup{label: label, kind: rv32FixLo}
-	return b.word(rv32EncI(0, uint32(rd), 0, uint32(rd), 0x13))
-}
-
 // Ebreak halts the guest.
 func (b *RV32Builder) Ebreak() *RV32Builder { return b.word(0x0010_0073) }
 
@@ -300,14 +288,6 @@ func (b *RV32Builder) Build() (*Program, error) {
 				return nil, fmt.Errorf("guest: rv32 builder: jal to %q out of range (%d)", fix.label, rel)
 			}
 			b.words[idx] |= rv32EncJ(rel, 0)
-		case rv32FixHi, rv32FixLo:
-			abs := int32(mem.GuestCodeBase + addrOf(target))
-			lo := abs << 20 >> 20
-			if fix.kind == rv32FixHi {
-				b.words[idx] |= uint32(abs-lo) & 0xffff_f000
-			} else {
-				b.words[idx] |= uint32(lo&0xfff) << 20
-			}
 		}
 	}
 	code := make([]byte, len(b.words)*RV32InstBytes)

@@ -6,8 +6,6 @@
 // first touch, so multi-gigabyte address spaces cost only what is used.
 package mem
 
-import "fmt"
-
 // PageSize is the size of a memory page in bytes. The data TLB in the
 // timing simulator uses the same page granularity.
 const PageSize = 4096
@@ -235,20 +233,6 @@ func (v GuestView) Write32(a uint32, x uint32) { v.Host.Write32(GuestToHost(a), 
 
 // Write64 implements Memory.
 func (v GuestView) Write64(a uint32, x uint64) { v.Host.Write64(GuestToHost(a), x) }
-
-// HostToGuest translates a host window address back to the guest address.
-// It panics if the address is outside the guest window, which would
-// indicate a translator bug.
-func HostToGuest(h uint32) uint32 {
-	if h < GuestWindowBase {
-		panic(fmt.Sprintf("mem: host address %#x below guest window", h))
-	}
-	return h - GuestWindowBase
-}
-
-// InGuestWindow reports whether a host address falls inside the guest
-// memory window.
-func InGuestWindow(h uint32) bool { return h >= GuestWindowBase }
 
 // Guest address-space layout used by the workload generator. These are
 // guest physical addresses (the reproduction models user-level code

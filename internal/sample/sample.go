@@ -124,19 +124,6 @@ func (r *Report) Metric(name string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// MaxRelErr returns the largest relative error across the report's
-// metrics — the figure-of-merit the experiments compare against the
-// documented accuracy bound.
-func (r *Report) MaxRelErr() float64 {
-	worst := 0.0
-	for _, m := range r.Metrics {
-		if m.RelErr > worst {
-			worst = m.RelErr
-		}
-	}
-	return worst
-}
-
 // addResult accumulates src's counters into dst element-wise — the
 // inverse of timing.Result.Sub, used to pool measured intervals before
 // extrapolation.

@@ -491,6 +491,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{Sample: &darco.SamplePlan{Every: -1}}},
 		{Workload: "462.libquantum", Knobs: darco.Knobs{Timing: &timing.Config{}}},
 		{Workload: "462.libquantum", Config: &darco.Config{}},
+		{Workload: "462.libquantum", Scale: -5},
+		{Workload: "462.libquantum", Scale: 1e308},
 	}
 	for i, req := range bad {
 		_, err := c.Submit(ctx, req)

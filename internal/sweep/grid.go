@@ -26,7 +26,6 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,9 +115,6 @@ type Grid struct {
 	// is each workload's reference point for the derived speedup
 	// column. Empty means no baseline metrics.
 	Baseline map[string]string `json:"baseline,omitempty"`
-	// NoPreload opts every cell out of the session preload shortcut
-	// regardless of whether its configuration deviates from the base.
-	NoPreload bool `json:"no_preload,omitempty"`
 }
 
 // Coord is one cell coordinate: the axis and the value name.
@@ -327,10 +323,7 @@ func DecodeGrid(r io.Reader) (*Grid, error) {
 // figure sweep built on it): it folds the knob deltas into the base
 // configuration in order and builds the session job for the
 // already-scaled program. The job keeps the workload reference, so it
-// stays runnable on a remote session, and opts out of the preload
-// shortcut whenever its resolved configuration deviates from the base
-// at the same mode — preloaded Records are matched by (name, mode)
-// only and describe base-configuration runs.
+// stays runnable on a remote session.
 func JobFor(p workload.Program, ref string, scale float64, base darco.Config, knobs ...*darco.Knobs) (darco.Job, error) {
 	cfg := base
 	for _, k := range knobs {
@@ -343,27 +336,5 @@ func JobFor(p workload.Program, ref string, scale float64, base darco.Config, kn
 	}
 	j := darco.JobForProgram(p, scale)
 	j.Config, j.Ref = cfg, ref
-	deviates, err := configDeviates(base, cfg)
-	if err != nil {
-		return darco.Job{}, fmt.Errorf("sweep: %s: %w", p.Name(), err)
-	}
-	j.NoPreload = j.NoPreload || deviates
 	return j, nil
-}
-
-// configDeviates reports whether cfg differs from base anywhere but
-// the mode (preload records are keyed by mode, so a mode-only change
-// is still preload-servable). The comparison uses the JSON form — the
-// same rendering the memo key hashes.
-func configDeviates(base, cfg darco.Config) (bool, error) {
-	base.Mode = cfg.Mode
-	a, err := json.Marshal(&base)
-	if err != nil {
-		return false, err
-	}
-	b, err := json.Marshal(&cfg)
-	if err != nil {
-		return false, err
-	}
-	return !bytes.Equal(a, b), nil
 }

@@ -172,28 +172,16 @@ func TestCellsOrderAndShard(t *testing.T) {
 	}
 }
 
-func TestJobForKnobsAndPreload(t *testing.T) {
+func TestJobForKnobs(t *testing.T) {
 	p, err := workload.Open("462.libquantum")
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := darco.DefaultConfig()
 
-	// A mode-only change keeps the preload shortcut (records are keyed
-	// by mode); any other deviation opts out.
-	j, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "tol-only"})
+	j, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "shared"}, &darco.Knobs{StreamBatch: 256})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if j.NoPreload {
-		t.Fatal("mode-only change disabled preload")
-	}
-	j, err = JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "shared"}, &darco.Knobs{StreamBatch: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j.NoPreload {
-		t.Fatal("config deviation kept preload")
 	}
 	if j.Config.Timing.StreamBatch != 256 {
 		t.Fatalf("StreamBatch = %d", j.Config.Timing.StreamBatch)

@@ -13,9 +13,7 @@ import (
 // Options configures one grid execution.
 type Options struct {
 	// Config is the base configuration every cell's knob deltas fold
-	// into (nil = darco.DefaultConfig). It is also the reference point
-	// of the preload shortcut: cells that deviate from it anywhere but
-	// the mode run with Job.NoPreload set.
+	// into (nil = darco.DefaultConfig).
 	Config *darco.Config
 	// Jobs bounds local parallelism for Run (0 = GOMAXPROCS).
 	Jobs int
@@ -51,7 +49,7 @@ type Row struct {
 	// persistent store serves it back under.
 	Key string `json:"key"`
 	// Cached reports that this run was served without simulating
-	// (memo cache, preload, or persistent store).
+	// (memo cache, preloaded records included, or persistent store).
 	Cached bool `json:"cached,omitempty"`
 	// Elapsed is the cell's wall-clock time (Sequential runs only).
 	Elapsed time.Duration  `json:"elapsed,omitempty"`
@@ -148,7 +146,6 @@ func RunOn(ctx context.Context, sess *darco.Session, g *Grid, opts Options) (*Re
 		if err != nil {
 			return nil, err
 		}
-		j.NoPreload = j.NoPreload || g.NoPreload
 		key, err := j.Key()
 		if err != nil {
 			return nil, fmt.Errorf("sweep: cell %d (%s): %w", cell.Index, cell.Workload, err)

@@ -133,17 +133,6 @@ func (r *Result) TOLShare() float64 {
 	return r.OwnerCycles(OwnerTOL) / float64(r.Cycles)
 }
 
-// TotalBubbles returns all bubble cycles.
-func (r *Result) TotalBubbles() float64 {
-	t := 0.0
-	for o := Owner(0); o < NumOwners; o++ {
-		for k := BubbleKind(0); k < NumBubbleKinds; k++ {
-			t += r.Bubbles[o][k]
-		}
-	}
-	return t
-}
-
 // BubbleShare returns the fraction of cycles lost to a bubble kind,
 // summed over owners.
 func (r *Result) BubbleShare(k BubbleKind) float64 {

@@ -119,23 +119,13 @@ func (s *SliceSource) NextBatch(buf []DynInst) int {
 	return n
 }
 
-// FillFromHost populates the ISA-derived fields of d from a decoded
-// host instruction and its execution outcome. Owner/Comp are left for
-// the caller.
-func FillFromHost(d *DynInst, pc uint32, hi *host.Inst, out *host.Outcome) {
-	TemplateFromHost(d, pc, hi)
-	d.MemAddr = out.MemAddr
-	d.Taken = out.Taken
-	d.Target = out.Target
-}
-
 // TemplateFromHost fills the execution-invariant fields of d for a
-// decoded host instruction: everything FillFromHost produces except
-// the per-execution MemAddr/Taken/Target (zeroed here) and the
-// caller's Owner/Comp attribution. IsLoad/IsStore are static
-// per-opcode properties, so a template plus the three dynamic fields
-// reproduces FillFromHost exactly — the basis of the code cache's
-// precomputed dispatch metadata.
+// decoded host instruction: PC, class, operand registers and the
+// static per-opcode load/store/branch flags. The per-execution
+// MemAddr/Taken/Target are zeroed for the caller to set from the
+// host.Outcome, and Owner/Comp attribution is left to it — so a
+// template plus those three fields is the complete DynInst, the basis
+// of the code cache's precomputed dispatch metadata.
 func TemplateFromHost(d *DynInst, pc uint32, hi *host.Inst) {
 	d.PC = pc
 	d.Class = hi.Class()

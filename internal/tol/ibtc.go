@@ -96,12 +96,6 @@ func (c *IBTC) InvalidateHostRanges(ranges [][2]uint32) int {
 	return n
 }
 
-// InvalidateHostRange clears every line whose cached host entry falls
-// in [lo, hi).
-func (c *IBTC) InvalidateHostRange(lo, hi uint32) int {
-	return c.InvalidateHostRanges([][2]uint32{{lo, hi}})
-}
-
 // The whole table lies in the one page at mem.IBTCBase, which the
 // page-set handling in InvalidateHostRanges and rebuild relies on.
 const _ = uint(mem.PageSize - IBTCEntries*ibtcEntryBytes)

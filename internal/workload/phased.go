@@ -84,16 +84,16 @@ func (p phasedProgram) Meta() Meta {
 }
 
 // Scale implements Scalable by scaling every member.
-func (p phasedProgram) Scale(f float64) Program {
+func (p phasedProgram) Scale(f float64) (Program, error) {
 	scaled := make([]Spec, len(p.members))
 	for i, m := range p.members {
+		if err := m.checkScale(f); err != nil {
+			return nil, err
+		}
 		scaled[i] = m.Scale(f)
 	}
-	return phasedProgram{name: p.name, members: scaled}
+	return phasedProgram{name: p.name, members: scaled}, nil
 }
-
-// Members returns copies of the member specs in phase order.
-func (p phasedProgram) Members() []Spec { return append([]Spec(nil), p.members...) }
 
 // Fingerprint hashes the member parameter sets in phase order.
 func (p phasedProgram) Fingerprint() string {

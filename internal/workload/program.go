@@ -3,6 +3,7 @@ package workload
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/guest"
@@ -44,10 +45,11 @@ type Program interface {
 // Scalable is the optional Program extension for workloads whose
 // dynamic size can be multiplied without changing their character
 // (synthetic specs and phased composites). Trace replays are fixed
-// recorded images and deliberately do not implement it.
+// recorded images and deliberately do not implement it. Scale takes a
+// finite factor >= 0 and errors when it scales a count past an int.
 type Scalable interface {
 	Program
-	Scale(f float64) Program
+	Scale(f float64) (Program, error)
 }
 
 // Fingerprinter is the optional Program extension reporting a stable
@@ -73,13 +75,18 @@ func Fingerprint(p Program) string {
 // ScaleProgram applies a dynamic-size factor to a program. Factors 0
 // and 1 are identity for every program; any other factor requires the
 // program to implement Scalable and errors otherwise, so a -scale flag
-// cannot silently be ignored on a trace replay.
+// cannot silently be ignored on a trace replay. A negative, NaN or
+// infinite factor, or one that scales a count past an int, is an error
+// rather than a program clamped to one iteration.
 func ScaleProgram(p Program, f float64) (Program, error) {
 	if f == 0 || f == 1 {
 		return p, nil
 	}
+	if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("workload: scale %g is not a finite factor >= 0", f)
+	}
 	if s, ok := p.(Scalable); ok {
-		return s.Scale(f), nil
+		return s.Scale(f)
 	}
 	return nil, fmt.Errorf("workload: %s program %q is a fixed image and cannot be scaled (got scale %g)",
 		p.Meta().Source, p.Name(), f)
@@ -205,8 +212,11 @@ func (p SpecProgram) Meta() Meta {
 func (p SpecProgram) Build() (*guest.Program, error) { return p.Spec.Build() }
 
 // Scale implements Scalable by scaling the underlying spec.
-func (p SpecProgram) Scale(f float64) Program {
-	return SpecProgram{Spec: p.Spec.Scale(f), Source: p.Source}
+func (p SpecProgram) Scale(f float64) (Program, error) {
+	if err := p.Spec.checkScale(f); err != nil {
+		return nil, err
+	}
+	return SpecProgram{Spec: p.Spec.Scale(f), Source: p.Source}, nil
 }
 
 // Fingerprint hashes the full parameter set: Spec is a pure value

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -177,6 +178,31 @@ func TestScaleProgram(t *testing.T) {
 	}
 	if same, err := ScaleProgram(tr.Program(), 1); err != nil || same == nil {
 		t.Fatalf("identity scale rejected: %v", err)
+	}
+}
+
+// TestScaleProgramRejectsBadFactors: a factor that would clamp a count
+// to one iteration, or wrap it, is an error for plain and phased
+// programs alike; 0 and 1 stay identity.
+func TestScaleProgramRejectsBadFactors(t *testing.T) {
+	for _, ref := range []string{"462.libquantum", "phased:401.bzip2+462.libquantum"} {
+		p, err := Open(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []float64{-5, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1), 1e308, math.MaxInt64} {
+			if q, err := ScaleProgram(p, f); err == nil {
+				t.Errorf("%s: scale %g accepted (program %v)", ref, f, q)
+			}
+		}
+		for _, f := range []float64{0, 1} {
+			if q, err := ScaleProgram(p, f); err != nil || Fingerprint(q) != Fingerprint(p) {
+				t.Errorf("%s: scale %g is not identity: %v", ref, f, err)
+			}
+		}
+		if _, err := ScaleProgram(p, 1e6); err != nil {
+			t.Errorf("%s: scale 1e6 rejected: %v", ref, err)
+		}
 	}
 }
 

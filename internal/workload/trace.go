@@ -42,8 +42,8 @@ type TraceSeg struct {
 type Trace struct {
 	Format string `json:"format"`
 	// Name is the replayed program's benchmark name (the recorded
-	// program's name), so replay results land on the same rows and
-	// preload keys as the original.
+	// program's name), so replay results land on the same rows as the
+	// original.
 	Name string `json:"name"`
 	// Source and Suite record the provenance of the recorded program.
 	Source string `json:"recorded_source,omitempty"`

@@ -27,6 +27,7 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -275,6 +276,15 @@ func (s Spec) Scale(f float64) Spec {
 	}
 	s.OuterIters = mul(s.OuterIters)
 	return s
+}
+
+// checkScale rejects a factor under which Scale would overflow a
+// dynamic-size count.
+func (s Spec) checkScale(f float64) error {
+	if float64(s.OuterIters)*f >= math.MaxInt {
+		return fmt.Errorf("workload %s: scale %g overflows OuterIters %d", s.Name, f, s.OuterIters)
+	}
+	return nil
 }
 
 // emitCtx parameterizes one emission of a Spec into a shared builder.
