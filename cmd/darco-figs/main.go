@@ -144,8 +144,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		opts.SessionOptions = append(opts.SessionOptions, darco.WithStore(st))
 	}
 	if *gridSpec != "" {
-		if err := runGrid(ctx, stdout, *gridSpec, *shard, &opts, *csv, b.JSON); err != nil {
-			return cmd.Exit(cli.Fail, err)
+		if code, err := runGrid(ctx, stdout, *gridSpec, *shard, &opts, *csv, b.JSON); err != nil {
+			return cmd.Exit(code, err)
 		}
 		return cli.OK
 	}
@@ -217,18 +217,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 // runGrid executes one declarative sweep spec on the flag-built base
 // configuration and session (store, remote, worker count) and emits
-// its report in the format the figure path would use. Per-cell
-// failures are recorded in the report and returned after it prints, so
-// a partially failed sweep still shows everything that ran.
-func runGrid(ctx context.Context, stdout io.Writer, path, shard string, opts *experiments.Options, csv, jsonOut bool) error {
+// its report in the format the figure path would use. A spec that
+// cannot be read, decoded or resolved returns cli.Usage: nothing ran,
+// as with the batch tools (cli.Batch.Run). Per-cell failures are
+// recorded in the report and returned with cli.Fail after it prints,
+// so a partially failed sweep still shows everything that ran.
+func runGrid(ctx context.Context, stdout io.Writer, path, shard string, opts *experiments.Options, csv, jsonOut bool) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return cli.Usage, err
 	}
 	g, err := sweep.DecodeGrid(f)
 	f.Close()
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return cli.Usage, fmt.Errorf("%s: %w", path, err)
 	}
 	if g.Scale == 0 {
 		g.Scale = opts.Scale
@@ -241,23 +243,24 @@ func runGrid(ctx context.Context, stdout io.Writer, path, shard string, opts *ex
 	}
 	if shard != "" {
 		if _, err := fmt.Sscanf(shard, "%d/%d", &sopts.Shard, &sopts.Shards); err != nil {
-			return fmt.Errorf("bad -shard %q (want i/n, e.g. 0/4): %v", shard, err)
+			return cli.Usage, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/4): %v", shard, err)
 		}
 	}
-	rs, runErr := sweep.Run(ctx, g, sopts)
-	if rs != nil {
-		switch {
-		case jsonOut:
-			if err := rs.WriteJSON(stdout); err != nil {
-				return err
-			}
-		case csv:
-			fmt.Fprint(stdout, rs.CSV())
-		default:
-			fmt.Fprint(stdout, rs.Table().String())
-		}
+	rs, err := sweep.Run(ctx, g, sopts)
+	if rs == nil {
+		return cli.Usage, err
 	}
-	return runErr
+	switch {
+	case jsonOut:
+		if werr := rs.WriteJSON(stdout); werr != nil {
+			return cli.Fail, werr
+		}
+	case csv:
+		fmt.Fprint(stdout, rs.CSV())
+	default:
+		fmt.Fprint(stdout, rs.Table().String())
+	}
+	return cli.Fail, err
 }
 
 // loadRecords reads one []darco.Record file produced by cmd/darco or

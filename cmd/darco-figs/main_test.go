@@ -129,6 +129,42 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 	}
 }
 
+// TestGridUsageErrors: a -grid spec that cannot be read, decoded or
+// resolved, or a malformed -shard, is a usage error with a one-line
+// reason and nothing runs — the exit convention of darco and
+// darco-suite, whose batches are grids too.
+func TestGridUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	spec := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := spec("good.json", `{"workloads": ["429.mcf"], "scale": 0.05}`)
+	for _, args := range [][]string{
+		{"-grid", filepath.Join(dir, "missing.json")},
+		{"-grid", spec("unknown-field.json", `{"workloads": ["429.mcf"], "no_such_field": true}`)},
+		{"-grid", spec("no-workloads.json", `{"workloads": []}`)},
+		{"-grid", spec("unknown-workload.json", `{"workloads": ["no.such.benchmark"]}`)},
+		{"-grid", spec("negative-scale.json", `{"workloads": ["429.mcf"], "scale": -1}`)},
+		{"-grid", good, "-shard", "half"},
+		{"-grid", good, "-shard", "2/2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), append([]string{"-cosim=false"}, args...), &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote to stdout: %s", args, stdout.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "darco-figs: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr is not a one-line reason: %q", args, msg)
+		}
+	}
+}
+
 // TestRunRV32DefaultCatalog: without -benchmarks, an -isa rv32 run
 // covers the RV32I starter catalog instead of dying on the first x86
 // catalog entry.

@@ -34,6 +34,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/darco"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/timing"
 	"repro/internal/workload"
 )
@@ -86,7 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	cfg, jobs, err := b.Plan(darco.DefaultConfig(), append(names, b.Workload)...)
+	cfg, err := b.Config(darco.DefaultConfig())
 	if err != nil {
 		return cmd.Exit(cli.Usage, err)
 	}
@@ -98,23 +99,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}))
 	}
-	return b.Execute(ctx, cmd, cfg, jobs, func(done []darco.BatchResult) {
+	return b.Run(ctx, cmd, cfg, b.Refs(append(names, b.Workload)...), func(done []sweep.Row) {
 		t := stats.NewTable("DARCO suite summary",
 			"benchmark", "suite", "guest-dyn", "static", "ratio", "cycles", "IPC",
 			"tol%", "im%", "bbm%", "sbm%", "dyn-sbm%", "sbs", "ind/K", "chains", "transitions")
-		for _, br := range done {
-			meta := br.Job.Program.Meta()
+		for _, row := range done {
+			meta := row.Program.Meta()
 			suiteLabel := meta.Suite
 			if suiteLabel == "" {
 				suiteLabel = meta.Source
 			}
-			res := br.Result
+			res := row.Result
 			dyn := float64(res.GuestDyn())
 			cyc := float64(res.Timing.Cycles)
 			comp := func(c timing.Component) string {
 				return fmt.Sprintf("%.1f", 100*res.Timing.ComponentCycles(c)/cyc)
 			}
-			t.AddRow(br.Job.Program.Name(), suiteLabel,
+			t.AddRow(row.Name, suiteLabel,
 				fmt.Sprint(res.GuestDyn()),
 				fmt.Sprint(res.TOL.StaticTotal()),
 				fmt.Sprintf("%.0f", res.DynamicStaticRatio()),

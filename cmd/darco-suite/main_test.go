@@ -92,6 +92,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-bench", "no.such.benchmark"},
 		{"-mode", "bogus"},
 		{"-isa", "rv32", "-bench", "403.gcc"},
+		{"-bench", "429.mcf", "-workload", "429.mcf"},
+		{"-bench", "429.mcf", "-scale", "NaN"},
 	} {
 		code, stdout, stderr := runCmd(t, args...)
 		if code != 2 || stdout != "" {

@@ -43,6 +43,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/darco"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/timing"
 	"repro/internal/workload"
 )
@@ -87,25 +88,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *bbth > 0 {
 		base.TOL.BBThreshold = *bbth
 	}
-	cfg, jobs, err := b.Plan(base, *bench, b.Workload)
+	cfg, err := b.Config(base)
 	if err != nil {
 		return cmd.Exit(cli.Usage, err)
 	}
-
+	refs := b.Refs(*bench, b.Workload)
 	if *record != "" {
-		if len(jobs) != 1 {
-			return cmd.Exit(cli.Usage, fmt.Sprintf("-record captures exactly one workload, got %d", len(jobs)))
+		if len(refs) != 1 {
+			return cmd.Exit(cli.Usage, fmt.Sprintf("-record captures exactly one workload, got %d", len(refs)))
 		}
-		if err := workload.RecordTrace(*record, jobs[0].Program); err != nil {
+		p, err := workload.OpenScaled(refs[0], b.Scale)
+		if err != nil {
+			return cmd.Exit(cli.Usage, err)
+		}
+		if err := workload.RecordTrace(*record, p); err != nil {
 			return cmd.Exit(cli.Fail, err)
 		}
-		fmt.Fprintf(stderr, "recorded %s -> %s (replay with -workload trace:%s)\n",
-			jobs[0].Program.Name(), *record, *record)
+		fmt.Fprintf(stderr, "recorded %s -> %s (replay with -workload trace:%s)\n", p.Name(), *record, *record)
 	}
 
-	return b.Execute(ctx, cmd, cfg, jobs, func(done []darco.BatchResult) {
-		for _, br := range done {
-			report(stdout, br.Job.Program, br.Result)
+	return b.Run(ctx, cmd, cfg, refs, func(done []sweep.Row) {
+		for _, row := range done {
+			report(stdout, row.Program, row.Result)
 		}
 	})
 }

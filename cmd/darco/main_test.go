@@ -145,6 +145,7 @@ func TestExitCodes(t *testing.T) {
 		{"-bench", "no.such.benchmark"},
 		{"-bench", "429.mcf", "-O", "0", "-passes", "dce"},
 		{"-bench", "429.mcf", "-scale", "-1"},
+		{"-bench", "429.mcf", "-workload", "429.mcf"},
 	} {
 		code, stdout, stderr := runCmd(t, args...)
 		if code != 2 || stdout != "" {

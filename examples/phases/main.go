@@ -36,11 +36,7 @@ func main() {
 
 	sess := darco.NewSession()
 	for _, ref := range refs {
-		p, err := workload.Open(ref)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p, err = workload.ScaleProgram(p, 0.3)
+		p, err := workload.OpenScaled(ref, 0.3)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,11 +63,7 @@ func main() {
 	// Record the longest composite and replay it: the trace rebuilds
 	// the exact guest image, so the replay's stats match the direct
 	// run's under the same configuration.
-	last, err := workload.Open(refs[len(refs)-1])
-	if err != nil {
-		log.Fatal(err)
-	}
-	last, err = workload.ScaleProgram(last, 0.3)
+	last, err := workload.OpenScaled(refs[len(refs)-1], 0.3)
 	if err != nil {
 		log.Fatal(err)
 	}

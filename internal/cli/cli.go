@@ -3,8 +3,8 @@
 // in-process; a Tool owns the flag set, the diagnostics prefix and the
 // exit-code convention; a Batch owns what the batch tools (darco,
 // darco-suite, darco-figs) have in common: the -scale -jobs -timeout
-// -server -workload -json + run-knob flag block and the path from it
-// to a validated darco.Config, a session, resolved jobs and records.
+// -server -workload -json + run-knob flag block, the path from it to a
+// validated darco.Config and a session, and the batch run itself.
 package cli
 
 import (
@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/serve"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -140,45 +141,37 @@ func (b *Batch) Refs(lists ...string) []string {
 	return refs
 }
 
-// Plan resolves the flag block on base: the validated configuration
-// and, for the selected reference lists (see Refs), the session jobs
-// running them at -scale. Any error is a usage error.
-func (b *Batch) Plan(base darco.Config, lists ...string) (cfg darco.Config, jobs []darco.Job, err error) {
-	if cfg, err = b.Config(base); err != nil {
-		return cfg, nil, err
-	}
-	for _, ref := range b.Refs(lists...) {
-		job, err := darco.WithWorkload(ref, b.Scale)
-		if err != nil {
-			return cfg, nil, err
-		}
-		job.Config = cfg
-		jobs = append(jobs, job)
-	}
-	return cfg, jobs, nil
-}
-
-// Execute is the flow darco and darco-suite share. It runs the jobs on
-// the flag-selected session (plus extra options) under the -timeout
-// deadline — a failing job never stops the rest — and reports in job
-// order: with -json the []Record interchange array, failures included,
-// otherwise whatever render makes of the successful outcomes. Failures
-// are summarised on stderr and make the exit code Fail.
-func (b *Batch) Execute(ctx context.Context, t *Tool, cfg darco.Config, jobs []darco.Job,
-	render func(done []darco.BatchResult), extra ...darco.SessionOption) int {
+// Run is the flow darco and darco-suite share, and every batch is a
+// grid: the references (see Refs) become an axis-less sweep.Grid at
+// -scale, run through sweep.RunOn under cfg on the flag-selected
+// session (plus extra options) within the -timeout deadline. A failing
+// run never stops the rest. Reports come in reference order: with
+// -json the []Record interchange array, failures included, otherwise
+// whatever render makes of the successful rows. A selection that does
+// not resolve is a usage error and nothing runs; run failures are
+// summarised on stderr and make the exit code Fail.
+func (b *Batch) Run(ctx context.Context, t *Tool, cfg darco.Config, refs []string,
+	render func(done []sweep.Row), extra ...darco.SessionOption) int {
 	ctx, cancel := WithTimeout(ctx, b.Timeout)
 	defer cancel()
+	g := &sweep.Grid{Workloads: refs, Scale: b.Scale}
+	sess := darco.NewSession(append(b.SessionOptions(), extra...)...)
+	rs, err := sweep.RunOn(ctx, sess, g, sweep.Options{Config: &cfg})
+	if rs == nil {
+		return t.Exit(Usage, err)
+	}
 	var records []darco.Record
-	var done []darco.BatchResult
-	var failed []error
-	for _, br := range darco.NewSession(append(b.SessionOptions(), extra...)...).RunBatch(ctx, jobs) {
-		p := br.Job.Program
-		records = append(records, darco.NewRecord(p.Name(), p.Meta().Suite, br.Job.Scale, cfg.Mode, br.Result, br.Err))
-		if br.Err != nil {
-			failed = append(failed, br.Err)
+	var done []sweep.Row
+	var failed []string
+	for _, row := range rs.Rows {
+		rec := darco.Record{Benchmark: row.Name, Suite: row.Suite, Scale: g.Scale, Mode: cfg.Mode.String(), Error: row.Error}
+		if row.Error != "" {
+			failed = append(failed, row.Error)
 		} else {
-			done = append(done, br)
+			rec.Summary, rec.Result = *row.Summary, row.Result
+			done = append(done, row)
 		}
+		records = append(records, rec)
 	}
 	if !b.JSON {
 		render(done)
@@ -186,10 +179,10 @@ func (b *Batch) Execute(ctx context.Context, t *Tool, cfg darco.Config, jobs []d
 		return t.Exit(Fail, err)
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(t.Stderr, "\n%d of %d benchmarks failed:\n", len(failed), len(jobs))
-		for _, err := range failed {
+		fmt.Fprintf(t.Stderr, "\n%d of %d benchmarks failed:\n", len(failed), len(rs.Rows))
+		for _, msg := range failed {
 			// Session errors already carry the benchmark name.
-			fmt.Fprintf(t.Stderr, "  %v\n", err)
+			fmt.Fprintf(t.Stderr, "  %s\n", msg)
 		}
 		return Fail
 	}

@@ -35,7 +35,8 @@ type Job struct {
 
 	// Ref is the workload Source-registry reference the program was
 	// resolved from ("<source>:<name>"), when it was resolved from one
-	// (WithWorkload fills it; hand-assembled jobs leave it empty). A
+	// (WithWorkload and sweep.JobFor fill it; hand-assembled jobs leave
+	// it empty). A
 	// remote session (WithRemote) ships Ref plus Config to
 	// a darco-serve instance instead of simulating locally, so only
 	// reference-built jobs are remotely runnable.
@@ -261,13 +262,9 @@ func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
 // "phased:401.bzip2+462.libquantum"; a bare name means synthetic)
 // through the workload Source registry, applies the scale factor, and
 // returns the session job running it — the reference-string
-// counterpart of JobForProgram shared by the command-line tools.
+// counterpart of JobForProgram.
 func WithWorkload(ref string, scale float64, opts ...Option) (Job, error) {
-	p, err := workload.Open(ref)
-	if err != nil {
-		return Job{}, err
-	}
-	p, err = workload.ScaleProgram(p, scale)
+	p, err := workload.OpenScaled(ref, scale)
 	if err != nil {
 		return Job{}, err
 	}

@@ -99,11 +99,8 @@ func NewRunner(opts Options) (*Runner, error) {
 	var progs []workload.Program
 	refs := map[string]string{}
 	for _, ref := range selected {
-		p, err := workload.Open(ref)
+		p, err := workload.OpenScaled(ref, opts.Scale)
 		if err != nil {
-			return nil, err
-		}
-		if p, err = workload.ScaleProgram(p, opts.Scale); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 		// Every figure row set is keyed by program name, so a selection

@@ -15,11 +15,8 @@ import (
 type job struct {
 	id     string
 	tenant string
-	ref    string
-	scale  float64
-	mode   string
 	key    string
-	sjob   darco.Job
+	sjob   darco.Job // read-only once submitted
 
 	// ctx governs this job's simulation only; cancel fires on POST
 	// /jobs/{id}/cancel and on server drain (the parent is the server's
@@ -47,9 +44,6 @@ func newJob(parent context.Context, id, tenant string, sjob darco.Job, key strin
 	return &job{
 		id:      id,
 		tenant:  tenant,
-		ref:     sjob.Ref,
-		scale:   sjob.Scale,
-		mode:    sjob.Config.Mode.String(),
 		key:     key,
 		sjob:    sjob,
 		ctx:     ctx,
@@ -161,9 +155,9 @@ func (j *job) status() JobStatus {
 	st := JobStatus{
 		ID:        j.id,
 		Tenant:    j.tenant,
-		Workload:  j.ref,
-		Scale:     j.scale,
-		Mode:      j.mode,
+		Workload:  j.sjob.Ref,
+		Scale:     j.sjob.Scale,
+		Mode:      j.sjob.Config.Mode.String(),
 		State:     j.state,
 		FromCache: j.fromCache,
 		StartSeq:  j.startSeq,

@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/store"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -244,10 +245,10 @@ func (s *Server) recordBytes(j *job, res *darco.Result, err error) json.RawMessa
 	if j.sjob.Program != nil {
 		suite = j.sjob.Program.Meta().Suite
 	}
-	rec := darco.NewRecord(j.sjob.Name, suite, j.scale, j.sjob.Config.Mode, res, err)
+	rec := darco.NewRecord(j.sjob.Name, suite, j.sjob.Scale, j.sjob.Config.Mode, res, err)
 	raw, merr := json.Marshal(&rec)
 	if merr != nil {
-		raw, _ = json.Marshal(&darco.Record{Benchmark: j.sjob.Name, Mode: j.mode, Error: merr.Error()})
+		raw, _ = json.Marshal(&darco.Record{Benchmark: j.sjob.Name, Mode: j.sjob.Config.Mode.String(), Error: merr.Error()})
 	}
 	return raw
 }
@@ -303,7 +304,7 @@ func (s *Server) runJob(j *job) {
 	s.running++
 	s.mu.Unlock()
 	j.setRunning(seq)
-	s.logf("job %s start #%d (tenant %s, %s)", j.id, seq, j.tenant, j.ref)
+	s.logf("job %s start #%d (tenant %s, %s)", j.id, seq, j.tenant, j.sjob.Ref)
 
 	res, err := s.sess.Run(j.ctx, j.sjob)
 	// The record is read before the quota can evict it, and the quota is
@@ -328,18 +329,39 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// resolveConfig turns a submission into the fully resolved, validated
-// run configuration: the server's base (or the submitted Config) with
-// the request's knobs folded in.
-func (s *Server) resolveConfig(req *SubmitRequest) (darco.Config, error) {
+// resolveJob turns a submission into the session job it asks for and
+// that job's memo key: the server's base (or the submitted Config) with
+// the request's knobs folded in and validated, the reference redirected
+// to the resulting ISA's catalog and opened at the requested scale
+// (0 = 1), and the job built by sweep.JobFor, the mapper every grid
+// cell goes through.
+func (s *Server) resolveJob(req *SubmitRequest) (darco.Job, string, error) {
 	cfg := s.base
 	if req.Config != nil {
 		cfg = *req.Config
 	}
-	if err := req.Knobs.Apply(&cfg); err != nil {
-		return cfg, err
+	err := req.Knobs.Apply(&cfg)
+	if err == nil {
+		err = cfg.Validate()
 	}
-	return cfg, cfg.Validate()
+	if err != nil {
+		return darco.Job{}, "", err
+	}
+	scale := req.Scale
+	if scale == 0 {
+		scale = 1
+	}
+	ref := workload.RefForISA(req.Workload, cfg.ISA)
+	p, err := workload.OpenScaled(ref, scale)
+	if err != nil {
+		return darco.Job{}, "", err
+	}
+	job, err := sweep.JobFor(p, ref, scale, cfg)
+	if err != nil {
+		return job, "", err
+	}
+	key, err := job.Key()
+	return job, key, err
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -374,22 +396,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	cfg, err := s.resolveConfig(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	sjob, err := darco.WithWorkload(workload.RefForISA(req.Workload, cfg.ISA), scale)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sjob.Config = cfg
-	key, err := sjob.Key()
+	sjob, key, err := s.resolveJob(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

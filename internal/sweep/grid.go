@@ -101,7 +101,9 @@ type Grid struct {
 	// Workloads are Source-registry references ("<source>:<name>"; a
 	// bare name means the synthetic catalog).
 	Workloads []string `json:"workloads"`
-	// Scale multiplies every workload's dynamic size (0 = 1.0).
+	// Scale multiplies every workload's dynamic size (0 = 1.0). A
+	// factor workload.ScaleProgram rejects fails the run before any
+	// cell simulates.
 	Scale float64 `json:"scale,omitempty"`
 	// Base is a knob delta applied to every cell before its axis
 	// values — the place a grid pins the mode or disables cosim.
@@ -138,9 +140,6 @@ type Cell struct {
 func (g *Grid) Validate() error {
 	if len(g.Workloads) == 0 {
 		return fmt.Errorf("sweep: grid %q has no workloads", g.Name)
-	}
-	if g.Scale < 0 {
-		return fmt.Errorf("sweep: grid %q has negative scale %g", g.Name, g.Scale)
 	}
 	seenW := map[string]bool{}
 	for _, ref := range g.Workloads {

@@ -55,9 +55,11 @@ type Row struct {
 	Elapsed time.Duration  `json:"elapsed,omitempty"`
 	Summary *darco.Summary `json:"summary,omitempty"`
 	Error   string         `json:"error,omitempty"`
-	// Result is the full in-memory result (not serialized; the
-	// Summary plus the store carry the durable forms).
-	Result *darco.Result `json:"-"`
+	// Result is the full in-memory result and Program the scaled
+	// workload program the cell ran (not serialized; the Summary plus
+	// the store carry the durable forms).
+	Result  *darco.Result    `json:"-"`
+	Program workload.Program `json:"-"`
 }
 
 // ResultSet is the long-form outcome of a grid execution: one Row per
@@ -116,11 +118,8 @@ func RunOn(ctx context.Context, sess *darco.Session, g *Grid, opts Options) (*Re
 		if p, ok := progs[ref]; ok {
 			return p, nil
 		}
-		p, err := workload.Open(ref)
+		p, err := workload.OpenScaled(ref, g.Scale)
 		if err != nil {
-			return nil, err
-		}
-		if p, err = workload.ScaleProgram(p, g.Scale); err != nil {
 			return nil, err
 		}
 		progs[ref] = p
@@ -156,6 +155,7 @@ func RunOn(ctx context.Context, sess *darco.Session, g *Grid, opts Options) (*Re
 			Suite:    p.Meta().Suite,
 			Coords:   cell.Coords,
 			Key:      key,
+			Program:  p,
 		}
 		row := &rows[i]
 		j.Events = func(ev darco.Event) {

@@ -187,6 +187,16 @@ func Open(ref string) (Program, error) {
 	return p, nil
 }
 
+// OpenScaled opens a workload reference and applies a dynamic-size
+// factor to the program (Open, then ScaleProgram).
+func OpenScaled(ref string, scale float64) (Program, error) {
+	p, err := Open(ref)
+	if err != nil {
+		return nil, err
+	}
+	return ScaleProgram(p, scale)
+}
+
 // SpecProgram adapts a synthetic Spec to the Program interface. Source
 // records which scheme produced the spec ("synthetic" for catalog
 // entries, "file" for JSON-loaded ones); the zero value means
