@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -72,6 +73,52 @@ func TestRunCancelledMidSimulation(t *testing.T) {
 	if reports != 2 {
 		t.Errorf("run continued past cancellation: %d progress reports (cancelled at cycle %d), want exactly 2",
 			reports, cancelledAt)
+	}
+}
+
+// TestSessionCancelErrorsNameTheJob: a job whose context ends while it
+// waits for a worker slot, or on an identical in-flight run, fails with
+// an error that names it and still matches the context's error, so a
+// batch's failure summary says which run it was.
+func TestSessionCancelErrorsNameTheJob(t *testing.T) {
+	started := make(chan struct{}, 1)
+	s := NewSession(WithWorkers(1), WithEvents(func(ev Event) {
+		if ev.Kind == EventStarted {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	long := func(name string) Job {
+		job := JobForProgram(workload.Func(name, func() (*guest.Program, error) {
+			return longLoop(100_000_000), nil
+		}), 1)
+		job.Config.TOL.Cosim = false
+		job.Config.MaxCycles = 100_000_000_000
+		return job
+	}
+	runCtx, stop := context.WithCancel(context.Background())
+	defer stop()
+	held := make(chan error, 1)
+	go func() {
+		_, err := s.Run(runCtx, long("holder"))
+		held <- err
+	}()
+	<-started
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// "queued" waits for the one slot "holder" occupies; the second
+	// "holder" waits on the first.
+	for _, job := range []Job{long("queued"), long("holder")} {
+		if _, err := s.Run(cancelled, job); !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), job.Name+": ") {
+			t.Errorf("%s: err = %v, want context.Canceled prefixed with the job name", job.Name, err)
+		}
+	}
+	stop()
+	if err := <-held; !errors.Is(err, context.Canceled) {
+		t.Errorf("holder: err = %v, want context.Canceled", err)
 	}
 }
 

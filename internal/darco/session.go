@@ -337,7 +337,8 @@ func (s *Session) Preload(job Job, res *Result) error {
 // key runs the job on a worker slot; concurrent callers with the same
 // key block until it completes (or their own ctx is cancelled) and
 // share the result. Context-cancellation errors are not memoized, so
-// a cancelled job can be retried.
+// a cancelled job can be retried. They name the job like the errors of
+// a run itself, however far the job got before the context ended.
 func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 	mode := job.Config.Mode
 	// Fail fast on invalid configs: no worker slot, no cache entry —
@@ -370,7 +371,7 @@ func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 			s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventCached})
 			return prev.res, prev.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, fmt.Errorf("%s: %w", job.Name, ctx.Err())
 		}
 	}
 
@@ -389,8 +390,9 @@ func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		s.finish(key, e, nil, ctx.Err())
-		return nil, ctx.Err()
+		err := fmt.Errorf("%s: %w", job.Name, ctx.Err())
+		s.finish(key, e, nil, err)
+		return nil, err
 	}
 	s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventStarted})
 
