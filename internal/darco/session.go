@@ -445,7 +445,15 @@ func (s *Session) runRemote(ctx context.Context, job *Job) (*Result, error) {
 	})
 }
 
-func (s *Session) execute(ctx context.Context, job *Job) (*Result, error) {
+func (s *Session) execute(ctx context.Context, job *Job) (res *Result, err error) {
+	// A panic anywhere in the job (a program's Build, the engine, the
+	// simulator) fails this job alone: its worker slot is released and
+	// the session, and every other tenant of it, keeps running.
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, fmt.Errorf("%s: panic: %v", job.Name, v)
+		}
+	}()
 	if job.Program == nil {
 		return nil, fmt.Errorf("darco: job %q has no program", job.Name)
 	}
@@ -468,7 +476,7 @@ func (s *Session) execute(ctx context.Context, job *Job) (*Result, error) {
 	if bc, ok := s.store.(sample.BlobCache); ok {
 		env.cache = bc
 	}
-	res, err := job.Config.runWith(ctx, p, env)
+	res, err = job.Config.runWith(ctx, p, env)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", job.Name, err)
 	}

@@ -199,6 +199,28 @@ func TestSessionBatchReportsPerJobErrors(t *testing.T) {
 	}
 }
 
+// TestSessionPanickingJobFails: a job whose program panics while
+// building fails with the panic as its error and a failed event, and
+// the next job on the same single-slot session still runs.
+func TestSessionPanickingJobFails(t *testing.T) {
+	var kinds []EventKind
+	s := NewSession(WithWorkers(1), WithEvents(func(ev Event) {
+		if ev.Job == "explodes" {
+			kinds = append(kinds, ev.Kind)
+		}
+	}))
+	bad := JobForProgram(workload.Func("explodes", func() (*guest.Program, error) { panic("kaboom") }), 1)
+	if _, err := s.Run(context.Background(), bad); err == nil || err.Error() != "explodes: panic: kaboom" {
+		t.Fatalf("err = %v, want %q", err, "explodes: panic: kaboom")
+	}
+	if n := len(kinds); n == 0 || kinds[n-1] != EventFailed {
+		t.Errorf("events %v, want the job to end failed", kinds)
+	}
+	if _, err := s.Run(context.Background(), benchJob(t, "462.libquantum", 0.1)); err != nil {
+		t.Fatalf("job after the panic: %v", err)
+	}
+}
+
 // TestSessionRejectsZeroConfig: a hand-built Job that never set its
 // Config is rejected by Session.Run before it takes a worker slot —
 // the zero timing geometry would otherwise panic inside the simulator.

@@ -82,7 +82,7 @@ func NewBuilder() *Builder {
 }
 
 func (b *Builder) emit(i Inst) *Builder {
-	i.Size = uint8(SizeOf(i.Op))
+	i.Size = uint8(sizeOf(i.Op))
 	b.insts = append(b.insts, i)
 	return b
 }
@@ -294,7 +294,7 @@ func (b *Builder) Build() (*Program, error) {
 
 	code := make([]byte, 0, off)
 	for i := range b.insts {
-		code = Encode(code, b.insts[i])
+		code = encode(code, b.insts[i])
 	}
 	if uint32(len(code)) != off {
 		return nil, fmt.Errorf("guest: layout mismatch: %d != %d", len(code), off)

@@ -139,7 +139,7 @@ func TestDecodeCacheTagAliasing(t *testing.T) {
 			{lo, Inst{Op: OpAddRI, R1: EAX, Imm: 5}},
 			{hi, Inst{Op: OpSubRI, R1: EAX, Imm: 3}},
 		} {
-			for i, byt := range Encode(nil, enc.inst) {
+			for i, byt := range encode(nil, enc.inst) {
 				m.Write8(enc.addr+uint32(i), byt)
 			}
 		}
@@ -336,7 +336,7 @@ func TestDecodeCacheAliasingAcrossPages(t *testing.T) {
 		t.Fatal("test bug: addresses are not on the two sides of a page seam")
 	}
 	put := func(addr uint32, in Inst) {
-		for i, byt := range Encode(nil, in) {
+		for i, byt := range encode(nil, in) {
 			m.Write8(addr+uint32(i), byt)
 		}
 	}

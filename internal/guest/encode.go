@@ -79,8 +79,8 @@ var formatSize = [...]uint8{
 	fmtCC: 6, fmtMemX: 7,
 }
 
-// SizeOf returns the encoded size in bytes of instructions with opcode op.
-func SizeOf(op Op) int {
+// sizeOf returns the encoded size in bytes of instructions with opcode op.
+func sizeOf(op Op) int {
 	if op >= numX86Ops {
 		return 0
 	}
@@ -115,11 +115,11 @@ func log2scale(s uint8) uint8 {
 	panic(fmt.Sprintf("guest: invalid scale %d", s))
 }
 
-// Encode appends the encoding of inst to dst and returns the extended
+// encode appends the encoding of inst to dst and returns the extended
 // slice. It panics on malformed instructions (invalid opcode, register
 // out of range), which indicates a generator bug rather than bad input
 // data.
-func Encode(dst []byte, inst Inst) []byte {
+func encode(dst []byte, inst Inst) []byte {
 	if inst.Op >= numX86Ops {
 		panic(fmt.Sprintf("guest: encode opcode %d has no x86 encoding", inst.Op))
 	}
@@ -185,9 +185,9 @@ func checkNibble(v uint8) {
 	}
 }
 
-// Decode decodes the instruction at the start of b. The returned
+// decode decodes the instruction at the start of b. The returned
 // instruction's Size field is set to the number of bytes consumed.
-func Decode(b []byte) (Inst, error) {
+func decode(b []byte) (Inst, error) {
 	if len(b) == 0 {
 		return Inst{}, ErrTruncated
 	}

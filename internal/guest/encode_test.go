@@ -69,11 +69,11 @@ func TestEncodeDecodeRoundTripAllOps(t *testing.T) {
 	for op := Op(0); op < numX86Ops; op++ {
 		for trial := 0; trial < 64; trial++ {
 			in := randInst(r, op)
-			enc := Encode(nil, in)
-			if len(enc) != SizeOf(op) {
-				t.Fatalf("%s: encoded %d bytes, SizeOf says %d", op, len(enc), SizeOf(op))
+			enc := encode(nil, in)
+			if len(enc) != sizeOf(op) {
+				t.Fatalf("%s: encoded %d bytes, sizeOf says %d", op, len(enc), sizeOf(op))
 			}
-			out, err := Decode(enc)
+			out, err := decode(enc)
 			if err != nil {
 				t.Fatalf("%s: decode error: %v (inst %+v)", op, err, in)
 			}
@@ -89,25 +89,25 @@ func TestEncodeDecodeRoundTripAllOps(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("Decode(nil) should fail")
+	if _, err := decode(nil); err == nil {
+		t.Fatal("decode(nil) should fail")
 	}
-	if _, err := Decode([]byte{byte(NumOps)}); err == nil {
-		t.Fatal("Decode of undefined opcode should fail")
+	if _, err := decode([]byte{byte(NumOps)}); err == nil {
+		t.Fatal("decode of undefined opcode should fail")
 	}
 	// Truncated multi-byte instruction.
-	if _, err := Decode([]byte{byte(OpMovRI), 0}); err != ErrTruncated {
-		t.Fatalf("Decode truncated: err=%v, want ErrTruncated", err)
+	if _, err := decode([]byte{byte(OpMovRI), 0}); err != ErrTruncated {
+		t.Fatalf("decode truncated: err=%v, want ErrTruncated", err)
 	}
 	// Out-of-range condition byte.
-	if _, err := Decode([]byte{byte(OpJcc), 0xff, 0, 0, 0, 0}); err == nil {
-		t.Fatal("Decode of bad condition should fail")
+	if _, err := decode([]byte{byte(OpJcc), 0xff, 0, 0, 0, 0}); err == nil {
+		t.Fatal("decode of bad condition should fail")
 	}
 }
 
 func TestDecodeNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
-		_, _ = Decode(b)
+		_, _ = decode(b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
@@ -117,22 +117,22 @@ func TestDecodeNeverPanics(t *testing.T) {
 
 func TestSizeOfAllOpsPositive(t *testing.T) {
 	for op := Op(0); op < numX86Ops; op++ {
-		s := SizeOf(op)
+		s := sizeOf(op)
 		if s < 1 || s > MaxInstSize {
-			t.Fatalf("SizeOf(%s) = %d", op, s)
+			t.Fatalf("sizeOf(%s) = %d", op, s)
 		}
 	}
-	if SizeOf(NumOps) != 0 {
-		t.Fatal("SizeOf of invalid op should be 0")
+	if sizeOf(NumOps) != 0 {
+		t.Fatal("sizeOf of invalid op should be 0")
 	}
-	// The RISC-family opcodes have no x86 encoding: SizeOf reports 0
-	// and Decode refuses their byte values.
+	// The RISC-family opcodes have no x86 encoding: sizeOf reports 0
+	// and decode refuses their byte values.
 	for op := numX86Ops; op < NumOps; op++ {
-		if SizeOf(op) != 0 {
-			t.Fatalf("SizeOf(%s) = %d, want 0 (no x86 encoding)", op, SizeOf(op))
+		if sizeOf(op) != 0 {
+			t.Fatalf("sizeOf(%s) = %d, want 0 (no x86 encoding)", op, sizeOf(op))
 		}
-		if _, err := Decode([]byte{byte(op), 0, 0, 0, 0, 0, 0}); err == nil {
-			t.Fatalf("Decode accepted RISC-family opcode byte %#02x", byte(op))
+		if _, err := decode([]byte{byte(op), 0, 0, 0, 0, 0, 0}); err == nil {
+			t.Fatalf("decode accepted RISC-family opcode byte %#02x", byte(op))
 		}
 	}
 }
@@ -142,7 +142,7 @@ func TestVariableLengthEncodingSpread(t *testing.T) {
 	// meaningful: verify at least 4 distinct sizes exist.
 	sizes := map[int]bool{}
 	for op := Op(0); op < numX86Ops; op++ {
-		sizes[SizeOf(op)] = true
+		sizes[sizeOf(op)] = true
 	}
 	if len(sizes) < 4 {
 		t.Fatalf("only %d distinct encoding sizes", len(sizes))

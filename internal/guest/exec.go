@@ -97,7 +97,7 @@ func fetchDecode(eip uint32, m mem.Memory) (Inst, error) {
 	for i := range buf {
 		buf[i] = m.Read8(eip + uint32(i))
 	}
-	inst, err := Decode(buf[:])
+	inst, err := decode(buf[:])
 	if err != nil {
 		return inst, fmt.Errorf("at eip=%#x: %w", eip, err)
 	}

@@ -88,7 +88,7 @@ var X86 = &ISA{
 	NumRegs:     NumRegs,
 	HasFlags:    true,
 	HasFP:       true,
-	DecodeAt:    func(b []byte, pc uint32) (Inst, error) { return Decode(b) },
+	DecodeAt:    func(b []byte, pc uint32) (Inst, error) { return decode(b) },
 	RegName:     func(r int) string { return Reg(r).String() },
 	InitState: func(s *State, entry uint32) {
 		*s = State{EIP: entry}

@@ -37,7 +37,7 @@ var RV32 = &ISA{
 	NumRegs:     rv32NumRegs,
 	HasFlags:    false,
 	HasFP:       false,
-	DecodeAt:    DecodeRV32,
+	DecodeAt:    decodeRV32,
 	RegName:     func(r int) string { return fmt.Sprintf("x%d", r) },
 	InitState: func(s *State, entry uint32) {
 		*s = State{EIP: entry}
@@ -59,9 +59,9 @@ func rv32Reg(n uint32) (Reg, error) {
 	return Reg(n), nil
 }
 
-// DecodeRV32 decodes one RV32I instruction whose four-byte
+// decodeRV32 decodes one RV32I instruction whose four-byte
 // little-endian encoding starts at b and whose address is pc.
-func DecodeRV32(b []byte, pc uint32) (Inst, error) {
+func decodeRV32(b []byte, pc uint32) (Inst, error) {
 	if len(b) < RV32InstBytes {
 		return Inst{}, ErrRV32Truncated
 	}

@@ -9,7 +9,7 @@ import (
 // RV32Builder assembles RV32I guest programs with symbolic labels,
 // the fixed-width sibling of Builder: every instruction is four bytes,
 // so label resolution is a single arithmetic pass. Emitters encode
-// real RV32I words (the same bit layouts DecodeRV32 consumes), keeping
+// real RV32I words (the same bit layouts decodeRV32 consumes), keeping
 // the frontend honest end to end: generated programs exercise the
 // actual decoder, not a shortcut.
 type RV32Builder struct {

@@ -70,8 +70,8 @@ func LoadImm32(dst []Inst, rd Reg, v uint32) []Inst {
 	return dst
 }
 
-// LoadImmLen reports how many instructions LoadImm32 will emit for v.
-func LoadImmLen(v uint32) int {
+// loadImmLen reports how many instructions LoadImm32 will emit for v.
+func loadImmLen(v uint32) int {
 	hi := v >> 16
 	lo := v & 0xffff
 	switch {

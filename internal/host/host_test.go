@@ -53,8 +53,8 @@ func TestLoadImm32(t *testing.T) {
 	cases := []uint32{0, 1, 0xffff, 0x1_0000, 0xdead_0000, 0xdead_beef, 0xffff_ffff}
 	for _, v := range cases {
 		seq := LoadImm32(nil, RT0, v)
-		if len(seq) != LoadImmLen(v) {
-			t.Fatalf("LoadImmLen(%#x) = %d, emitted %d", v, LoadImmLen(v), len(seq))
+		if len(seq) != loadImmLen(v) {
+			t.Fatalf("loadImmLen(%#x) = %d, emitted %d", v, loadImmLen(v), len(seq))
 		}
 		c := NewCPU(mem.NewSparse())
 		var out Outcome

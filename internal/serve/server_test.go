@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,8 +48,25 @@ func (p blockProgram) Build() (*guest.Program, error) {
 	return spec.Scale(0.05).Build()
 }
 
+// panicSource is a test workload source whose programs panic in Build.
+type panicSource struct{}
+
+func (panicSource) Scheme() string { return "panictest" }
+
+func (panicSource) Open(name string) (workload.Program, error) {
+	return panicProgram(name), nil
+}
+
+type panicProgram string
+
+func (p panicProgram) Name() string        { return string(p) }
+func (p panicProgram) Meta() workload.Meta { return workload.Meta{Source: "panictest", Phases: 1} }
+
+func (p panicProgram) Build() (*guest.Program, error) { panic("no program " + string(p)) }
+
 func init() {
 	workload.Register(blockSource{})
+	workload.Register(panicSource{})
 }
 
 // gatedRef registers a gate for one blocktest program and returns its
@@ -151,6 +169,22 @@ func TestSubmitEventsResult(t *testing.T) {
 	if rec.Summary.Cycles == 0 || rec.Summary.Cycles != rec.Result.Timing.Cycles {
 		t.Fatalf("summary cycles %d vs result cycles %d", rec.Summary.Cycles, rec.Result.Timing.Cycles)
 	}
+}
+
+// TestPanickingJobFailsAlone: a job whose program panics ends failed
+// with the panic as its error, and the one worker it held serves the
+// next submit.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	bad, err := c.Submit(context.Background(), SubmitRequest{Workload: "panictest:boom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, c, bad.ID, StateFailed); !strings.Contains(st.Error, "panic: no program boom") {
+		t.Errorf("failed job error = %q, want the panic", st.Error)
+	}
+	good := submitTiny(t, c, "synthetic:462.libquantum")
+	waitState(t, c, good.ID, StateDone)
 }
 
 // TestRestartServedFromPersistentStore is the acceptance path of the

@@ -36,8 +36,15 @@ func fibProgram(n int32) *guest.Program {
 // through the versioned envelope and a JSON round-trip, restore, and
 // resume. The completed run must be byte-identical — same timing
 // Result, same TOL Stats serialization, same guest state — to an
-// uninterrupted run.
+// uninterrupted run. It runs under every timing mode, so ModeSplit's
+// second structure set is checkpointed too.
 func TestMachineRoundTrip(t *testing.T) {
+	for mode := timing.Mode(0); mode < timing.NumModes; mode++ {
+		t.Run(mode.String(), func(t *testing.T) { machineRoundTrip(t, mode) })
+	}
+}
+
+func machineRoundTrip(t *testing.T, mode timing.Mode) {
 	p := fibProgram(400)
 	tcfg := tol.DefaultConfig()
 	tcfg.SBThreshold = 20
@@ -45,7 +52,7 @@ func TestMachineRoundTrip(t *testing.T) {
 
 	// Uninterrupted reference.
 	refEng := tol.NewEngine(tcfg, p)
-	refSim := timing.NewSimulator(mcfg, timing.ModeShared)
+	refSim := timing.NewSimulator(mcfg, mode)
 	refRes, err := refSim.Run(refEng)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
@@ -58,7 +65,7 @@ func TestMachineRoundTrip(t *testing.T) {
 	// Interrupted run: pause the simulator once the engine crosses the
 	// midpoint, checkpoint the whole machine.
 	eng := tol.NewEngine(tcfg, p)
-	sim := timing.NewSimulator(mcfg, timing.ModeShared)
+	sim := timing.NewSimulator(mcfg, mode)
 	sim.StopWhen = func() bool { return eng.Stats.DynTotal() >= pause }
 	if _, err := sim.RunContext(t.Context(), eng); err != timing.ErrPaused {
 		t.Fatalf("expected ErrPaused, got %v", err)

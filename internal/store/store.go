@@ -16,6 +16,10 @@
 //     the store directory and renamed into place, so readers (and
 //     concurrent writers of the same key — last writer wins) never
 //     observe a torn record.
+//   - The store is process-crash safe, not power-loss safe: PutRaw
+//     renames without an fsync, so a killed process leaves whole
+//     entries or none, but a machine losing power may lose or truncate
+//     the last writes (which Get then treats as misses).
 //   - Reads are tolerant: a corrupt or foreign file is a cache miss
 //     in Get and skipped by List, never a fatal error. A persistent
 //     cache must survive partial damage; re-simulation repairs it.

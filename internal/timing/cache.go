@@ -1,6 +1,6 @@
 package timing
 
-import "fmt"
+import "repro/internal/mem"
 
 // plruTree implements tree-based pseudo-LRU replacement for power-of-two
 // associativities up to 16 ways. The tree is stored as a bit field: bit
@@ -72,114 +72,129 @@ func (s *CacheStats) OwnerMissRate(o Owner) float64 {
 	return float64(s.Misses[o]) / float64(s.Accesses[o])
 }
 
-// Cache is a set-associative cache with tree-PLRU replacement. It
-// tracks line presence only (no data), which is all the timing model
-// needs.
-type Cache struct {
-	cfg       CacheConfig
-	sets      int
-	blockBits uint
-	setMask   uint32
-	lines     []cacheLine // sets*assoc, way-major within set
-	plru      []plruTree
-	Stats     CacheStats
+// setAssoc is the one set-associative array of the timing model: the
+// caches, the TLB levels (caches of pages) and the BTB are all built on
+// it. Lines are way-major within a set; each set keeps a tree-PLRU. It
+// stores keys only, so a structure that needs a payload (the BTB's
+// targets) keeps it in a slice indexed by the slot find and fill
+// return.
+type setAssoc struct {
+	lines   []cacheLine
+	plru    []plruTree
+	assoc   int
+	setMask uint32
 }
 
-// NewCache builds a cache from its configuration. Size, block size and
-// associativity must be powers of two with at least one set.
-func NewCache(cfg CacheConfig) *Cache {
-	sets := cfg.Size / (cfg.BlockSize * cfg.Assoc)
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("timing: invalid cache geometry %+v (sets=%d)", cfg, sets))
+// newSetAssoc builds an array of entries lines in assoc-way sets. It
+// panics on a geometry Config.Validate rejects.
+func newSetAssoc(entries, assoc int) setAssoc {
+	if err := geometry("set-associative", entries, assoc); err != nil {
+		panic(err)
 	}
-	if cfg.Assoc&(cfg.Assoc-1) != 0 || cfg.Assoc > 16 {
-		panic(fmt.Sprintf("timing: unsupported associativity %d", cfg.Assoc))
-	}
-	blockBits := uint(0)
-	for 1<<blockBits < cfg.BlockSize {
-		blockBits++
-	}
-	return &Cache{
-		cfg:       cfg,
-		sets:      sets,
-		blockBits: blockBits,
-		setMask:   uint32(sets - 1),
-		lines:     make([]cacheLine, sets*cfg.Assoc),
-		plru:      make([]plruTree, sets),
+	sets := entries / assoc
+	return setAssoc{
+		lines:   make([]cacheLine, entries),
+		plru:    make([]plruTree, sets),
+		assoc:   assoc,
+		setMask: uint32(sets - 1),
 	}
 }
 
-// Lookup probes the cache without modifying state and reports a hit.
-func (c *Cache) Lookup(addr uint32) bool {
-	tag := addr >> c.blockBits
-	set := int(tag & c.setMask)
-	base := set * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if l := &c.lines[base+w]; l.valid && l.tag == tag {
+// access probes for key and fills it on a miss, counting the access
+// (and the miss) for owner in st. It reports a hit. It is the hot path
+// of every cache access, so it probes inline rather than via find.
+func (a *setAssoc) access(key uint32, owner Owner, st *CacheStats) bool {
+	set := int(key & a.setMask)
+	base := set * a.assoc
+	st.Accesses[owner]++
+	for w := 0; w < a.assoc; w++ {
+		if l := &a.lines[base+w]; l.valid && l.tag == key {
+			a.plru[set].touch(w, a.assoc)
+			return true
+		}
+	}
+	st.Misses[owner]++
+	a.fill(key)
+	return false
+}
+
+// find returns the slot holding key, refreshing its PLRU state, or -1.
+func (a *setAssoc) find(key uint32) int {
+	set := int(key & a.setMask)
+	base := set * a.assoc
+	for w := 0; w < a.assoc; w++ {
+		if l := &a.lines[base+w]; l.valid && l.tag == key {
+			a.plru[set].touch(w, a.assoc)
+			return base + w
+		}
+	}
+	return -1
+}
+
+// has reports whether key is present without touching any state.
+func (a *setAssoc) has(key uint32) bool {
+	base := int(key&a.setMask) * a.assoc
+	for _, l := range a.lines[base : base+a.assoc] {
+		if l.valid && l.tag == key {
 			return true
 		}
 	}
 	return false
 }
+
+// fill installs key in its set, in the first invalid way or else in
+// the PLRU victim, makes it most-recently used and returns its slot.
+func (a *setAssoc) fill(key uint32) int {
+	set := int(key & a.setMask)
+	base := set * a.assoc
+	w := 0
+	for w < a.assoc && a.lines[base+w].valid {
+		w++
+	}
+	if w == a.assoc {
+		w = a.plru[set].victim(a.assoc)
+	}
+	a.lines[base+w] = cacheLine{tag: key, valid: true}
+	a.plru[set].touch(w, a.assoc)
+	return base + w
+}
+
+// cache is a set-associative cache of blocks with per-owner statistics.
+// It tracks line presence only (no data), which is all the timing model
+// needs. A TLB level is a cache whose blocks are pages (see tlbCache).
+type cache struct {
+	setAssoc
+	blockBits uint
+	Stats     CacheStats
+}
+
+// newCache builds a cache from its configuration, which must pass
+// Config.Validate.
+func newCache(cfg CacheConfig) cache {
+	c := cache{setAssoc: newSetAssoc(cfg.Size/cfg.BlockSize, cfg.Assoc)}
+	for 1<<c.blockBits < cfg.BlockSize {
+		c.blockBits++
+	}
+	return c
+}
+
+// tlbCache is the cache configuration of a TLB level: one page per line.
+func tlbCache(t TLBConfig) CacheConfig {
+	return CacheConfig{Size: t.Entries * mem.PageSize, BlockSize: mem.PageSize, Assoc: t.Assoc}
+}
+
+// Lookup probes the cache without modifying state and reports a hit.
+func (c *cache) Lookup(addr uint32) bool { return c.has(addr >> c.blockBits) }
 
 // Access performs an access for the given owner: on a hit the PLRU
 // state is refreshed; on a miss the PLRU victim is replaced. It returns
 // whether the access hit.
-func (c *Cache) Access(addr uint32, owner Owner) bool {
-	tag := addr >> c.blockBits
-	set := int(tag & c.setMask)
-	base := set * c.cfg.Assoc
-	c.Stats.Accesses[owner]++
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if l := &c.lines[base+w]; l.valid && l.tag == tag {
-			c.plru[set].touch(w, c.cfg.Assoc)
-			return true
-		}
-	}
-	c.Stats.Misses[owner]++
-	c.fill(tag, set, base)
-	return false
+func (c *cache) Access(addr uint32, owner Owner) bool {
+	return c.access(addr>>c.blockBits, owner, &c.Stats)
 }
 
 // Insert fills a line without counting an access (used by prefetches).
-func (c *Cache) Insert(addr uint32) {
-	tag := addr >> c.blockBits
-	set := int(tag & c.setMask)
-	c.fill(tag, set, set*c.cfg.Assoc)
-}
-
-func (c *Cache) fill(tag uint32, set, base int) {
-	// Prefer an invalid way before evicting.
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if !c.lines[base+w].valid {
-			c.lines[base+w] = cacheLine{tag: tag, valid: true}
-			c.plru[set].touch(w, c.cfg.Assoc)
-			return
-		}
-	}
-	w := c.plru[set].victim(c.cfg.Assoc)
-	c.lines[base+w] = cacheLine{tag: tag, valid: true}
-	c.plru[set].touch(w, c.cfg.Assoc)
-}
+func (c *cache) Insert(addr uint32) { c.fill(addr >> c.blockBits) }
 
 // BlockAddr returns the block-aligned address containing addr.
-func (c *Cache) BlockAddr(addr uint32) uint32 {
-	return addr &^ (uint32(c.cfg.BlockSize) - 1)
-}
-
-// BlockSize returns the configured block size in bytes.
-func (c *Cache) BlockSize() int { return c.cfg.BlockSize }
-
-// HitLatency returns the configured hit latency in cycles.
-func (c *Cache) HitLatency() int { return c.cfg.HitLatency }
-
-// Reset invalidates all lines and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{}
-	}
-	for i := range c.plru {
-		c.plru[i] = 0
-	}
-	c.Stats = CacheStats{}
-}
+func (c *cache) BlockAddr(addr uint32) uint32 { return addr >> c.blockBits << c.blockBits }

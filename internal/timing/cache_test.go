@@ -49,7 +49,7 @@ func TestPLRUVictimNeverMRU(t *testing.T) {
 }
 
 func TestCacheHitAfterFill(t *testing.T) {
-	c := NewCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
 	if c.Access(0x1000, OwnerApp) {
 		t.Fatal("cold access should miss")
 	}
@@ -69,7 +69,7 @@ func TestCacheHitAfterFill(t *testing.T) {
 
 func TestCacheConflictEviction(t *testing.T) {
 	// 1KB, 64B blocks, 4-way: 4 sets. 5 blocks mapping to set 0 must evict.
-	c := NewCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
 	setStride := uint32(64 * 4) // sets * blocksize
 	for i := uint32(0); i < 5; i++ {
 		c.Access(i*setStride, OwnerApp)
@@ -81,7 +81,7 @@ func TestCacheConflictEviction(t *testing.T) {
 }
 
 func TestCacheOwnersCountedSeparately(t *testing.T) {
-	c := NewCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
 	c.Access(0, OwnerApp)
 	c.Access(0x40, OwnerTOL)
 	if c.Stats.Accesses[OwnerApp] != 1 || c.Stats.Accesses[OwnerTOL] != 1 {
@@ -97,7 +97,7 @@ func TestCacheOwnersCountedSeparately(t *testing.T) {
 
 func TestCacheInterOwnerPollution(t *testing.T) {
 	// The interaction mechanism: TOL filling a set evicts App lines.
-	c := NewCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
 	setStride := uint32(64 * 4)
 	c.Access(0, OwnerApp)
 	for i := uint32(1); i <= 4; i++ {
@@ -109,7 +109,7 @@ func TestCacheInterOwnerPollution(t *testing.T) {
 }
 
 func TestCacheInsertPrefetch(t *testing.T) {
-	c := NewCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
 	c.Insert(0x2000)
 	if !c.Access(0x2000, OwnerApp) {
 		t.Fatal("inserted block should hit")
@@ -119,29 +119,17 @@ func TestCacheInsertPrefetch(t *testing.T) {
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	c := NewCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
-	c.Access(0, OwnerApp)
-	c.Reset()
-	if c.Stats.Accesses[OwnerApp] != 0 {
-		t.Fatal("stats not reset")
-	}
-	if c.Lookup(0) {
-		t.Fatal("lines not reset")
-	}
-}
-
 func TestCacheGeometryValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad geometry should panic")
 		}
 	}()
-	NewCache(CacheConfig{Size: 1000, BlockSize: 64, Assoc: 3, HitLatency: 1})
+	newCache(CacheConfig{Size: 1000, BlockSize: 64, Assoc: 3, HitLatency: 1})
 }
 
 func TestTLBBasic(t *testing.T) {
-	tlb := NewTLB(TLBConfig{Entries: 64, Assoc: 8, HitLatency: 1})
+	tlb := newCache(tlbCache(TLBConfig{Entries: 64, Assoc: 8, HitLatency: 1}))
 	if tlb.Access(0x1000, OwnerApp) {
 		t.Fatal("cold TLB access should miss")
 	}
@@ -154,7 +142,7 @@ func TestTLBBasic(t *testing.T) {
 }
 
 func TestTLBCapacityEviction(t *testing.T) {
-	tlb := NewTLB(TLBConfig{Entries: 8, Assoc: 8, HitLatency: 1}) // 1 set
+	tlb := newCache(tlbCache(TLBConfig{Entries: 8, Assoc: 8, HitLatency: 1})) // 1 set
 	for p := uint32(0); p < 9; p++ {
 		tlb.Access(p*4096, OwnerApp)
 	}
@@ -165,7 +153,7 @@ func TestTLBCapacityEviction(t *testing.T) {
 
 func TestPredictorLearnsLoop(t *testing.T) {
 	cfg := DefaultConfig()
-	p := NewPredictor(&cfg)
+	p := newPredictor(&cfg)
 	// A loop branch taken 50x then not taken: after warm-up the
 	// predictor should predict taken.
 	// Gshare folds the 12-bit global history into the index, so the
@@ -195,7 +183,7 @@ func TestPredictorLearnsLoop(t *testing.T) {
 
 func TestPredictorIndirectTargetChange(t *testing.T) {
 	cfg := DefaultConfig()
-	p := NewPredictor(&cfg)
+	p := newPredictor(&cfg)
 	d := DynInst{PC: 0x5000, IsBranch: true, IsIndirect: true, Taken: true, Target: 0x100, Owner: OwnerTOL}
 	p.PredictAndTrain(&d) // cold: mispredict
 	if p.PredictAndTrain(&d) != true {
@@ -209,7 +197,7 @@ func TestPredictorIndirectTargetChange(t *testing.T) {
 
 func TestPredictorUnconditionalDirectLearns(t *testing.T) {
 	cfg := DefaultConfig()
-	p := NewPredictor(&cfg)
+	p := newPredictor(&cfg)
 	d := DynInst{PC: 0x6000, IsBranch: true, Taken: true, Target: 0x7000}
 	p.PredictAndTrain(&d)
 	if !p.PredictAndTrain(&d) {
@@ -218,7 +206,7 @@ func TestPredictorUnconditionalDirectLearns(t *testing.T) {
 }
 
 func TestPrefetcherDetectsStride(t *testing.T) {
-	p := NewStridePrefetcher(256)
+	p := newStridePrefetcher(256)
 	pc := uint32(0x1000)
 	var got []uint32
 	for i := uint32(0); i < 6; i++ {
@@ -241,7 +229,7 @@ func TestPrefetcherDetectsStride(t *testing.T) {
 }
 
 func TestPrefetcherIgnoresRandom(t *testing.T) {
-	p := NewStridePrefetcher(256)
+	p := newStridePrefetcher(256)
 	r := rand.New(rand.NewSource(9))
 	pc := uint32(0x2000)
 	for i := 0; i < 100; i++ {
@@ -255,7 +243,7 @@ func TestPrefetcherIgnoresRandom(t *testing.T) {
 }
 
 func TestPrefetcherDisabled(t *testing.T) {
-	p := NewStridePrefetcher(0)
+	p := newStridePrefetcher(0)
 	for i := uint32(0); i < 10; i++ {
 		if pf := p.Observe(0x1000, 0x8000+i*64); pf != 0 {
 			t.Fatal("disabled prefetcher issued a prefetch")

@@ -101,8 +101,8 @@ const (
 
 // Validate rejects configurations the simulator cannot build or would
 // never finish: an empty issue stage or instruction queue, cache, TLB
-// and BTB geometries NewCache, NewTLB and NewPredictor refuse
-// (power-of-two sets, power-of-two associativity up to 16), a
+// and BTB geometries the set-associative array refuses (power-of-two
+// sets, power-of-two associativity up to 16), a
 // prefetcher that is neither off nor a power of two, and tables beyond
 // the bounds above. DefaultConfig passes.
 func (c *Config) Validate() error {

@@ -20,24 +20,51 @@ const (
 	fetchRedirect   // mispredict penalty running
 )
 
+// structures is one set of modelled microarchitectural state: the
+// caches, the two data-TLB levels, the branch predictor, the prefetcher
+// and the fetch unit's current I-cache line.
+type structures struct {
+	l1i, l1d, l2 cache
+	l1t, l2t     cache // data-TLB levels: caches of pages
+	bp           predictor
+	pref         stridePrefetcher
+
+	// lastFetchLine is the I-cache line fetch last accessed (valid when
+	// haveFetchLine); fetches from the same line do not access again.
+	lastFetchLine uint32
+	haveFetchLine bool
+}
+
+func newStructures(cfg *Config) *structures {
+	return &structures{
+		l1i:  newCache(cfg.L1I),
+		l1d:  newCache(cfg.L1D),
+		l2:   newCache(cfg.L2),
+		l1t:  newCache(tlbCache(cfg.L1TLB)),
+		l2t:  newCache(tlbCache(cfg.L2TLB)),
+		bp:   newPredictor(cfg),
+		pref: newStridePrefetcher(cfg.PrefetcherEntries),
+	}
+}
+
+const numCaches = 5
+
+// caches returns the set's caches in Result order: L1I, L1D, L2, L1
+// TLB, L2 TLB.
+func (st *structures) caches() [numCaches]*cache {
+	return [numCaches]*cache{&st.l1i, &st.l1d, &st.l2, &st.l1t, &st.l2t}
+}
+
 // Simulator is the timing model. Create one per run with NewSimulator;
 // the structures are stateful (caches, predictor, TLB), so a Simulator
 // models one continuous execution.
-//
-// The structure arrays hold one set of caches/predictors in the shared
-// and drop modes (both owners index slot 0) and per-owner private sets
-// in ModeSplit.
 type Simulator struct {
 	cfg  Config
 	mode Mode
 
-	l1i  [NumOwners]*Cache
-	l1d  [NumOwners]*Cache
-	l2   [NumOwners]*Cache
-	l1t  [NumOwners]*TLB
-	l2t  [NumOwners]*TLB
-	bp   [NumOwners]*Predictor
-	pref [NumOwners]*StridePrefetcher
+	// st holds one structure set in the shared and drop modes (both
+	// owners index slot 0) and a private set per owner in ModeSplit.
+	st [NumOwners]*structures
 
 	// Scoreboard: cycle each register becomes ready, and whether its
 	// producer was a load that missed in the L1 data cache.
@@ -55,8 +82,6 @@ type Simulator struct {
 	fetchReadyAt    uint64 // when fetchIMiss/fetchRedirect clears
 	fetchBlockOwner Owner
 	fetchBlockComp  Component
-	lastFetchLine   [NumOwners]uint32
-	haveFetchLine   [NumOwners]bool
 	// pending points at the next instruction (already pulled, awaiting
 	// I$) inside the batch buffer; nil when none. The batch is only
 	// refilled after the pointee is consumed into the IQ, so the
@@ -137,28 +162,26 @@ func NewSimulator(cfg Config, mode Mode) *Simulator {
 		stalledBranch: -1,
 		batch:         make([]DynInst, batch),
 	}
-	sets := 1
-	if mode == ModeSplit {
-		sets = int(NumOwners)
-	}
-	for i := 0; i < sets; i++ {
-		s.l1i[i] = NewCache(cfg.L1I)
-		s.l1d[i] = NewCache(cfg.L1D)
-		s.l2[i] = NewCache(cfg.L2)
-		s.l1t[i] = NewTLB(cfg.L1TLB)
-		s.l2t[i] = NewTLB(cfg.L2TLB)
-		s.bp[i] = NewPredictor(&cfg)
-		s.pref[i] = NewStridePrefetcher(cfg.PrefetcherEntries)
+	for i := range s.sets() {
+		s.st[i] = newStructures(&cfg)
 	}
 	return s
 }
 
-// setIdx returns the structure-set index for an owner.
-func (s *Simulator) setIdx(o Owner) int {
+// sets returns the simulator's structure sets.
+func (s *Simulator) sets() []*structures {
 	if s.mode == ModeSplit {
-		return int(o)
+		return s.st[:]
 	}
-	return 0
+	return s.st[:1]
+}
+
+// set returns the structure set an owner's instructions use.
+func (s *Simulator) set(o Owner) *structures {
+	if s.mode == ModeSplit {
+		return s.st[o]
+	}
+	return s.st[0]
 }
 
 // skip reports whether the mode drops instructions of this owner.
@@ -210,16 +233,16 @@ func (s *Simulator) iqPop() {
 // stall in cycles beyond the pipelined hit latency (0 on L1I hit).
 // Accesses are counted per cache line, not per instruction.
 func (s *Simulator) instAccess(pc uint32, owner Owner) int {
-	i := s.setIdx(owner)
-	line := s.l1i[i].BlockAddr(pc)
-	if s.haveFetchLine[i] && line == s.lastFetchLine[i] {
+	st := s.set(owner)
+	line := st.l1i.BlockAddr(pc)
+	if st.haveFetchLine && line == st.lastFetchLine {
 		return 0
 	}
-	s.lastFetchLine[i], s.haveFetchLine[i] = line, true
-	if s.l1i[i].Access(line, owner) {
+	st.lastFetchLine, st.haveFetchLine = line, true
+	if st.l1i.Access(line, owner) {
 		return 0
 	}
-	if s.l2[i].Access(line, owner) {
+	if st.l2.Access(line, owner) {
 		return s.cfg.L2.HitLatency
 	}
 	return s.cfg.L2.HitLatency + s.cfg.MemLatency
@@ -230,30 +253,30 @@ func (s *Simulator) instAccess(pc uint32, owner Owner) int {
 // 1-cycle EXE address calculation) and whether the access missed in
 // the L1 data cache.
 func (s *Simulator) dataAccess(pc, addr uint32, owner Owner) (lat int, l1Miss bool) {
-	i := s.setIdx(owner)
+	st := s.set(owner)
 	// An L1 TLB hit is overlapped with the L1D access (VIPT-style); the
 	// extra cost appears only on L1 TLB misses.
-	if !s.l1t[i].Access(addr, owner) {
-		if s.l2t[i].Access(addr, owner) {
+	if !st.l1t.Access(addr, owner) {
+		if st.l2t.Access(addr, owner) {
 			lat += s.cfg.L2TLB.HitLatency
 		} else {
 			lat += s.cfg.L2TLB.HitLatency + s.cfg.TLBMissLatency
 		}
 	}
-	if s.l1d[i].Access(addr, owner) {
+	if st.l1d.Access(addr, owner) {
 		lat += s.cfg.L1D.HitLatency
 	} else {
 		l1Miss = true
-		if s.l2[i].Access(addr, owner) {
+		if st.l2.Access(addr, owner) {
 			lat += s.cfg.L2.HitLatency
 		} else {
 			lat += s.cfg.L2.HitLatency + s.cfg.MemLatency
 		}
 	}
-	if pf := s.pref[i].Observe(pc, addr); pf != 0 {
-		if !s.l1d[i].Lookup(pf) {
-			s.l1d[i].Insert(pf)
-			s.l2[i].Insert(pf)
+	if pf := st.pref.Observe(pc, addr); pf != 0 {
+		if !st.l1d.Lookup(pf) {
+			st.l1d.Insert(pf)
+			st.l2.Insert(pf)
 		}
 	}
 	return lat, l1Miss
@@ -369,7 +392,7 @@ func (s *Simulator) fetch() {
 		}
 		entry := s.iqPush(s.pending)
 		s.pending = nil
-		if entry.inst.IsBranch && !s.bp[s.setIdx(entry.inst.Owner)].PredictAndTrain(&entry.inst) {
+		if entry.inst.IsBranch && !s.set(entry.inst.Owner).bp.PredictAndTrain(&entry.inst) {
 			entry.mispredict = true
 			// Fetch stops until this branch resolves in EXE.
 			s.fetchState = fetchBranchWait
@@ -492,20 +515,16 @@ func (s *Simulator) accountBubble() {
 func (s *Simulator) ResultSoFar() Result {
 	res := s.res
 	res.Cycles = s.cycle
-	for i := 0; i < int(NumOwners); i++ {
-		if s.l1i[i] == nil {
-			continue
+	dst := [numCaches]*CacheStats{&res.L1I, &res.L1D, &res.L2, &res.L1TLB, &res.L2TLB}
+	for _, st := range s.sets() {
+		for k, c := range st.caches() {
+			addCache(dst[k], &c.Stats)
 		}
-		addCache(&res.L1I, &s.l1i[i].Stats)
-		addCache(&res.L1D, &s.l1d[i].Stats)
-		addCache(&res.L2, &s.l2[i].Stats)
-		addCache(&res.L1TLB, &s.l1t[i].Stats)
-		addCache(&res.L2TLB, &s.l2t[i].Stats)
 		for o := Owner(0); o < NumOwners; o++ {
-			res.Branch.Branches[o] += s.bp[i].Stats.Branches[o]
-			res.Branch.Mispredicts[o] += s.bp[i].Stats.Mispredicts[o]
+			res.Branch.Branches[o] += st.bp.Stats.Branches[o]
+			res.Branch.Mispredicts[o] += st.bp.Stats.Mispredicts[o]
 		}
-		res.PrefetchesIssued += s.pref[i].Issued
+		res.PrefetchesIssued += st.pref.Issued
 	}
 	return res
 }

@@ -1,29 +1,28 @@
 package timing
 
-// StridePrefetcher is a PC-indexed stride prefetcher attached to the
+// stridePrefetcher is a PC-indexed stride prefetcher attached to the
 // L1 data cache (Table I: 256 entries). When a load/store at a given PC
 // exhibits a stable address stride, the next block is prefetched.
-type StridePrefetcher struct {
+type stridePrefetcher struct {
 	mask    uint32
 	tags    []uint32
 	last    []uint32
 	stride  []int32
 	conf    []uint8
 	Issued  uint64 // prefetches issued
-	Useful  uint64 // prefetched blocks that were later hit (approximate)
 	enabled bool
 }
 
-// NewStridePrefetcher creates a prefetcher with the given entry count
+// newStridePrefetcher creates a prefetcher with the given entry count
 // (a power of two). Zero entries disables prefetching.
-func NewStridePrefetcher(entries int) *StridePrefetcher {
+func newStridePrefetcher(entries int) stridePrefetcher {
 	if entries == 0 {
-		return &StridePrefetcher{}
+		return stridePrefetcher{}
 	}
-	if entries&(entries-1) != 0 {
+	if !pow2(entries) {
 		panic("timing: prefetcher entries must be a power of two")
 	}
-	return &StridePrefetcher{
+	return stridePrefetcher{
 		mask:    uint32(entries - 1),
 		tags:    make([]uint32, entries),
 		last:    make([]uint32, entries),
@@ -36,7 +35,7 @@ func NewStridePrefetcher(entries int) *StridePrefetcher {
 // Observe records a data access by the instruction at pc and returns
 // the address to prefetch, if any (0 means no prefetch; address 0 is
 // never a valid prefetch candidate in the modeled layout).
-func (p *StridePrefetcher) Observe(pc, addr uint32) uint32 {
+func (p *stridePrefetcher) Observe(pc, addr uint32) uint32 {
 	if !p.enabled {
 		return 0
 	}
@@ -68,15 +67,4 @@ func (p *StridePrefetcher) Observe(pc, addr uint32) uint32 {
 		return addr + uint32(d)
 	}
 	return 0
-}
-
-// Reset clears the table and statistics.
-func (p *StridePrefetcher) Reset() {
-	for i := range p.tags {
-		p.tags[i] = 0
-		p.last[i] = 0
-		p.stride[i] = 0
-		p.conf[i] = 0
-	}
-	p.Issued, p.Useful = 0, 0
 }

@@ -17,35 +17,37 @@ type IQEntry struct {
 	Mispredict bool    `json:"mispredict,omitempty"`
 }
 
-// CacheSnap captures the replacement state and statistics of one
-// set-associative structure (cache or TLB — the shapes are identical).
-// Tags and Valid are way-major within set, exactly as stored.
-type CacheSnap struct {
-	Tags  []uint32   `json:"tags"`
-	Valid []byte     `json:"valid"` // 1 = line valid
-	PLRU  []uint16   `json:"plru"`
-	Stats CacheStats `json:"stats"`
+// LinesSnap captures one set-associative array — a cache, a TLB level
+// or the BTB — exactly as stored: Tags and Valid way-major within set,
+// one PLRU tree per set.
+type LinesSnap struct {
+	Tags  []uint32 `json:"tags"`
+	Valid []byte   `json:"valid"` // 1 = line valid
+	PLRU  []uint16 `json:"plru"`
 }
 
-// PredictorSnap captures the Gshare + BTB state and statistics.
-type PredictorSnap struct {
+// SetSnap captures one structure set: its caches in Result order (L1I,
+// L1D, L2, L1 TLB, L2 TLB) with their statistics, the Gshare predictor
+// and BTB, the stride prefetcher, and the fetch unit's current I-cache
+// line.
+type SetSnap struct {
+	Caches     [numCaches]LinesSnap  `json:"caches"`
+	CacheStats [numCaches]CacheStats `json:"cache_stats"`
+
 	History    uint32      `json:"history"`
 	Counters   []byte      `json:"counters"`
-	BTBTags    []uint32    `json:"btb_tags"`
-	BTBValid   []byte      `json:"btb_valid"`
+	BTB        LinesSnap   `json:"btb"`
 	BTBTargets []uint32    `json:"btb_targets"`
-	BTBPLRU    []uint16    `json:"btb_plru"`
-	Stats      BranchStats `json:"stats"`
-}
+	Branch     BranchStats `json:"branch"`
 
-// PrefetcherSnap captures the stride-prefetcher table and counters.
-type PrefetcherSnap struct {
-	Tags   []uint32 `json:"tags"`
-	Last   []uint32 `json:"last"`
-	Stride []int32  `json:"stride"`
-	Conf   []byte   `json:"conf"`
-	Issued uint64   `json:"issued"`
-	Useful uint64   `json:"useful"`
+	PrefTags    []uint32 `json:"pref_tags"`
+	PrefLast    []uint32 `json:"pref_last"`
+	PrefStride  []int32  `json:"pref_stride"`
+	PrefConf    []byte   `json:"pref_conf"`
+	PrefsIssued uint64   `json:"prefs_issued"`
+
+	LastFetchLine uint32 `json:"last_fetch_line"`
+	HaveFetchLine bool   `json:"have_fetch_line"`
 }
 
 // SimSnapshot is a complete, JSON-serializable capture of a Simulator
@@ -54,9 +56,8 @@ type PrefetcherSnap struct {
 // same stream suffix, produces byte-identical results to the original
 // continuing uninterrupted — the foundation of checkpoint/restore.
 //
-// The per-owner structure slots follow the Simulator's layout: index 0
-// only in the shared/app-only/tol-only modes, one slot per owner in
-// ModeSplit; unused slots are nil.
+// Sets holds one entry per structure set: one in the shared, app-only
+// and tol-only modes, one per owner in ModeSplit.
 type SimSnapshot struct {
 	Cfg  Config `json:"config"`
 	Mode Mode   `json:"mode"`
@@ -72,24 +73,16 @@ type SimSnapshot struct {
 
 	IQ []IQEntry `json:"iq,omitempty"`
 
-	FetchState      uint8             `json:"fetch_state"`
-	FetchReadyAt    uint64            `json:"fetch_ready_at"`
-	FetchBlockOwner Owner             `json:"fetch_block_owner"`
-	FetchBlockComp  Component         `json:"fetch_block_comp"`
-	LastFetchLine   [NumOwners]uint32 `json:"last_fetch_line"`
-	HaveFetchLine   [NumOwners]bool   `json:"have_fetch_line"`
-	StalledBranch   int               `json:"stalled_branch"`
-	Pending         *DynInst          `json:"pending,omitempty"`
-	StreamDone      bool              `json:"stream_done,omitempty"`
-	Batch           []DynInst         `json:"batch,omitempty"` // undelivered refill tail
+	FetchState      uint8     `json:"fetch_state"`
+	FetchReadyAt    uint64    `json:"fetch_ready_at"`
+	FetchBlockOwner Owner     `json:"fetch_block_owner"`
+	FetchBlockComp  Component `json:"fetch_block_comp"`
+	StalledBranch   int       `json:"stalled_branch"`
+	Pending         *DynInst  `json:"pending,omitempty"`
+	StreamDone      bool      `json:"stream_done,omitempty"`
+	Batch           []DynInst `json:"batch,omitempty"` // undelivered refill tail
 
-	L1I   [NumOwners]*CacheSnap      `json:"l1i"`
-	L1D   [NumOwners]*CacheSnap      `json:"l1d"`
-	L2    [NumOwners]*CacheSnap      `json:"l2"`
-	L1TLB [NumOwners]*CacheSnap      `json:"l1_tlb"`
-	L2TLB [NumOwners]*CacheSnap      `json:"l2_tlb"`
-	BP    [NumOwners]*PredictorSnap  `json:"bp"`
-	Pref  [NumOwners]*PrefetcherSnap `json:"pref"`
+	Sets []SetSnap `json:"sets"`
 }
 
 // Snapshot captures the simulator's complete state. It must only be
@@ -107,8 +100,6 @@ func (s *Simulator) Snapshot() *SimSnapshot {
 		FetchReadyAt:    s.fetchReadyAt,
 		FetchBlockOwner: s.fetchBlockOwner,
 		FetchBlockComp:  s.fetchBlockComp,
-		LastFetchLine:   s.lastFetchLine,
-		HaveFetchLine:   s.haveFetchLine,
 		StalledBranch:   s.stalledBranch,
 		StreamDone:      s.streamDone,
 	}
@@ -123,17 +114,8 @@ func (s *Simulator) Snapshot() *SimSnapshot {
 	if s.batchPos < s.batchLen {
 		sn.Batch = append([]DynInst(nil), s.batch[s.batchPos:s.batchLen]...)
 	}
-	for i := 0; i < int(NumOwners); i++ {
-		if s.l1i[i] == nil {
-			continue
-		}
-		sn.L1I[i] = s.l1i[i].snap()
-		sn.L1D[i] = s.l1d[i].snap()
-		sn.L2[i] = s.l2[i].snap()
-		sn.L1TLB[i] = s.l1t[i].snapTLB()
-		sn.L2TLB[i] = s.l2t[i].snapTLB()
-		sn.BP[i] = s.bp[i].snap()
-		sn.Pref[i] = s.pref[i].snap()
+	for _, st := range s.sets() {
+		sn.Sets = append(sn.Sets, st.snap())
 	}
 	return sn
 }
@@ -162,8 +144,6 @@ func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
 	s.fetchReadyAt = sn.FetchReadyAt
 	s.fetchBlockOwner = sn.FetchBlockOwner
 	s.fetchBlockComp = sn.FetchBlockComp
-	s.lastFetchLine = sn.LastFetchLine
-	s.haveFetchLine = sn.HaveFetchLine
 	s.stalledBranch = sn.StalledBranch
 	s.streamDone = sn.StreamDone
 	s.iqHead, s.iqCount = 0, len(sn.IQ)
@@ -175,144 +155,97 @@ func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
 		s.pending = &s.pendingBuf
 	}
 	s.batchPos, s.batchLen = 0, copy(s.batch, sn.Batch)
-	for i := 0; i < int(NumOwners); i++ {
-		if s.l1i[i] == nil {
-			if sn.L1I[i] != nil {
-				return nil, fmt.Errorf("timing: snapshot has structure set %d, mode %v does not", i, sn.Mode)
-			}
-			continue
-		}
-		if sn.L1I[i] == nil {
-			return nil, fmt.Errorf("timing: snapshot missing structure set %d for mode %v", i, sn.Mode)
-		}
-		if err := errors.Join(
-			s.l1i[i].restore(sn.L1I[i]),
-			s.l1d[i].restore(sn.L1D[i]),
-			s.l2[i].restore(sn.L2[i]),
-			s.l1t[i].restoreTLB(sn.L1TLB[i]),
-			s.l2t[i].restoreTLB(sn.L2TLB[i]),
-			s.bp[i].restore(sn.BP[i]),
-			s.pref[i].restore(sn.Pref[i]),
-		); err != nil {
+	sets := s.sets()
+	if len(sn.Sets) != len(sets) {
+		return nil, fmt.Errorf("timing: snapshot has %d structure sets, mode %v has %d", len(sn.Sets), sn.Mode, len(sets))
+	}
+	for i, st := range sets {
+		if err := st.restore(&sn.Sets[i]); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func snapLines(lines []cacheLine, plru []plruTree, stats CacheStats) *CacheSnap {
-	sn := &CacheSnap{
-		Tags:  make([]uint32, len(lines)),
-		Valid: make([]byte, len(lines)),
-		PLRU:  make([]uint16, len(plru)),
-		Stats: stats,
+func (a *setAssoc) snap() LinesSnap {
+	sn := LinesSnap{
+		Tags:  make([]uint32, len(a.lines)),
+		Valid: make([]byte, len(a.lines)),
+		PLRU:  make([]uint16, len(a.plru)),
 	}
-	for i, l := range lines {
+	for i, l := range a.lines {
 		sn.Tags[i] = l.tag
 		if l.valid {
 			sn.Valid[i] = 1
 		}
 	}
-	for i, t := range plru {
+	for i, t := range a.plru {
 		sn.PLRU[i] = uint16(t)
 	}
 	return sn
 }
 
-func restoreLines(lines []cacheLine, plru []plruTree, sn *CacheSnap, what string) error {
-	if sn == nil || len(sn.Tags) != len(lines) || len(sn.Valid) != len(lines) || len(sn.PLRU) != len(plru) {
-		return fmt.Errorf("timing: %s snapshot does not match configured geometry", what)
+func (a *setAssoc) restore(sn *LinesSnap) error {
+	if len(sn.Tags) != len(a.lines) || len(sn.Valid) != len(a.lines) || len(sn.PLRU) != len(a.plru) {
+		return errors.New("timing: set-associative snapshot does not match configured geometry")
 	}
-	for i := range lines {
-		lines[i] = cacheLine{tag: sn.Tags[i], valid: sn.Valid[i] != 0}
+	for i := range a.lines {
+		a.lines[i] = cacheLine{tag: sn.Tags[i], valid: sn.Valid[i] != 0}
 	}
-	for i := range plru {
-		plru[i] = plruTree(sn.PLRU[i])
+	for i := range a.plru {
+		a.plru[i] = plruTree(sn.PLRU[i])
 	}
 	return nil
 }
 
-func (c *Cache) snap() *CacheSnap { return snapLines(c.lines, c.plru, c.Stats) }
-
-func (c *Cache) restore(sn *CacheSnap) error {
-	if err := restoreLines(c.lines, c.plru, sn, "cache"); err != nil {
-		return err
+func (st *structures) snap() SetSnap {
+	p, pf := &st.bp, &st.pref
+	sn := SetSnap{
+		History:       p.history,
+		Counters:      append([]byte(nil), p.counters...),
+		BTB:           p.btb.snap(),
+		BTBTargets:    append([]uint32(nil), p.btbTargets...),
+		Branch:        p.Stats,
+		PrefTags:      append([]uint32(nil), pf.tags...),
+		PrefLast:      append([]uint32(nil), pf.last...),
+		PrefStride:    append([]int32(nil), pf.stride...),
+		PrefConf:      append([]byte(nil), pf.conf...),
+		PrefsIssued:   pf.Issued,
+		LastFetchLine: st.lastFetchLine,
+		HaveFetchLine: st.haveFetchLine,
 	}
-	c.Stats = sn.Stats
-	return nil
-}
-
-func (t *TLB) snapTLB() *CacheSnap { return snapLines(t.lines, t.plru, t.Stats) }
-
-func (t *TLB) restoreTLB(sn *CacheSnap) error {
-	if err := restoreLines(t.lines, t.plru, sn, "TLB"); err != nil {
-		return err
-	}
-	t.Stats = sn.Stats
-	return nil
-}
-
-func (p *Predictor) snap() *PredictorSnap {
-	sn := &PredictorSnap{
-		History:    p.history,
-		Counters:   append([]byte(nil), p.counters...),
-		BTBTags:    make([]uint32, len(p.btbTags)),
-		BTBValid:   make([]byte, len(p.btbTags)),
-		BTBTargets: append([]uint32(nil), p.btbTargets...),
-		BTBPLRU:    make([]uint16, len(p.btbPLRU)),
-		Stats:      p.Stats,
-	}
-	for i, l := range p.btbTags {
-		sn.BTBTags[i] = l.tag
-		if l.valid {
-			sn.BTBValid[i] = 1
-		}
-	}
-	for i, t := range p.btbPLRU {
-		sn.BTBPLRU[i] = uint16(t)
+	for k, c := range st.caches() {
+		sn.Caches[k] = c.snap()
+		sn.CacheStats[k] = c.Stats
 	}
 	return sn
 }
 
-func (p *Predictor) restore(sn *PredictorSnap) error {
-	if sn == nil || len(sn.Counters) != len(p.counters) ||
-		len(sn.BTBTags) != len(p.btbTags) || len(sn.BTBValid) != len(p.btbTags) ||
-		len(sn.BTBTargets) != len(p.btbTargets) || len(sn.BTBPLRU) != len(p.btbPLRU) {
-		return errors.New("timing: predictor snapshot does not match configured geometry")
+func (st *structures) restore(sn *SetSnap) error {
+	p, pf := &st.bp, &st.pref
+	if len(sn.Counters) != len(p.counters) || len(sn.BTBTargets) != len(p.btbTargets) ||
+		len(sn.PrefTags) != len(pf.tags) || len(sn.PrefLast) != len(pf.last) ||
+		len(sn.PrefStride) != len(pf.stride) || len(sn.PrefConf) != len(pf.conf) {
+		return errors.New("timing: predictor or prefetcher snapshot does not match configured geometry")
+	}
+	for k, c := range st.caches() {
+		if err := c.restore(&sn.Caches[k]); err != nil {
+			return err
+		}
+		c.Stats = sn.CacheStats[k]
+	}
+	if err := p.btb.restore(&sn.BTB); err != nil {
+		return err
 	}
 	p.history = sn.History
 	copy(p.counters, sn.Counters)
-	for i := range p.btbTags {
-		p.btbTags[i] = cacheLine{tag: sn.BTBTags[i], valid: sn.BTBValid[i] != 0}
-	}
 	copy(p.btbTargets, sn.BTBTargets)
-	for i := range p.btbPLRU {
-		p.btbPLRU[i] = plruTree(sn.BTBPLRU[i])
-	}
-	p.Stats = sn.Stats
-	return nil
-}
-
-func (p *StridePrefetcher) snap() *PrefetcherSnap {
-	return &PrefetcherSnap{
-		Tags:   append([]uint32(nil), p.tags...),
-		Last:   append([]uint32(nil), p.last...),
-		Stride: append([]int32(nil), p.stride...),
-		Conf:   append([]byte(nil), p.conf...),
-		Issued: p.Issued,
-		Useful: p.Useful,
-	}
-}
-
-func (p *StridePrefetcher) restore(sn *PrefetcherSnap) error {
-	if sn == nil || len(sn.Tags) != len(p.tags) || len(sn.Last) != len(p.last) ||
-		len(sn.Stride) != len(p.stride) || len(sn.Conf) != len(p.conf) {
-		return errors.New("timing: prefetcher snapshot does not match configured geometry")
-	}
-	copy(p.tags, sn.Tags)
-	copy(p.last, sn.Last)
-	copy(p.stride, sn.Stride)
-	copy(p.conf, sn.Conf)
-	p.Issued, p.Useful = sn.Issued, sn.Useful
+	p.Stats = sn.Branch
+	copy(pf.tags, sn.PrefTags)
+	copy(pf.last, sn.PrefLast)
+	copy(pf.stride, sn.PrefStride)
+	copy(pf.conf, sn.PrefConf)
+	pf.Issued = sn.PrefsIssued
+	st.lastFetchLine, st.haveFetchLine = sn.LastFetchLine, sn.HaveFetchLine
 	return nil
 }
