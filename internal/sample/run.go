@@ -73,11 +73,11 @@ type Result struct {
 const ffBundleVersion = 1
 
 // ffSnap is one interval checkpoint inside a bundle: the interval index
-// and the snapshot.Machine envelope, kept as raw JSON so each
-// measurement decodes its own private copy.
+// and the captured machine. Restore only reads the machine, so every
+// measurement restores from this one value.
 type ffSnap struct {
-	Index   int             `json:"index"`
-	Machine json.RawMessage `json:"machine"`
+	Index   int               `json:"index"`
+	Machine *snapshot.Machine `json:"machine"`
 }
 
 // ffBundle is everything the functional fast-forward pass produces:
@@ -101,21 +101,15 @@ type ffBundle struct {
 // configuration and the sampling plan). Timing configuration and mode
 // deliberately do not participate — they only affect measurement, so
 // one bundle serves every microarchitecture swept over the same
-// workload.
-func (r *Runner) cacheKey() (string, error) {
-	tj, err := json.Marshal(&r.TOL)
-	if err != nil {
-		return "", fmt.Errorf("sample: TOL config not hashable: %w", err)
-	}
-	sj, err := json.Marshal(&r.Sample)
-	if err != nil {
-		return "", fmt.Errorf("sample: plan not hashable: %w", err)
-	}
+// workload. Both configurations are plain data, so Marshal cannot fail.
+func (r *Runner) cacheKey() string {
+	tj, _ := json.Marshal(&r.TOL)
+	sj, _ := json.Marshal(&r.Sample)
 	h := fnv.New64a()
 	h.Write(tj)
 	h.Write([]byte{0})
 	h.Write(sj)
-	return fmt.Sprintf("ff|%s|%016x", r.Program, h.Sum64()), nil
+	return fmt.Sprintf("ff|%s|%016x", r.Program, h.Sum64())
 }
 
 // Run executes the sampled run: fast-forward (or bundle-cache hit),
@@ -160,31 +154,28 @@ func (r *Runner) Run(ctx context.Context, p *guest.Program) (*Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			iv, res, err := r.measure(ctx, p, &snaps[i])
-			intervals[i], results[i], errs[i] = iv, res, err
+			intervals[i], results[i], errs[i] = r.measure(ctx, p, &snaps[i])
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sample: interval %d: %w", snaps[i].Index, err)
 		}
 	}
 
 	est, metrics, estCycles := estimate(intervals, results, bundle.HostInsts)
-	nIntervals := int((bundle.GuestInsts + r.Sample.Interval - 1) / r.Sample.Interval)
-	rep := &Report{
-		Config:     r.Sample,
-		GuestInsts: bundle.GuestInsts,
-		HostInsts:  bundle.HostInsts,
-		Intervals:  nIntervals,
-		FFCached:   cached,
-		Measured:   intervals,
-		Metrics:    metrics,
-		EstCycles:  estCycles,
-	}
 	return &Result{
-		Report:         rep,
+		Report: &Report{
+			Config:     r.Sample,
+			GuestInsts: bundle.GuestInsts,
+			HostInsts:  bundle.HostInsts,
+			Intervals:  int((bundle.GuestInsts + r.Sample.Interval - 1) / r.Sample.Interval),
+			FFCached:   cached,
+			Measured:   intervals,
+			Metrics:    metrics,
+			EstCycles:  estCycles,
+		},
 		Timing:         &est,
 		TOL:            bundle.Stats,
 		Final:          bundle.Final,
@@ -200,14 +191,10 @@ func (r *Runner) Run(ctx context.Context, p *guest.Program) (*Result, error) {
 func (r *Runner) loadOrFastForward(ctx context.Context, p *guest.Program) (*ffBundle, bool, error) {
 	var key string
 	if r.Cache != nil && r.Program != "" {
-		k, err := r.cacheKey()
-		if err != nil {
-			return nil, false, err
-		}
-		key = k
+		key = r.cacheKey()
 		if raw, ok, err := r.Cache.GetRaw(key); err == nil && ok {
 			var b ffBundle
-			if json.Unmarshal(raw, &b) == nil && b.Version == ffBundleVersion && b.Program == r.Program && b.Sample == r.Sample {
+			if json.Unmarshal(raw, &b) == nil && r.restorable(&b, p) {
 				return &b, true, nil
 			}
 		}
@@ -222,6 +209,25 @@ func (r *Runner) loadOrFastForward(ctx context.Context, p *guest.Program) (*ffBu
 		}
 	}
 	return b, false, nil
+}
+
+// restorable reports whether a cached bundle belongs to this run and
+// every checkpoint in it is one this build can restore onto p.
+func (r *Runner) restorable(b *ffBundle, p *guest.Program) bool {
+	if b.Version != ffBundleVersion || b.Program != r.Program || b.Sample != r.Sample {
+		return false
+	}
+	isa, err := guest.ISAOf(p)
+	if err != nil {
+		return false
+	}
+	for _, s := range b.Snapshots {
+		m := s.Machine
+		if m == nil || m.Validate(r.Program) != nil || (m.ISA != "" && m.ISA != isa.Name) {
+			return false
+		}
+	}
+	return true
 }
 
 // fastForward runs the program once in functional mode (the engine
@@ -239,11 +245,7 @@ func (r *Runner) fastForward(ctx context.Context, p *guest.Program) (*ffBundle, 
 		if err != nil {
 			return fmt.Errorf("sample: checkpoint at interval %d: %w", index, err)
 		}
-		raw, err := snapshot.Encode(m)
-		if err != nil {
-			return fmt.Errorf("sample: checkpoint at interval %d: %w", index, err)
-		}
-		b.Snapshots = append(b.Snapshots, ffSnap{Index: index, Machine: raw})
+		b.Snapshots = append(b.Snapshots, ffSnap{Index: index, Machine: m})
 		return nil
 	}
 
@@ -290,22 +292,16 @@ func (r *Runner) fastForward(ctx context.Context, p *guest.Program) (*ffBundle, 
 // engine, run a fresh (cold) simulator through the warm-up window, mark
 // the baseline, run to the interval's end, and return the difference.
 func (r *Runner) measure(ctx context.Context, p *guest.Program, s *ffSnap) (Interval, timing.Result, error) {
-	m, err := snapshot.Decode(s.Machine)
+	eng, _, err := s.Machine.Restore(p)
 	if err != nil {
-		return Interval{}, timing.Result{}, fmt.Errorf("sample: interval %d: %w", s.Index, err)
-	}
-	eng, _, err := m.Restore(p)
-	if err != nil {
-		return Interval{}, timing.Result{}, fmt.Errorf("sample: interval %d: %w", s.Index, err)
+		return Interval{}, timing.Result{}, err
 	}
 	eng.SetContext(ctx)
 	start := uint64(s.Index) * r.Sample.Interval
 	eng.SetStopAfter(start + r.Sample.Interval)
 
 	sim := timing.NewSimulator(r.Timing, r.Mode)
-	if r.MaxCycles != 0 {
-		sim.MaxCycles = r.MaxCycles
-	}
+	sim.MaxCycles = r.MaxCycles
 	sim.StopWhen = func() bool { return eng.Stats.DynTotal() >= start }
 	var base timing.Result
 	res, err := sim.RunContext(ctx, eng)
@@ -316,11 +312,11 @@ func (r *Runner) measure(ctx context.Context, p *guest.Program, s *ffSnap) (Inte
 		sim.StopWhen = nil
 		res, err = sim.RunContext(ctx, eng)
 	}
-	if err != nil {
-		return Interval{}, timing.Result{}, fmt.Errorf("sample: interval %d: %w", s.Index, err)
+	if err == nil {
+		err = eng.Err()
 	}
-	if err := eng.Err(); err != nil {
-		return Interval{}, timing.Result{}, fmt.Errorf("sample: interval %d: %w", s.Index, err)
+	if err != nil {
+		return Interval{}, timing.Result{}, err
 	}
 	measured := res.Sub(&base)
 	iv := Interval{

@@ -6,10 +6,13 @@
 // engine alone, which keeps every piece of TOL software state — profile
 // counters, code cache, translation table — exactly as warm as a full
 // run would), checkpointed at the boundaries of the selected intervals
-// (internal/snapshot envelopes), and only the selected intervals are
-// simulated in detail, in parallel across cores, each preceded by a
-// configurable detailed warm-up that fills the cold microarchitectural
-// structures before measurement begins.
+// (internal/snapshot machines, held as values: every measurement
+// restores from the captured machine, and JSON is written and read
+// only when the bundle of checkpoints goes through a BlobCache), and
+// only the selected intervals are simulated in detail, in parallel
+// across cores, each preceded by a configurable detailed warm-up that
+// fills the cold microarchitectural structures before measurement
+// begins.
 //
 // The whole-run statistics are then reconstructed as estimates: exact
 // functional quantities (guest instruction counts, TOL statistics,

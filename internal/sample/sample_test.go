@@ -156,11 +156,14 @@ func (c *memCache) PutRaw(key string, raw json.RawMessage) error {
 
 // TestFastForwardBundleCache pins warm-starting: a second sampled run
 // with the same program fingerprint and plan serves the fast-forward
-// pass from the cache and produces the identical report.
+// pass from the cache and produces the identical result. The first run
+// measures from the machines it captured; the second from machines
+// decoded out of the stored bundle, cosim shadow included.
 func TestFastForwardBundleCache(t *testing.T) {
 	p := fibProgram(500)
 	cache := &memCache{}
-	r1 := testRunner(2)
+	r1 := testRunner(4)
+	r1.TOL.Cosim = true
 	r1.Program, r1.Cache = "fib-500", cache
 	res1, err := r1.Run(t.Context(), p)
 	if err != nil {
@@ -173,7 +176,8 @@ func TestFastForwardBundleCache(t *testing.T) {
 		t.Fatalf("expected 1 bundle put, got %d", cache.puts)
 	}
 
-	r2 := testRunner(1)
+	r2 := testRunner(4)
+	r2.TOL.Cosim = true
 	r2.Program, r2.Cache = "fib-500", cache
 	res2, err := r2.Run(t.Context(), p)
 	if err != nil {
@@ -183,10 +187,22 @@ func TestFastForwardBundleCache(t *testing.T) {
 		t.Fatal("second run should warm-start from the cached bundle")
 	}
 	res2.Report.FFCached = false // compare everything else
-	b1, _ := json.Marshal(res1.Report)
-	b2, _ := json.Marshal(res2.Report)
-	if !bytes.Equal(b1, b2) {
-		t.Errorf("cached-bundle report differs:\nfresh:  %s\ncached: %s", b1, b2)
+	for _, part := range []struct {
+		name   string
+		fresh  any
+		cached any
+	}{
+		{"report", res1.Report, res2.Report},
+		{"timing", res1.Timing, res2.Timing},
+		{"TOL stats", &res1.TOL, &res2.TOL},
+		{"final state", &res1.Final, &res2.Final},
+		{"code cache", [2]int{res1.CodeCacheInsts, res1.Translations}, [2]int{res2.CodeCacheInsts, res2.Translations}},
+	} {
+		b1, _ := json.Marshal(part.fresh)
+		b2, _ := json.Marshal(part.cached)
+		if !bytes.Equal(b1, b2) {
+			t.Errorf("cached-bundle %s differs:\nfresh:  %s\ncached: %s", part.name, b1, b2)
+		}
 	}
 }
 
@@ -210,5 +226,73 @@ func TestConfigValidate(t *testing.T) {
 	def := DefaultConfig()
 	if err := def.Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
+	}
+}
+
+// TestDoctoredBundleResimulates pins that a cached bundle this build
+// cannot restore degrades to a fresh fast-forward instead of failing
+// the run: each doctored bundle is a miss that re-simulates, and the
+// result equals a run with no cache at all.
+func TestDoctoredBundleResimulates(t *testing.T) {
+	p := fibProgram(500)
+	fresh, err := testRunner(2).Run(t.Context(), p)
+	if err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+	wantRep, _ := json.Marshal(fresh.Report)
+	wantTim, _ := json.Marshal(fresh.Timing)
+
+	cases := []struct {
+		name   string
+		doctor func(machine map[string]any, snap map[string]any)
+	}{
+		{"version-2", func(m, _ map[string]any) { m["version"] = 2 }},
+		{"machine-null", func(_, s map[string]any) { s["machine"] = nil }},
+		{"engine-null", func(m, _ map[string]any) { m["engine"] = nil }},
+		{"unregistered-isa", func(m, _ map[string]any) { m["isa"] = "z80" }},
+		{"foreign-isa", func(m, _ map[string]any) { m["isa"] = "rv32" }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cache := &memCache{}
+			r := testRunner(2)
+			r.Program, r.Cache = "fib-500", cache
+			if _, err := r.Run(t.Context(), p); err != nil {
+				t.Fatalf("seeding run: %v", err)
+			}
+			for key, raw := range cache.m {
+				var b map[string]any
+				dec := json.NewDecoder(bytes.NewReader(raw))
+				dec.UseNumber() // keep 64-bit fields exact
+				if err := dec.Decode(&b); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range b["snapshots"].([]any) {
+					snap := s.(map[string]any)
+					c.doctor(snap["machine"].(map[string]any), snap)
+				}
+				doctored, err := json.Marshal(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cache.m[key] = doctored
+			}
+
+			res, err := r.Run(t.Context(), p)
+			if err != nil {
+				t.Fatalf("doctored bundle failed the run: %v", err)
+			}
+			if res.Report.FFCached {
+				t.Fatal("doctored bundle served as a cache hit")
+			}
+			gotRep, _ := json.Marshal(res.Report)
+			gotTim, _ := json.Marshal(res.Timing)
+			if !bytes.Equal(gotRep, wantRep) {
+				t.Errorf("report differs from a fresh run:\ngot:  %s\nwant: %s", gotRep, wantRep)
+			}
+			if !bytes.Equal(gotTim, wantTim) {
+				t.Errorf("timing differs from a fresh run:\ngot:  %s\nwant: %s", gotTim, wantTim)
+			}
+		})
 	}
 }

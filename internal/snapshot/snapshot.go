@@ -16,7 +16,8 @@
 // Sampled simulation (internal/sample) is the main producer: it
 // checkpoints the engine at interval boundaries during a functional
 // fast-forward and restores each checkpoint for parallel detailed
-// measurement.
+// measurement. Inside a process a checkpoint stays a Machine value;
+// Encode and Decode run only where bytes leave the process.
 package snapshot
 
 import (
@@ -106,7 +107,8 @@ func (m *Machine) Validate(program string) error {
 // Restore rebuilds the machine: an engine resumed from the checkpoint
 // and, when the checkpoint carries simulator state, the paused
 // simulator ready to continue via RunContext. p must be the same guest
-// program the checkpoint was captured from.
+// program the checkpoint was captured from. Restore only reads m, so
+// any number of goroutines may restore one Machine at the same time.
 func (m *Machine) Restore(p *guest.Program) (*tol.Engine, *timing.Simulator, error) {
 	if err := m.Validate(""); err != nil {
 		return nil, nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/guest"
@@ -255,5 +256,77 @@ func TestCaptureFreshEngine(t *testing.T) {
 	want, _ := json.Marshal(&ref.Stats)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("stats differ:\nrestored: %s\nfresh:    %s", got, want)
+	}
+}
+
+// TestConcurrentRestoreOfOneMachine pins the contract sampled
+// simulation relies on: Restore only reads the machine, so goroutines
+// may restore one captured value at the same time. Every restored run
+// must finish identically, and the machine must serialize to the same
+// bytes afterwards. Run it under -race.
+func TestConcurrentRestoreOfOneMachine(t *testing.T) {
+	p := fibProgram(400)
+	tcfg := tol.DefaultConfig()
+	tcfg.SBThreshold = 20
+	tcfg.Cosim = true
+	tcfg.Promotion = "adaptive"
+	eng := tol.NewEngine(tcfg, p)
+	sim := timing.NewSimulator(timing.DefaultConfig(), timing.ModeSplit)
+	sim.StopWhen = func() bool { return eng.Stats.DynTotal() >= 40 }
+	if _, err := sim.RunContext(t.Context(), eng); err != timing.ErrPaused {
+		t.Fatalf("expected ErrPaused, got %v", err)
+	}
+	m, err := Capture("fib-test", eng, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 8
+	outs := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng, sim, err := m.Restore(p)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res, err := sim.RunContext(t.Context(), eng)
+			if err == nil {
+				err = eng.Err()
+			}
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			outs[i], errs[i] = json.Marshal(struct {
+				Res   *timing.Result
+				Stats *tol.Stats
+				Final *guest.State
+			}{res, &eng.Stats, eng.GuestState()})
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if errs[i] != nil {
+			t.Fatalf("restore %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(outs[i], outs[0]) {
+			t.Errorf("restore %d finished differently:\n got: %s\nwant: %s", i, outs[i], outs[0])
+		}
+	}
+	after, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("restoring the machine changed its serialized form")
 	}
 }

@@ -11,6 +11,23 @@ import (
 // RunContext again (after clearing or replacing StopWhen), or both.
 var ErrPaused = errors.New("timing: paused by StopWhen")
 
+// Validate rejects an instruction whose owner, component or scoreboard
+// registers lie outside the simulator's tables. The engine never emits
+// one, but a decoded snapshot can carry one; the restore paths check
+// every queued instruction so a doctored snapshot is an error, not a
+// panic on resume.
+func (d *DynInst) Validate() error {
+	if d.Owner >= NumOwners || d.Comp >= NumComponents {
+		return fmt.Errorf("timing: instruction at %#x has owner %d, component %d", d.PC, d.Owner, d.Comp)
+	}
+	for _, r := range [...]uint8{d.Dst, d.Src1, d.Src2} {
+		if r >= NumSBRegs && r != RegNone {
+			return fmt.Errorf("timing: instruction at %#x names scoreboard register %d", d.PC, r)
+		}
+	}
+	return nil
+}
+
 // IQEntry is one instruction-queue slot in a snapshot, head-first.
 type IQEntry struct {
 	Inst       DynInst `json:"inst"`
@@ -132,6 +149,12 @@ func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
 	if len(sn.IQ) > sn.Cfg.IQSize {
 		return nil, fmt.Errorf("timing: snapshot IQ holds %d entries, config IQSize=%d", len(sn.IQ), sn.Cfg.IQSize)
 	}
+	if sn.Mode >= NumModes {
+		return nil, fmt.Errorf("timing: snapshot mode %d out of range", sn.Mode)
+	}
+	if sn.FetchBlockOwner >= NumOwners || sn.FetchBlockComp >= NumComponents {
+		return nil, fmt.Errorf("timing: snapshot fetch blocker has owner %d, component %d", sn.FetchBlockOwner, sn.FetchBlockComp)
+	}
 	s := NewSimulator(sn.Cfg, sn.Mode)
 	if len(sn.Batch) > len(s.batch) {
 		return nil, fmt.Errorf("timing: snapshot batch holds %d instructions, config StreamBatch=%d", len(sn.Batch), len(s.batch))
@@ -148,11 +171,22 @@ func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
 	s.streamDone = sn.StreamDone
 	s.iqHead, s.iqCount = 0, len(sn.IQ)
 	for i, e := range sn.IQ {
+		if err := e.Inst.Validate(); err != nil {
+			return nil, err
+		}
 		s.iq[i] = iqEntry{inst: e.Inst, mispredict: e.Mispredict}
 	}
 	if sn.Pending != nil {
+		if err := sn.Pending.Validate(); err != nil {
+			return nil, err
+		}
 		s.pendingBuf = *sn.Pending
 		s.pending = &s.pendingBuf
+	}
+	for i := range sn.Batch {
+		if err := sn.Batch[i].Validate(); err != nil {
+			return nil, err
+		}
 	}
 	s.batchPos, s.batchLen = 0, copy(s.batch, sn.Batch)
 	sets := s.sets()

@@ -56,3 +56,62 @@ func TestRestoreRejectsForeignSnapshots(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsOutOfRangeState: a snapshot whose queued
+// instructions or fetch blocker index past the simulator's owner,
+// component or scoreboard tables, or whose mode is unknown, fails
+// RestoreSimulator with an error instead of panicking on resume.
+func TestRestoreRejectsOutOfRangeState(t *testing.T) {
+	ok := DynInst{PC: 0x1000, Owner: OwnerTOL, Comp: CompIM, Dst: 3, Src1: NumSBRegs - 1, Src2: RegNone}
+	doctored := func(f func(*DynInst)) DynInst {
+		d := ok
+		f(&d)
+		return d
+	}
+	owner5 := doctored(func(d *DynInst) { d.Owner = 5 })
+	comp := doctored(func(d *DynInst) { d.Comp = NumComponents })
+	dst := doctored(func(d *DynInst) { d.Dst = NumSBRegs })
+	src1 := doctored(func(d *DynInst) { d.Src1 = 200 })
+	src2 := doctored(func(d *DynInst) { d.Src2 = RegNone - 1 })
+
+	cases := []struct {
+		name   string
+		doctor func(*SimSnapshot)
+	}{
+		{"control", func(*SimSnapshot) {}},
+		{"iq owner", func(sn *SimSnapshot) { sn.IQ = []IQEntry{{Inst: ok}, {Inst: owner5}} }},
+		{"iq component", func(sn *SimSnapshot) { sn.IQ = []IQEntry{{Inst: comp}} }},
+		{"iq dst", func(sn *SimSnapshot) { sn.IQ = []IQEntry{{Inst: dst}} }},
+		{"iq src1", func(sn *SimSnapshot) { sn.IQ = []IQEntry{{Inst: src1}} }},
+		{"iq src2", func(sn *SimSnapshot) { sn.IQ = []IQEntry{{Inst: src2}} }},
+		{"pending owner", func(sn *SimSnapshot) { sn.Pending = &owner5 }},
+		{"pending src2", func(sn *SimSnapshot) { sn.Pending = &src2 }},
+		{"batch owner", func(sn *SimSnapshot) { sn.Batch = []DynInst{ok, owner5} }},
+		{"batch dst", func(sn *SimSnapshot) { sn.Batch = []DynInst{dst} }},
+		{"mode", func(sn *SimSnapshot) { sn.Mode = NumModes }},
+		{"fetch block owner", func(sn *SimSnapshot) { sn.FetchBlockOwner = NumOwners }},
+		{"fetch block component", func(sn *SimSnapshot) { sn.FetchBlockComp = NumComponents }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sn := NewSimulator(DefaultConfig(), ModeShared).Snapshot()
+			sn.IQ = []IQEntry{{Inst: ok}}
+			sn.Pending = &ok
+			sn.Batch = []DynInst{ok}
+			c.doctor(sn)
+			s, err := RestoreSimulator(sn)
+			if c.name == "control" {
+				if err != nil {
+					t.Fatalf("in-range snapshot rejected: %v", err)
+				}
+				if _, err := s.Run(&SliceSource{}); err != nil {
+					t.Fatalf("in-range snapshot did not resume: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), "timing: ") {
+				t.Errorf("RestoreSimulator error = %v, want a timing error", err)
+			}
+		})
+	}
+}

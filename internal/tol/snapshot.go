@@ -528,7 +528,9 @@ func (p *ProfileTable) snapshot() ProfileSnap {
 // program (the same program the snapshot was taken from — the snapshot
 // carries no program image beyond the memory pages, and the restore
 // path reuses NewEngine's wiring). The returned engine resumes exactly
-// where the original paused.
+// where the original paused. RestoreEngine only reads sn and copies
+// everything it keeps, so any number of goroutines may restore one
+// snapshot at the same time.
 func RestoreEngine(p *guest.Program, sn *EngineSnapshot) (*Engine, error) {
 	e := NewEngine(sn.Cfg, p)
 	if e.err != nil {
@@ -567,6 +569,11 @@ func RestoreEngine(p *guest.Program, sn *EngineSnapshot) (*Engine, error) {
 		e.curTrans = tr
 	}
 
+	for i := range sn.Queue {
+		if err := sn.Queue[i].Validate(); err != nil {
+			return nil, fmt.Errorf("tol: snapshot queue: %w", err)
+		}
+	}
 	e.queue.buf = append(e.queue.buf[:0], sn.Queue...)
 	e.queue.head = 0
 	e.cost.regRot, e.cost.prevDst = sn.Cost.RegRot, sn.Cost.PrevDst

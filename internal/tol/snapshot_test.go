@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -266,6 +267,46 @@ func TestSnapshotMidQueue(t *testing.T) {
 	}
 	if got, want := mustStatsJSON(t, &b.Stats), mustStatsJSON(t, &a.Stats); !bytes.Equal(got, want) {
 		t.Fatalf("final stats differ:\nrestored: %s\noriginal: %s", got, want)
+	}
+}
+
+// TestRestoreRejectsOutOfRangeQueue: a snapshot whose queued stream
+// entries name an owner, component or scoreboard register outside the
+// timing model's tables fails RestoreEngine with an error, instead of
+// restoring and panicking in the simulator on resume.
+func TestRestoreRejectsOutOfRangeQueue(t *testing.T) {
+	cfg := DefaultConfig()
+	p := fibProgram(100)
+	e := NewEngine(cfg, p)
+	var head timing.DynInst
+	for i := 0; i < 777; i++ {
+		if !e.Next(&head) {
+			t.Fatalf("stream ended after %d instructions", i)
+		}
+	}
+	sn, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sn.Queue) == 0 {
+		t.Fatal("test intended to snapshot a non-empty queue; adjust the pop count")
+	}
+	queue := sn.Queue
+	for _, c := range []struct {
+		name   string
+		doctor func(*timing.DynInst)
+	}{
+		{"owner", func(d *timing.DynInst) { d.Owner = 5 }},
+		{"component", func(d *timing.DynInst) { d.Comp = timing.NumComponents }},
+		{"dst", func(d *timing.DynInst) { d.Dst = timing.NumSBRegs }},
+		{"src1", func(d *timing.DynInst) { d.Src1 = 200 }},
+		{"src2", func(d *timing.DynInst) { d.Src2 = timing.RegNone - 1 }},
+	} {
+		sn.Queue = append([]timing.DynInst(nil), queue...)
+		c.doctor(&sn.Queue[len(sn.Queue)-1])
+		if _, err := RestoreEngine(p, sn); err == nil || !strings.HasPrefix(err.Error(), "tol: ") {
+			t.Errorf("%s: RestoreEngine error = %v, want a tol error", c.name, err)
+		}
 	}
 }
 
