@@ -296,7 +296,14 @@ func (cfg Config) runWith(ctx context.Context, p *guest.Program, env runEnv) (*R
 		sim.MaxCycles = defaultMaxCycles
 	}
 	sim.Progress = env.progress
-	tres, err := sim.RunContext(ctx, eng)
+	// The engine runs on a goroutine of its own when a core is free;
+	// it is the caller's again once Close has joined it.
+	src := timing.NewRunAhead(sim, eng, nil)
+	defer src.Close() // also when the simulator panics
+	tres, err := sim.RunContext(ctx, src)
+	if perr := src.Close(); perr != nil {
+		return nil, perr
+	}
 	if err != nil {
 		return nil, err
 	}

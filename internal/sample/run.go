@@ -36,7 +36,11 @@ type Runner struct {
 	Sample    Config
 
 	// Parallel bounds concurrent interval simulations (< 1 selects
-	// GOMAXPROCS). Results are bit-identical for any value.
+	// GOMAXPROCS). Results are bit-identical for any value. Each
+	// measurement counts against the process-wide core budget of
+	// timing.RunAhead, and so does its engine when it runs ahead on a
+	// second goroutine, which it does only while a core is free: at
+	// Parallel >= GOMAXPROCS every measurement is synchronous.
 	Parallel int
 
 	// Program is the workload content fingerprint, used to label
@@ -154,6 +158,7 @@ func (r *Runner) Run(ctx context.Context, p *guest.Program) (*Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			defer timing.CatchPanic(&errs[i])
 			intervals[i], results[i], errs[i] = r.measure(ctx, p, &snaps[i])
 		}(i)
 	}
@@ -253,19 +258,12 @@ func (r *Runner) fastForward(ctx context.Context, p *guest.Program) (*ffBundle, 
 	if err := snap(0); err != nil {
 		return nil, err
 	}
-	var buf [512]timing.DynInst
 	next := r.Sample.Every // next interval to checkpoint for
 	for {
 		// Warm-up for interval `next` begins Warmup guest insts before
 		// its boundary.
 		eng.SetStopAfter(uint64(next)*r.Sample.Interval - r.Sample.Warmup)
-		for {
-			n := eng.NextBatch(buf[:])
-			if n == 0 {
-				break
-			}
-			b.HostInsts += uint64(n)
-		}
+		b.HostInsts += eng.Drain()
 		if err := eng.Err(); err != nil {
 			return nil, err
 		}
@@ -302,15 +300,23 @@ func (r *Runner) measure(ctx context.Context, p *guest.Program, s *ffSnap) (Inte
 
 	sim := timing.NewSimulator(r.Timing, r.Mode)
 	sim.MaxCycles = r.MaxCycles
-	sim.StopWhen = func() bool { return eng.Stats.DynTotal() >= start }
+	// The engine may run ahead on its own goroutine, so the warm-up
+	// test reads its retired-instruction count as of the simulator's
+	// position in the stream, through the probe.
+	src := timing.NewRunAhead(sim, eng, eng.Stats.DynTotal)
+	defer src.Close() // also when the simulator panics
+	sim.StopWhen = func() bool { return src.Probe() >= start }
 	var base timing.Result
-	res, err := sim.RunContext(ctx, eng)
+	res, err := sim.RunContext(ctx, src)
 	if err == timing.ErrPaused {
 		// Warm-up done: mark the baseline and measure to the interval
 		// end (the engine pauses there; the pipeline then drains).
 		base = sim.ResultSoFar()
 		sim.StopWhen = nil
-		res, err = sim.RunContext(ctx, eng)
+		res, err = sim.RunContext(ctx, src)
+	}
+	if perr := src.Close(); perr != nil {
+		err = perr
 	}
 	if err == nil {
 		err = eng.Err()

@@ -2,7 +2,9 @@ package sample
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -294,5 +296,17 @@ func TestDoctoredBundleResimulates(t *testing.T) {
 				t.Errorf("timing differs from a fresh run:\ngot:  %s\nwant: %s", gotTim, wantTim)
 			}
 		})
+	}
+}
+
+// TestIntervalPanicFailsRun: a panic while measuring an interval (here
+// a zero timing geometry, which divides by zero building the caches)
+// fails the run with the panic instead of ending the process.
+func TestIntervalPanicFailsRun(t *testing.T) {
+	r := testRunner(2)
+	r.Timing = timing.Config{}
+	_, err := r.Run(context.Background(), fibProgram(500))
+	if err == nil || !strings.Contains(err.Error(), "sample: interval 0: panic: ") {
+		t.Fatalf("err = %v, want the interval's panic", err)
 	}
 }

@@ -129,10 +129,13 @@ type Simulator struct {
 	// RunContext returns ErrPaused with all in-flight state intact. The
 	// caller may then Snapshot the simulator and/or resume it by calling
 	// RunContext again (replacing or clearing StopWhen first, or the
-	// pause re-fires immediately). The predicate typically inspects the
-	// stream source (e.g. the engine's retired-instruction count), which
-	// advances only at batch refills, so pauses land deterministically
-	// for a given stream and configuration.
+	// pause re-fires immediately). The predicate typically tests the
+	// source's state as of the simulator's position in the stream (e.g.
+	// the engine's retired-instruction count), which advances only at
+	// batch refills, so pauses land deterministically for a given
+	// stream and configuration. A source behind a RunAhead may be
+	// batches ahead of that position, and on another goroutine: the
+	// predicate must then read RunAhead.Probe, never the source.
 	StopWhen func() bool
 }
 

@@ -581,4 +581,11 @@ func (q *dynQueue) popBatch(buf []timing.DynInst) int {
 	return n
 }
 
+// discard empties the queue, returning how many instructions it held.
+func (q *dynQueue) discard() int {
+	n := len(q.buf) - q.head
+	q.buf, q.head = q.buf[:0], 0
+	return n
+}
+
 func (q *dynQueue) empty() bool { return q.head >= len(q.buf) }

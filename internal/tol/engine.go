@@ -90,6 +90,13 @@ type Engine struct {
 	stopAfter uint64
 	paused    bool
 
+	// countOnly makes translated execution reserve its instructions'
+	// queue slots without writing them: Drain's setting for runs whose
+	// stream nobody reads, which discards the slots unread. Bursts,
+	// the TOL's own cost bursts included, are as in a delivered stream,
+	// so the engine's state is too.
+	countOnly bool
+
 	Stats Stats
 }
 
@@ -266,6 +273,31 @@ func (e *Engine) SetContext(ctx context.Context) {
 	e.ctxPollIn = 1 // poll on the first generate after attach
 }
 
+// Drain runs the engine to the end of its stream (a pause, the halt or
+// an error) as a NextBatch loop that discards every batch would, and
+// returns the number of instructions that loop would have received.
+// Translated execution only reserves its instructions' places in the
+// stream, so the bulk of the stream is never written; everything else,
+// the TOL's cost bursts and the engine state included, is as in that
+// loop.
+func (e *Engine) Drain() uint64 {
+	e.countOnly = true
+	var n uint64
+	for {
+		n += uint64(e.queue.discard())
+		if e.halted || e.err != nil {
+			break
+		}
+		if e.stopDue() {
+			e.paused = true
+			break
+		}
+		e.generate()
+	}
+	e.countOnly = false
+	return n
+}
+
 // Run drives the engine to completion without a timing simulator,
 // discarding the stream. Useful for functional tests.
 func (e *Engine) Run() error {
@@ -278,9 +310,7 @@ func (e *Engine) Run() error {
 // its caller.
 func (e *Engine) RunContext(ctx context.Context) error {
 	e.SetContext(ctx)
-	var buf [256]timing.DynInst
-	for e.NextBatch(buf[:]) > 0 {
-	}
+	e.Drain()
 	return e.err
 }
 
@@ -487,6 +517,7 @@ func (e *Engine) enterTranslated(hostEntry uint32) {
 
 // runTranslated executes host instructions from the code cache until
 // control returns to TOL, the stream buffer fills, or the guest halts.
+// Under countOnly the buffer fills with reserved slots left unwritten.
 //
 // This is the hottest loop of the simulator, structured as threaded
 // dispatch over the code cache's precomputed metadata: each iteration
@@ -514,10 +545,12 @@ func (e *Engine) runTranslated() {
 			return
 		}
 		d := e.queue.alloc()
-		*d = meta[slot]
-		d.MemAddr = out.MemAddr
-		d.Taken = out.Taken
-		d.Target = out.Target
+		if !e.countOnly {
+			*d = meta[slot]
+			d.MemAddr = out.MemAddr
+			d.Taken = out.Taken
+			d.Target = out.Target
+		}
 
 		if out.Taken {
 			target := out.Target

@@ -57,6 +57,7 @@ import (
 //	evicted      captured  EngineSnapshot.Evicted
 //	stopAfter    transient run control, re-armed by the caller after restore
 //	paused       transient run control
+//	countOnly    transient Drain's sink setting, off outside Drain
 //	Stats        captured  EngineSnapshot.Stats (deep copy)
 
 // StateSnapshotter is implemented by promotion and eviction policies

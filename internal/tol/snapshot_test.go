@@ -46,6 +46,7 @@ func TestEngineFieldsHaveSnapshotDecision(t *testing.T) {
 		"evicted":      "captured",
 		"stopAfter":    "transient",
 		"paused":       "transient",
+		"countOnly":    "transient",
 		"Stats":        "captured",
 	}
 	typ := reflect.TypeOf(Engine{})
