@@ -203,3 +203,33 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Error("Record did not round-trip through JSON")
 	}
 }
+
+// TestIsolatedModesPartitionShared: the app-only and tol-only runs of a
+// workload each retire nothing of the other owner, and between them
+// retire exactly the instructions of the shared run.
+func TestIsolatedModesPartitionShared(t *testing.T) {
+	for _, name := range []string{"462.libquantum", "429.mcf", "400.perlbench", "470.lbm", "103.novis_everything"} {
+		job := benchJob(t, name, 0.2)
+		p, err := job.Program.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(mode timing.Mode) *timing.Result {
+			cfg := job.Config
+			cfg.Mode = mode
+			res, err := cfg.runWith(context.Background(), p, runEnv{})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, mode, err)
+			}
+			return res.Timing
+		}
+		shared, app, tol := run(timing.ModeShared), run(timing.ModeAppOnly), run(timing.ModeTOLOnly)
+		if app.Insts[timing.OwnerTOL] != 0 || tol.Insts[timing.OwnerApp] != 0 {
+			t.Errorf("%s: app-only retired %d tol insts, tol-only %d app insts, want 0",
+				name, app.Insts[timing.OwnerTOL], tol.Insts[timing.OwnerApp])
+		}
+		if got, want := app.Insts[timing.OwnerApp]+tol.Insts[timing.OwnerTOL], shared.TotalInsts(); got != want {
+			t.Errorf("%s: app-only plus tol-only retired %d insts, shared %d", name, got, want)
+		}
+	}
+}

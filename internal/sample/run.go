@@ -217,7 +217,9 @@ func (r *Runner) loadOrFastForward(ctx context.Context, p *guest.Program) (*ffBu
 }
 
 // restorable reports whether a cached bundle belongs to this run and
-// every checkpoint in it is one this build can restore onto p.
+// every checkpoint in it is one this build can restore onto p, at the
+// interval the fast-forward pass would have taken it: 0, Every,
+// 2·Every, … in order.
 func (r *Runner) restorable(b *ffBundle, p *guest.Program) bool {
 	if b.Version != ffBundleVersion || b.Program != r.Program || b.Sample != r.Sample {
 		return false
@@ -226,9 +228,9 @@ func (r *Runner) restorable(b *ffBundle, p *guest.Program) bool {
 	if err != nil {
 		return false
 	}
-	for _, s := range b.Snapshots {
+	for i, s := range b.Snapshots {
 		m := s.Machine
-		if m == nil || m.Validate(r.Program) != nil || (m.ISA != "" && m.ISA != isa.Name) {
+		if s.Index != i*r.Sample.Every || m == nil || m.Validate(r.Program) != nil || (m.ISA != "" && m.ISA != isa.Name) {
 			return false
 		}
 	}

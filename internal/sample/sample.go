@@ -127,75 +127,24 @@ func (r *Report) Metric(name string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// addResult accumulates src's counters into dst element-wise — the
-// inverse of timing.Result.Sub, used to pool measured intervals before
-// extrapolation.
-func addResult(dst, src *timing.Result) {
-	dst.Cycles += src.Cycles
-	for o := timing.Owner(0); o < timing.NumOwners; o++ {
-		dst.Insts[o] += src.Insts[o]
-		dst.InstCycles[o] += src.InstCycles[o]
-		for k := timing.BubbleKind(0); k < timing.NumBubbleKinds; k++ {
-			dst.Bubbles[o][k] += src.Bubbles[o][k]
-		}
-		dst.Branch.Branches[o] += src.Branch.Branches[o]
-		dst.Branch.Mispredicts[o] += src.Branch.Mispredicts[o]
-	}
-	for c := timing.Component(0); c < timing.NumComponents; c++ {
-		dst.InstsByComp[c] += src.InstsByComp[c]
-		dst.InstCyclesByComp[c] += src.InstCyclesByComp[c]
-		dst.BubblesByComp[c] += src.BubblesByComp[c]
-	}
-	dst.UnattributedCycles += src.UnattributedCycles
-	addCache := func(d, s *timing.CacheStats) {
-		for o := timing.Owner(0); o < timing.NumOwners; o++ {
-			d.Accesses[o] += s.Accesses[o]
-			d.Misses[o] += s.Misses[o]
-		}
-	}
-	addCache(&dst.L1I, &src.L1I)
-	addCache(&dst.L1D, &src.L1D)
-	addCache(&dst.L2, &src.L2)
-	addCache(&dst.L1TLB, &src.L1TLB)
-	addCache(&dst.L2TLB, &src.L2TLB)
-	dst.PrefetchesIssued += src.PrefetchesIssued
-}
-
-// scaleResult multiplies every counter of r by f, rounding the integer
-// counters — the extrapolation of the pooled measured intervals to the
-// whole run.
-func scaleResult(r *timing.Result, f float64) timing.Result {
-	scaleU := func(v uint64) uint64 { return uint64(math.Round(float64(v) * f)) }
-	var d timing.Result
-	d.Cycles = scaleU(r.Cycles)
-	for o := timing.Owner(0); o < timing.NumOwners; o++ {
-		d.Insts[o] = scaleU(r.Insts[o])
-		d.InstCycles[o] = r.InstCycles[o] * f
-		for k := timing.BubbleKind(0); k < timing.NumBubbleKinds; k++ {
-			d.Bubbles[o][k] = r.Bubbles[o][k] * f
-		}
-		d.Branch.Branches[o] = scaleU(r.Branch.Branches[o])
-		d.Branch.Mispredicts[o] = scaleU(r.Branch.Mispredicts[o])
-	}
-	for c := timing.Component(0); c < timing.NumComponents; c++ {
-		d.InstsByComp[c] = scaleU(r.InstsByComp[c])
-		d.InstCyclesByComp[c] = r.InstCyclesByComp[c] * f
-		d.BubblesByComp[c] = r.BubblesByComp[c] * f
-	}
-	d.UnattributedCycles = r.UnattributedCycles * f
-	scaleCache := func(dc, sc *timing.CacheStats) {
-		for o := timing.Owner(0); o < timing.NumOwners; o++ {
-			dc.Accesses[o] = scaleU(sc.Accesses[o])
-			dc.Misses[o] = scaleU(sc.Misses[o])
-		}
-	}
-	scaleCache(&d.L1I, &r.L1I)
-	scaleCache(&d.L1D, &r.L1D)
-	scaleCache(&d.L2, &r.L2)
-	scaleCache(&d.L1TLB, &r.L1TLB)
-	scaleCache(&d.L2TLB, &r.L2TLB)
-	d.PrefetchesIssued = scaleU(r.PrefetchesIssued)
-	return d
+// metrics lists the whole-run estimates in Report order. Each is read
+// off every measured interval, whose spread gives its error bar, and
+// off the extrapolated run, which gives its point estimate. cycles is
+// the one special case: per interval it reads CPI, and its estimate and
+// error bar are whole-run cycles.
+var metrics = []struct {
+	name string
+	of   func(*timing.Result) float64
+}{
+	{"cycles", func(r *timing.Result) float64 { return float64(r.Cycles) / float64(r.TotalInsts()) }},
+	{"ipc", (*timing.Result).IPC},
+	{"tol_share", (*timing.Result).TOLShare},
+	{"dmiss_bubble_share", func(r *timing.Result) float64 { return r.BubbleShare(timing.BubbleDMiss) }},
+	{"imiss_bubble_share", func(r *timing.Result) float64 { return r.BubbleShare(timing.BubbleIMiss) }},
+	{"branch_bubble_share", func(r *timing.Result) float64 { return r.BubbleShare(timing.BubbleBranch) }},
+	{"sched_bubble_share", func(r *timing.Result) float64 { return r.BubbleShare(timing.BubbleSched) }},
+	{"l1d_miss_rate", func(r *timing.Result) float64 { return r.L1D.MissRate() }},
+	{"mispredict_rate", func(r *timing.Result) float64 { return r.Branch.MispredictRate() }},
 }
 
 // estimate builds the whole-run metrics from per-interval measurements.
@@ -205,71 +154,41 @@ func scaleResult(r *timing.Result, f float64) timing.Result {
 // values. Everything folds in interval-index order, so the estimates
 // are bit-identical regardless of measurement parallelism.
 func estimate(intervals []Interval, measured []timing.Result, totalHostInsts uint64) (timing.Result, []Metric, uint64) {
-	var pooled timing.Result
+	var est timing.Result
 	var sumW float64
-	type series struct {
-		name   string
-		values []float64
-	}
-	names := []string{
-		"cycles", "ipc", "tol_share",
-		"dmiss_bubble_share", "imiss_bubble_share", "branch_bubble_share", "sched_bubble_share",
-		"l1d_miss_rate", "mispredict_rate",
-	}
-	perInterval := make(map[string][]float64, len(names))
+	var used []*timing.Result
 	for i := range intervals {
 		if intervals[i].HostInsts == 0 {
 			continue // empty tail interval: no information
 		}
-		addResult(&pooled, &measured[i])
+		est.Add(&measured[i])
 		sumW += float64(intervals[i].HostInsts)
-		r := &measured[i]
-		perInterval["cycles"] = append(perInterval["cycles"], intervals[i].CPI)
-		perInterval["ipc"] = append(perInterval["ipc"], r.IPC())
-		perInterval["tol_share"] = append(perInterval["tol_share"], r.TOLShare())
-		perInterval["dmiss_bubble_share"] = append(perInterval["dmiss_bubble_share"], r.BubbleShare(timing.BubbleDMiss))
-		perInterval["imiss_bubble_share"] = append(perInterval["imiss_bubble_share"], r.BubbleShare(timing.BubbleIMiss))
-		perInterval["branch_bubble_share"] = append(perInterval["branch_bubble_share"], r.BubbleShare(timing.BubbleBranch))
-		perInterval["sched_bubble_share"] = append(perInterval["sched_bubble_share"], r.BubbleShare(timing.BubbleSched))
-		perInterval["l1d_miss_rate"] = append(perInterval["l1d_miss_rate"], r.L1D.MissRate())
-		perInterval["mispredict_rate"] = append(perInterval["mispredict_rate"], r.Branch.MispredictRate())
+		used = append(used, &measured[i])
 	}
 	if sumW == 0 {
 		return timing.Result{}, nil, 0
 	}
-	f := float64(totalHostInsts) / sumW
-	est := scaleResult(&pooled, f)
 	// The stream length is exact; only rates are estimated.
-	estCycles := est.Cycles
+	est.Scale(float64(totalHostInsts) / sumW)
 
-	// Ratio point estimates for the derived metrics, from the pooled
-	// counters (self-weighted); CIs from per-interval spread.
-	point := map[string]float64{
-		"cycles":              float64(estCycles),
-		"ipc":                 est.IPC(),
-		"tol_share":           est.TOLShare(),
-		"dmiss_bubble_share":  est.BubbleShare(timing.BubbleDMiss),
-		"imiss_bubble_share":  est.BubbleShare(timing.BubbleIMiss),
-		"branch_bubble_share": est.BubbleShare(timing.BubbleBranch),
-		"sched_bubble_share":  est.BubbleShare(timing.BubbleSched),
-		"l1d_miss_rate":       est.L1D.MissRate(),
-		"mispredict_rate":     est.Branch.MispredictRate(),
-	}
-	metrics := make([]Metric, 0, len(names))
-	for _, name := range names {
-		vals := perInterval[name]
-		m := Metric{Name: name, Estimate: point[name]}
-		ci := ci95(vals)
-		if name == "cycles" {
-			ci *= float64(totalHostInsts) // CPI spread scaled to total cycles
+	// Ratio point estimates from the pooled counters (self-weighted);
+	// CIs from per-interval spread.
+	out := make([]Metric, len(metrics))
+	vals := make([]float64, len(used))
+	for j, m := range metrics {
+		for i, r := range used {
+			vals[i] = m.of(r)
 		}
-		m.CI95 = ci
-		if a := math.Abs(m.Estimate); a > 0 {
-			m.RelErr = m.CI95 / a
+		out[j] = Metric{Name: m.name, Estimate: m.of(&est), CI95: ci95(vals)}
+		if m.name == "cycles" {
+			out[j].Estimate = float64(est.Cycles)
+			out[j].CI95 *= float64(totalHostInsts) // CPI spread scaled to total cycles
 		}
-		metrics = append(metrics, m)
+		if a := math.Abs(out[j].Estimate); a > 0 {
+			out[j].RelErr = out[j].CI95 / a
+		}
 	}
-	return est, metrics, estCycles
+	return est, out, est.Cycles
 }
 
 // ci95 returns the 95% confidence half-width of the mean of vals

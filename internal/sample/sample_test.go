@@ -253,6 +253,10 @@ func TestDoctoredBundleResimulates(t *testing.T) {
 		{"engine-null", func(m, _ map[string]any) { m["engine"] = nil }},
 		{"unregistered-isa", func(m, _ map[string]any) { m["isa"] = "z80" }},
 		{"foreign-isa", func(m, _ map[string]any) { m["isa"] = "rv32" }},
+		{"index-shifted", func(_, s map[string]any) {
+			i, _ := s["index"].(json.Number).Int64() // marshalled from an int
+			s["index"] = i + 1
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

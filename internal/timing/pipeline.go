@@ -518,27 +518,15 @@ func (s *Simulator) accountBubble() {
 func (s *Simulator) ResultSoFar() Result {
 	res := s.res
 	res.Cycles = s.cycle
-	dst := [numCaches]*CacheStats{&res.L1I, &res.L1D, &res.L2, &res.L1TLB, &res.L2TLB}
 	for _, st := range s.sets() {
-		for k, c := range st.caches() {
-			addCache(dst[k], &c.Stats)
-		}
-		for o := Owner(0); o < NumOwners; o++ {
-			res.Branch.Branches[o] += st.bp.Stats.Branches[o]
-			res.Branch.Mispredicts[o] += st.bp.Stats.Mispredicts[o]
-		}
-		res.PrefetchesIssued += st.pref.Issued
+		res.Add(&Result{
+			L1I: st.l1i.Stats, L1D: st.l1d.Stats, L2: st.l2.Stats, L1TLB: st.l1t.Stats, L2TLB: st.l2t.Stats,
+			Branch: st.bp.Stats, PrefetchesIssued: st.pref.Issued,
+		})
 	}
 	return res
 }
 
 func (s *Simulator) finishResult() {
 	s.res = s.ResultSoFar()
-}
-
-func addCache(dst, src *CacheStats) {
-	for o := Owner(0); o < NumOwners; o++ {
-		dst.Accesses[o] += src.Accesses[o]
-		dst.Misses[o] += src.Misses[o]
-	}
 }

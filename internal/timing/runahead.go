@@ -73,27 +73,20 @@ type RunAhead struct {
 	next, from int
 }
 
-// pipe is a RunAhead's producer state: a single-producer,
-// single-consumer ring of slots. tail counts slots the producer has
-// published and head slots the consumer has released. A slot holds the
-// results of consecutive source calls, each made into a window exactly
-// the simulator's batch long, so a hand-off carries thousands of
-// instructions even when the source returns short batches (an engine
-// in its interpreter returns one step's worth per call). The producer
-// waits by yielding briefly and then parking, and is woken once the
-// ring is half empty; the consumer is woken as soon as a slot is
-// published.
+// pipe is a RunAhead's producer state: a ring of slots handed over on
+// two channels, full from producer to consumer and free back. A slot
+// holds the results of consecutive source calls, each made into a
+// window exactly the simulator's batch long, so a hand-off carries
+// thousands of instructions even when the source returns short batches
+// (an engine in its interpreter returns one step's worth per call), and
+// the two goroutines do not wake each other batch by batch. Both
+// channels have room for every slot, so a send never blocks; Close
+// closes stop.
 type pipe struct {
-	slots []ringSlot
-	mask  uint64
-	batch int
-
-	head, tail atomic.Uint64
-	stop       atomic.Bool // the consumer closed the stream
-
-	prodParked, consParked atomic.Bool
-	prodWake, consWake     chan struct{}
-	exited                 chan struct{}
+	batch      int
+	full, free chan *ringSlot
+	stop       chan struct{}
+	exited     chan struct{}
 }
 
 // ringSlot is the output of consecutive source calls: their
@@ -116,9 +109,6 @@ const (
 	slotInsts = 4 << 10
 	ringInsts = 32 << 10
 	maxSlots  = 8
-	// spinWaits is how many times a waiting side yields before it
-	// parks.
-	spinWaits = 64
 )
 
 // pipes is the free list of idle pipes. At most GOMAXPROCS/2 pipes can
@@ -139,9 +129,7 @@ func getPipe(batch int) *pipe {
 			pipes.free[i] = pipes.free[last]
 			pipes.free = pipes.free[:last]
 			pipes.Unlock()
-			p.head.Store(0)
-			p.tail.Store(0)
-			p.stop.Store(false)
+			p.stop = make(chan struct{})
 			return p
 		}
 	}
@@ -152,20 +140,24 @@ func getPipe(batch int) *pipe {
 		n <<= 1
 	}
 	p := &pipe{
-		slots:    make([]ringSlot, n),
-		mask:     uint64(n - 1),
-		batch:    batch,
-		prodWake: make(chan struct{}, 1),
-		consWake: make(chan struct{}, 1),
-		exited:   make(chan struct{}, 1),
+		batch:  batch,
+		full:   make(chan *ringSlot, n),
+		free:   make(chan *ringSlot, n),
+		stop:   make(chan struct{}),
+		exited: make(chan struct{}, 1),
 	}
-	for i := range p.slots {
-		p.slots[i].buf = make([]DynInst, room)
+	for range n {
+		p.free <- &ringSlot{buf: make([]DynInst, room)}
 	}
 	return p
 }
 
+// putPipe returns every slot of a joined pipe to its free channel and
+// the pipe to the free list.
 func putPipe(p *pipe) {
+	for len(p.full) > 0 {
+		p.free <- <-p.full
+	}
 	pipes.Lock()
 	if len(pipes.free) < maxFreePipes {
 		pipes.free = append(pipes.free, p)
@@ -228,20 +220,15 @@ func (r *RunAhead) NextBatch(buf []DynInst) int {
 	}
 	p := r.p
 	if r.cur == nil {
-		h := p.head.Load()
-		p.waitData(h)
-		r.cur, r.next, r.from = &p.slots[h&p.mask], 0, 0
+		r.cur, r.next, r.from = <-p.full, 0, 0
 	}
 	c := r.cur.calls[r.next]
 	n := copy(buf, r.cur.buf[r.from:c.end])
 	r.last, r.done = c.probe, n == 0
 	r.next, r.from = r.next+1, c.end
 	if r.next == len(r.cur.calls) {
+		p.free <- r.cur
 		r.cur = nil
-		h := p.head.Add(1)
-		if p.prodParked.Load() && p.tail.Load()-h <= p.mask/2 && p.prodParked.CompareAndSwap(true, false) {
-			p.prodWake <- struct{}{}
-		}
 	}
 	return n
 }
@@ -255,11 +242,11 @@ func (r *RunAhead) Close() error {
 	}
 	r.closed = true
 	if p := r.p; p != nil {
-		p.stop.Store(true)
-		if p.prodParked.CompareAndSwap(true, false) {
-			p.prodWake <- struct{}{}
-		}
+		close(p.stop)
 		<-p.exited
+		if r.cur != nil {
+			p.free <- r.cur
+		}
 		r.p, r.cur = nil, nil
 		putPipe(p)
 		simulating.Add(-2)
@@ -273,11 +260,13 @@ func (r *RunAhead) Close() error {
 // it. A panicking call ends the stream.
 func (r *RunAhead) produce(p *pipe, probe uint64) {
 	defer func() { p.exited <- struct{}{} }()
-	for seq := uint64(0); ; seq++ {
-		if !p.waitSpace(seq) {
+	for {
+		var s *ringSlot
+		select {
+		case s = <-p.free:
+		case <-p.stop:
 			return
 		}
-		s := &p.slots[seq&p.mask]
 		s.calls = s.calls[:0]
 		off, n := 0, 0
 		for {
@@ -289,62 +278,23 @@ func (r *RunAhead) produce(p *pipe, probe uint64) {
 			}
 			off += n
 			s.calls = append(s.calls, ringCall{end: off, probe: probe})
-			if n == 0 || len(s.buf)-off < p.batch || p.stop.Load() {
+			if n == 0 || len(s.buf)-off < p.batch || p.stopped() {
 				break
 			}
 		}
-		p.tail.Store(seq + 1)
-		if p.consParked.Load() && p.consParked.CompareAndSwap(true, false) {
-			p.consWake <- struct{}{}
-		}
+		p.full <- s
 		if n == 0 {
 			return
 		}
 	}
 }
 
-// waitSpace waits until slot seq is free, and reports false if the
-// consumer closed the stream instead.
-func (p *pipe) waitSpace(seq uint64) bool {
-	for i := 0; seq-p.head.Load() > p.mask; i++ {
-		if p.stop.Load() {
-			return false
-		}
-		if i < spinWaits {
-			runtime.Gosched()
-			continue
-		}
-		// Park. The consumer wakes a parked producer once the ring is
-		// half empty; re-check after announcing, so a release between
-		// the test and the announcement is not missed.
-		p.prodParked.Store(true)
-		if seq-p.head.Load() <= p.mask || p.stop.Load() {
-			if !p.prodParked.CompareAndSwap(true, false) {
-				<-p.prodWake // the consumer claimed the wake: take it
-			}
-			continue
-		}
-		<-p.prodWake
-	}
-	return !p.stop.Load()
-}
-
-// waitData waits until slot h has been published.
-func (p *pipe) waitData(h uint64) {
-	for i := 0; p.tail.Load() == h; i++ {
-		if i < spinWaits {
-			runtime.Gosched()
-			continue
-		}
-		// Park; the producer wakes a parked consumer with the next
-		// slot it publishes.
-		p.consParked.Store(true)
-		if p.tail.Load() != h {
-			if !p.consParked.CompareAndSwap(true, false) {
-				<-p.consWake
-			}
-			continue
-		}
-		<-p.consWake
+// stopped reports whether the consumer has closed the stream.
+func (p *pipe) stopped() bool {
+	select {
+	case <-p.stop:
+		return true
+	default:
+		return false
 	}
 }

@@ -1,5 +1,7 @@
 package timing
 
+import "math"
+
 // BubbleKind classifies stall cycles into the paper's bubble sources
 // (Figure 9): data-cache miss bubbles, instruction-cache miss bubbles,
 // branch bubbles, and instruction-scheduling bubbles (IQ unable to
@@ -61,43 +63,62 @@ type Result struct {
 // TotalInsts returns total retired instructions.
 func (r *Result) TotalInsts() uint64 { return r.Insts[OwnerApp] + r.Insts[OwnerTOL] }
 
+// zip sets every integer counter of r to u of it and the counter at
+// the same position of o, and every float counter likewise with f. It
+// is the one walk over Result's counters: Add, Sub and Scale are built
+// on it, so a counter added to Result and to zip takes part in all
+// three. The callbacks see values, not pointers, so a walk does not
+// allocate.
+func (r *Result) zip(o *Result, u func(r, o uint64) uint64, f func(r, o float64) float64) {
+	owners := func(d, s *[NumOwners]uint64) {
+		for i := range d {
+			d[i] = u(d[i], s[i])
+		}
+	}
+	r.Cycles = u(r.Cycles, o.Cycles)
+	owners(&r.Insts, &o.Insts)
+	for c := range r.InstsByComp {
+		r.InstsByComp[c] = u(r.InstsByComp[c], o.InstsByComp[c])
+		r.InstCyclesByComp[c] = f(r.InstCyclesByComp[c], o.InstCyclesByComp[c])
+		r.BubblesByComp[c] = f(r.BubblesByComp[c], o.BubblesByComp[c])
+	}
+	for w := range r.InstCycles {
+		r.InstCycles[w] = f(r.InstCycles[w], o.InstCycles[w])
+		for k := range r.Bubbles[w] {
+			r.Bubbles[w][k] = f(r.Bubbles[w][k], o.Bubbles[w][k])
+		}
+	}
+	r.UnattributedCycles = f(r.UnattributedCycles, o.UnattributedCycles)
+	for _, c := range [...][2]*CacheStats{{&r.L1I, &o.L1I}, {&r.L1D, &o.L1D}, {&r.L2, &o.L2}, {&r.L1TLB, &o.L1TLB}, {&r.L2TLB, &o.L2TLB}} {
+		owners(&c[0].Accesses, &c[1].Accesses)
+		owners(&c[0].Misses, &c[1].Misses)
+	}
+	owners(&r.Branch.Branches, &o.Branch.Branches)
+	owners(&r.Branch.Mispredicts, &o.Branch.Mispredicts)
+	r.PrefetchesIssued = u(r.PrefetchesIssued, o.PrefetchesIssued)
+}
+
+// Add accumulates o's counters into r element-wise: how sampled
+// simulation pools its measured intervals, and how the simulator folds
+// each structure set's statistics into a run's result.
+func (r *Result) Add(o *Result) {
+	r.zip(o, func(a, b uint64) uint64 { return a + b }, func(a, b float64) float64 { return a + b })
+}
+
 // Sub returns the element-wise difference r − base of every counter,
 // the measurement taken between two Simulator.ResultSoFar marks of the
 // same run (base first). Sampled simulation uses it to discard the
 // warm-up prefix of a measured interval.
 func (r Result) Sub(base *Result) Result {
-	d := r
-	d.Cycles -= base.Cycles
-	for o := Owner(0); o < NumOwners; o++ {
-		d.Insts[o] -= base.Insts[o]
-		d.InstCycles[o] -= base.InstCycles[o]
-		for k := BubbleKind(0); k < NumBubbleKinds; k++ {
-			d.Bubbles[o][k] -= base.Bubbles[o][k]
-		}
-	}
-	for c := Component(0); c < NumComponents; c++ {
-		d.InstsByComp[c] -= base.InstsByComp[c]
-		d.InstCyclesByComp[c] -= base.InstCyclesByComp[c]
-		d.BubblesByComp[c] -= base.BubblesByComp[c]
-	}
-	d.UnattributedCycles -= base.UnattributedCycles
-	subCache := func(dst *CacheStats, b *CacheStats) {
-		for o := Owner(0); o < NumOwners; o++ {
-			dst.Accesses[o] -= b.Accesses[o]
-			dst.Misses[o] -= b.Misses[o]
-		}
-	}
-	subCache(&d.L1I, &base.L1I)
-	subCache(&d.L1D, &base.L1D)
-	subCache(&d.L2, &base.L2)
-	subCache(&d.L1TLB, &base.L1TLB)
-	subCache(&d.L2TLB, &base.L2TLB)
-	for o := Owner(0); o < NumOwners; o++ {
-		d.Branch.Branches[o] -= base.Branch.Branches[o]
-		d.Branch.Mispredicts[o] -= base.Branch.Mispredicts[o]
-	}
-	d.PrefetchesIssued -= base.PrefetchesIssued
-	return d
+	r.zip(base, func(a, b uint64) uint64 { return a - b }, func(a, b float64) float64 { return a - b })
+	return r
+}
+
+// Scale multiplies every counter of r by f, rounding the integer
+// counters to the nearest: the extrapolation of pooled sampled
+// intervals to the whole run.
+func (r *Result) Scale(f float64) {
+	r.zip(r, func(a, _ uint64) uint64 { return uint64(math.Round(float64(a) * f)) }, func(a, _ float64) float64 { return a * f })
 }
 
 // IPC returns retired instructions per cycle.
