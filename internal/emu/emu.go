@@ -6,7 +6,8 @@
 //
 // The emulator is ISA-agnostic: it executes whatever frontend the
 // loaded program names (guest.ISAOf), through the frontend's decode
-// hook and the shared step semantics.
+// hook and the shared step semantics. Its counters are one value,
+// Stats, which the engine's co-simulation checkpoints embed as is.
 package emu
 
 import (
@@ -16,7 +17,8 @@ import (
 	"repro/internal/mem"
 )
 
-// Emulator is the authoritative guest-ISA functional emulator.
+// Emulator is the authoritative guest-ISA functional emulator. Build
+// one with New.
 type Emulator struct {
 	State guest.State
 	Mem   *mem.Sparse
@@ -28,14 +30,18 @@ type Emulator struct {
 	// loaded, so the authoritative semantics are unchanged.
 	dec *guest.DecodeCache
 
-	// Statistics over the authoritative execution.
-	DynInsts     uint64
-	DynBranches  uint64
-	DynIndirect  uint64
-	DynMemOps    uint64
-	DynFP        uint64
-	Halted       bool
-	TakenTargets map[uint32]uint64 // indirect-branch target histogram (optional)
+	Stats
+}
+
+// Stats counts the authoritative execution: retired instructions, by
+// class, and whether the program has halted.
+type Stats struct {
+	DynInsts    uint64 `json:"dyn_insts"`
+	DynBranches uint64 `json:"dyn_branches"`
+	DynIndirect uint64 `json:"dyn_indirect"`
+	DynMemOps   uint64 `json:"dyn_mem_ops"`
+	DynFP       uint64 `json:"dyn_fp"`
+	Halted      bool   `json:"halted,omitempty"`
 }
 
 // New creates an emulator with the program loaded and registers
@@ -56,16 +62,6 @@ func (e *Emulator) Step() (guest.StepResult, error) {
 	if e.Halted {
 		return guest.StepResult{Halted: true}, nil
 	}
-	// Lazy init keeps hand-rolled (non-New) Emulator values working as
-	// x86 machines, as they did before the decode cache and the second
-	// frontend existed; New pre-populates both fields so neither
-	// branch fires on the cosim path.
-	if e.ISA == nil {
-		e.ISA = guest.X86
-	}
-	if e.dec == nil {
-		e.dec = guest.NewDecodeCache(e.ISA)
-	}
 	var res guest.StepResult
 	if err := e.dec.Step(&e.State, e.Mem, &res); err != nil {
 		return res, err
@@ -79,9 +75,6 @@ func (e *Emulator) Step() (guest.StepResult, error) {
 		e.DynBranches++
 		if res.Inst.IsIndirectBranch() {
 			e.DynIndirect++
-			if e.TakenTargets != nil {
-				e.TakenTargets[res.Target]++
-			}
 		}
 	}
 	if res.Inst.IsMemAccess() {

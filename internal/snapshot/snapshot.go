@@ -13,6 +13,12 @@
 // internal/store, shipped between processes, and validated before a
 // restore instead of failing obscurely mid-run.
 //
+// Each piece of state has one shape: structure statistics are counters
+// of SimSnapshot.Res, and engine checkpoints embed live types
+// (tol.ExitInfo, emu.Stats). Decode rejects unknown fields, and the
+// restores reject values no run can produce: either is an error, never
+// state silently dropped or a resumed run that panics.
+//
 // Sampled simulation (internal/sample) is the main producer: it
 // checkpoints the engine at interval boundaries during a functional
 // fast-forward and restores each checkpoint for parallel detailed
@@ -21,8 +27,10 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/guest"
 	"repro/internal/timing"
@@ -141,12 +149,18 @@ func Encode(m *Machine) ([]byte, error) {
 	return b, nil
 }
 
-// Decode unmarshals and validates an envelope. Unknown versions are
-// rejected here, before any state is interpreted.
+// Decode unmarshals and validates an envelope. Unknown versions and
+// unknown fields are rejected here, before any state is interpreted: a
+// field this build does not read is state a restore would drop.
 func Decode(b []byte) (*Machine, error) {
 	var m Machine
-	if err := json.Unmarshal(b, &m); err != nil {
+	d := json.NewDecoder(bytes.NewReader(b))
+	d.DisallowUnknownFields()
+	if err := d.Decode(&m); err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", err)
+	}
+	if _, err := d.Token(); err != io.EOF {
+		return nil, fmt.Errorf("snapshot: decode: data after the envelope")
 	}
 	if err := m.Validate(""); err != nil {
 		return nil, err

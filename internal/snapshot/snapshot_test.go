@@ -330,3 +330,65 @@ func TestConcurrentRestoreOfOneMachine(t *testing.T) {
 		t.Error("restoring the machine changed its serialized form")
 	}
 }
+
+// TestDecodeRejectsUnknownFields: an envelope carrying a field this
+// build does not read — the per-set statistics of the older simulator
+// shape, the co-simulation target histogram, an unknown top-level key —
+// or trailing data fails Decode, instead of restoring with that state
+// silently dropped.
+func TestDecodeRejectsUnknownFields(t *testing.T) {
+	p := fibProgram(100)
+	tcfg := tol.DefaultConfig()
+	tcfg.Cosim = true
+	eng := tol.NewEngine(tcfg, p)
+	sim := timing.NewSimulator(timing.DefaultConfig(), timing.ModeSplit)
+	sim.StopWhen = func() bool { return eng.Stats.DynTotal() >= 100 }
+	if _, err := sim.RunContext(t.Context(), eng); err != timing.ErrPaused {
+		t.Fatalf("expected ErrPaused, got %v", err)
+	}
+	m, err := Capture("fib-test", eng, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// edit decodes blob generically, applies f, and re-encodes it.
+	edit := func(f func(env map[string]any)) []byte {
+		var env map[string]any
+		if err := json.Unmarshal(blob, &env); err != nil {
+			t.Fatal(err)
+		}
+		f(env)
+		b, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	field := func(v any, path ...string) map[string]any {
+		for _, k := range path {
+			v = v.(map[string]any)[k]
+		}
+		return v.(map[string]any)
+	}
+	if _, err := Decode(edit(func(map[string]any) {})); err != nil {
+		t.Fatalf("control: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"set cache stats": edit(func(env map[string]any) {
+			set := field(env, "sim")["sets"].([]any)[0].(map[string]any)
+			set["cache_stats"] = []any{map[string]any{"accesses": []any{1, 0}, "misses": []any{1, 0}}}
+		}),
+		"shadow taken targets": edit(func(env map[string]any) {
+			field(env, "engine", "shadow")["taken_targets"] = map[string]any{"4096": 1}
+		}),
+		"top-level key":  edit(func(env map[string]any) { env["extra"] = true }),
+		"trailing value": append(append([]byte(nil), blob...), "{}"...),
+	} {
+		if _, err := Decode(b); err == nil || !strings.HasPrefix(err.Error(), "snapshot: ") {
+			t.Errorf("%s: Decode error = %v, want a snapshot error", name, err)
+		}
+	}
+}

@@ -159,19 +159,21 @@ func (a *setAssoc) fill(key uint32) int {
 	return base + w
 }
 
-// cache is a set-associative cache of blocks with per-owner statistics.
-// It tracks line presence only (no data), which is all the timing model
-// needs. A TLB level is a cache whose blocks are pages (see tlbCache).
+// cache is a set-associative cache of blocks that counts its accesses
+// into a CacheStats it does not own (a counter of the simulator's
+// Result). It tracks line presence only (no data), which is all the
+// timing model needs. A TLB level is a cache whose blocks are pages
+// (see tlbCache).
 type cache struct {
 	setAssoc
 	blockBits uint
-	Stats     CacheStats
+	stats     *CacheStats
 }
 
 // newCache builds a cache from its configuration, which must pass
-// Config.Validate.
-func newCache(cfg CacheConfig) cache {
-	c := cache{setAssoc: newSetAssoc(cfg.Size/cfg.BlockSize, cfg.Assoc)}
+// Config.Validate, counting into stats.
+func newCache(cfg CacheConfig, stats *CacheStats) cache {
+	c := cache{setAssoc: newSetAssoc(cfg.Size/cfg.BlockSize, cfg.Assoc), stats: stats}
 	for 1<<c.blockBits < cfg.BlockSize {
 		c.blockBits++
 	}
@@ -190,7 +192,7 @@ func (c *cache) Lookup(addr uint32) bool { return c.has(addr >> c.blockBits) }
 // state is refreshed; on a miss the PLRU victim is replaced. It returns
 // whether the access hit.
 func (c *cache) Access(addr uint32, owner Owner) bool {
-	return c.access(addr>>c.blockBits, owner, &c.Stats)
+	return c.access(addr>>c.blockBits, owner, c.stats)
 }
 
 // Insert fills a line without counting an access (used by prefetches).

@@ -49,7 +49,8 @@ func TestPLRUVictimNeverMRU(t *testing.T) {
 }
 
 func TestCacheHitAfterFill(t *testing.T) {
-	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	var st CacheStats
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1}, &st)
 	if c.Access(0x1000, OwnerApp) {
 		t.Fatal("cold access should miss")
 	}
@@ -62,14 +63,14 @@ func TestCacheHitAfterFill(t *testing.T) {
 	if c.Access(0x1040, OwnerApp) {
 		t.Fatal("next block should miss")
 	}
-	if c.Stats.Misses[OwnerApp] != 2 || c.Stats.Accesses[OwnerApp] != 4 {
-		t.Fatalf("stats: %+v", c.Stats)
+	if st.Misses[OwnerApp] != 2 || st.Accesses[OwnerApp] != 4 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
 func TestCacheConflictEviction(t *testing.T) {
 	// 1KB, 64B blocks, 4-way: 4 sets. 5 blocks mapping to set 0 must evict.
-	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1}, new(CacheStats))
 	setStride := uint32(64 * 4) // sets * blocksize
 	for i := uint32(0); i < 5; i++ {
 		c.Access(i*setStride, OwnerApp)
@@ -81,23 +82,24 @@ func TestCacheConflictEviction(t *testing.T) {
 }
 
 func TestCacheOwnersCountedSeparately(t *testing.T) {
-	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	var st CacheStats
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1}, &st)
 	c.Access(0, OwnerApp)
 	c.Access(0x40, OwnerTOL)
-	if c.Stats.Accesses[OwnerApp] != 1 || c.Stats.Accesses[OwnerTOL] != 1 {
-		t.Fatalf("per-owner accesses: %+v", c.Stats)
+	if st.Accesses[OwnerApp] != 1 || st.Accesses[OwnerTOL] != 1 {
+		t.Fatalf("per-owner accesses: %+v", st)
 	}
-	if c.Stats.OwnerMissRate(OwnerApp) != 1 || c.Stats.OwnerMissRate(OwnerTOL) != 1 {
+	if st.OwnerMissRate(OwnerApp) != 1 || st.OwnerMissRate(OwnerTOL) != 1 {
 		t.Fatal("owner miss rates")
 	}
-	if c.Stats.MissRate() != 1 {
+	if st.MissRate() != 1 {
 		t.Fatal("miss rate")
 	}
 }
 
 func TestCacheInterOwnerPollution(t *testing.T) {
 	// The interaction mechanism: TOL filling a set evicts App lines.
-	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1}, new(CacheStats))
 	setStride := uint32(64 * 4)
 	c.Access(0, OwnerApp)
 	for i := uint32(1); i <= 4; i++ {
@@ -109,13 +111,14 @@ func TestCacheInterOwnerPollution(t *testing.T) {
 }
 
 func TestCacheInsertPrefetch(t *testing.T) {
-	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1})
+	var st CacheStats
+	c := newCache(CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 4, HitLatency: 1}, &st)
 	c.Insert(0x2000)
 	if !c.Access(0x2000, OwnerApp) {
 		t.Fatal("inserted block should hit")
 	}
-	if c.Stats.Accesses[OwnerApp] != 1 || c.Stats.Misses[OwnerApp] != 0 {
-		t.Fatalf("insert must not count as access: %+v", c.Stats)
+	if st.Accesses[OwnerApp] != 1 || st.Misses[OwnerApp] != 0 {
+		t.Fatalf("insert must not count as access: %+v", st)
 	}
 }
 
@@ -125,11 +128,11 @@ func TestCacheGeometryValidation(t *testing.T) {
 			t.Fatal("bad geometry should panic")
 		}
 	}()
-	newCache(CacheConfig{Size: 1000, BlockSize: 64, Assoc: 3, HitLatency: 1})
+	newCache(CacheConfig{Size: 1000, BlockSize: 64, Assoc: 3, HitLatency: 1}, new(CacheStats))
 }
 
 func TestTLBBasic(t *testing.T) {
-	tlb := newCache(tlbCache(TLBConfig{Entries: 64, Assoc: 8, HitLatency: 1}))
+	tlb := newCache(tlbCache(TLBConfig{Entries: 64, Assoc: 8, HitLatency: 1}), new(CacheStats))
 	if tlb.Access(0x1000, OwnerApp) {
 		t.Fatal("cold TLB access should miss")
 	}
@@ -142,7 +145,7 @@ func TestTLBBasic(t *testing.T) {
 }
 
 func TestTLBCapacityEviction(t *testing.T) {
-	tlb := newCache(tlbCache(TLBConfig{Entries: 8, Assoc: 8, HitLatency: 1})) // 1 set
+	tlb := newCache(tlbCache(TLBConfig{Entries: 8, Assoc: 8, HitLatency: 1}), new(CacheStats)) // 1 set
 	for p := uint32(0); p < 9; p++ {
 		tlb.Access(p*4096, OwnerApp)
 	}
@@ -153,7 +156,8 @@ func TestTLBCapacityEviction(t *testing.T) {
 
 func TestPredictorLearnsLoop(t *testing.T) {
 	cfg := DefaultConfig()
-	p := newPredictor(&cfg)
+	var st BranchStats
+	p := newPredictor(&cfg, &st)
 	// A loop branch taken 50x then not taken: after warm-up the
 	// predictor should predict taken.
 	// Gshare folds the 12-bit global history into the index, so the
@@ -176,14 +180,14 @@ func TestPredictorLearnsLoop(t *testing.T) {
 	if wrongEarly > 20 {
 		t.Fatalf("warm-up took %d mispredictions", wrongEarly)
 	}
-	if p.Stats.Branches[OwnerApp] != 50 {
-		t.Fatalf("branches = %d", p.Stats.Branches[OwnerApp])
+	if st.Branches[OwnerApp] != 50 {
+		t.Fatalf("branches = %d", st.Branches[OwnerApp])
 	}
 }
 
 func TestPredictorIndirectTargetChange(t *testing.T) {
 	cfg := DefaultConfig()
-	p := newPredictor(&cfg)
+	p := newPredictor(&cfg, new(BranchStats))
 	d := DynInst{PC: 0x5000, IsBranch: true, IsIndirect: true, Taken: true, Target: 0x100, Owner: OwnerTOL}
 	p.PredictAndTrain(&d) // cold: mispredict
 	if p.PredictAndTrain(&d) != true {
@@ -197,7 +201,7 @@ func TestPredictorIndirectTargetChange(t *testing.T) {
 
 func TestPredictorUnconditionalDirectLearns(t *testing.T) {
 	cfg := DefaultConfig()
-	p := newPredictor(&cfg)
+	p := newPredictor(&cfg, new(BranchStats))
 	d := DynInst{PC: 0x6000, IsBranch: true, Taken: true, Target: 0x7000}
 	p.PredictAndTrain(&d)
 	if !p.PredictAndTrain(&d) {
@@ -206,7 +210,8 @@ func TestPredictorUnconditionalDirectLearns(t *testing.T) {
 }
 
 func TestPrefetcherDetectsStride(t *testing.T) {
-	p := newStridePrefetcher(256)
+	var issued uint64
+	p := newStridePrefetcher(256, &issued)
 	pc := uint32(0x1000)
 	var got []uint32
 	for i := uint32(0); i < 6; i++ {
@@ -223,19 +228,20 @@ func TestPrefetcherDetectsStride(t *testing.T) {
 			t.Fatalf("bad prefetch address %#x", a)
 		}
 	}
-	if p.Issued != uint64(len(got)) {
-		t.Fatalf("Issued = %d, want %d", p.Issued, len(got))
+	if issued != uint64(len(got)) {
+		t.Fatalf("Issued = %d, want %d", issued, len(got))
 	}
 }
 
 func TestPrefetcherIgnoresRandom(t *testing.T) {
-	p := newStridePrefetcher(256)
+	var issued uint64
+	p := newStridePrefetcher(256, &issued)
 	r := rand.New(rand.NewSource(9))
 	pc := uint32(0x2000)
 	for i := 0; i < 100; i++ {
 		if pf := p.Observe(pc, r.Uint32()); pf != 0 {
 			// Random strides can occasionally repeat; just ensure it is rare.
-			if p.Issued > 10 {
+			if issued > 10 {
 				t.Fatal("prefetcher fires too often on random addresses")
 			}
 		}
@@ -243,7 +249,7 @@ func TestPrefetcherIgnoresRandom(t *testing.T) {
 }
 
 func TestPrefetcherDisabled(t *testing.T) {
-	p := newStridePrefetcher(0)
+	p := newStridePrefetcher(0, nil)
 	for i := uint32(0); i < 10; i++ {
 		if pf := p.Observe(0x1000, 0x8000+i*64); pf != 0 {
 			t.Fatal("disabled prefetcher issued a prefetch")

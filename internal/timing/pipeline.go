@@ -5,10 +5,11 @@ import (
 	"fmt"
 )
 
-// iqEntry is one instruction waiting in the instruction queue.
-type iqEntry struct {
-	inst       DynInst
-	mispredict bool
+// IQEntry is one instruction waiting in the instruction queue, and
+// one slot of SimSnapshot.IQ (head-first).
+type IQEntry struct {
+	Inst       DynInst `json:"inst"`
+	Mispredict bool    `json:"mispredict,omitempty"`
 }
 
 type fetchBlock uint8
@@ -22,7 +23,8 @@ const (
 
 // structures is one set of modelled microarchitectural state: the
 // caches, the two data-TLB levels, the branch predictor, the prefetcher
-// and the fetch unit's current I-cache line.
+// and the fetch unit's current I-cache line. Its statistics are
+// counters of a Result, bound at construction.
 type structures struct {
 	l1i, l1d, l2 cache
 	l1t, l2t     cache // data-TLB levels: caches of pages
@@ -35,15 +37,18 @@ type structures struct {
 	haveFetchLine bool
 }
 
-func newStructures(cfg *Config) *structures {
+// newStructures builds a structure set counting into res. In
+// ModeSplit both sets count into the one Result: its counters are per
+// owner, and each set sees only its owner's instructions.
+func newStructures(cfg *Config, res *Result) *structures {
 	return &structures{
-		l1i:  newCache(cfg.L1I),
-		l1d:  newCache(cfg.L1D),
-		l2:   newCache(cfg.L2),
-		l1t:  newCache(tlbCache(cfg.L1TLB)),
-		l2t:  newCache(tlbCache(cfg.L2TLB)),
-		bp:   newPredictor(cfg),
-		pref: newStridePrefetcher(cfg.PrefetcherEntries),
+		l1i:  newCache(cfg.L1I, &res.L1I),
+		l1d:  newCache(cfg.L1D, &res.L1D),
+		l2:   newCache(cfg.L2, &res.L2),
+		l1t:  newCache(tlbCache(cfg.L1TLB), &res.L1TLB),
+		l2t:  newCache(tlbCache(cfg.L2TLB), &res.L2TLB),
+		bp:   newPredictor(cfg, &res.Branch),
+		pref: newStridePrefetcher(cfg.PrefetcherEntries, &res.PrefetchesIssued),
 	}
 }
 
@@ -72,7 +77,7 @@ type Simulator struct {
 	regDMiss [NumSBRegs]bool
 
 	// Instruction queue as a ring buffer of capacity cfg.IQSize.
-	iq      []iqEntry
+	iq      []IQEntry
 	iqHead  int
 	iqCount int
 
@@ -83,13 +88,11 @@ type Simulator struct {
 	fetchBlockOwner Owner
 	fetchBlockComp  Component
 	// pending points at the next instruction (already pulled, awaiting
-	// I$) inside the batch buffer; nil when none. The batch is only
-	// refilled after the pointee is consumed into the IQ, so the
-	// reference stays valid without copying the instruction out.
-	// pendingBuf is the restore-time home of a snapshotted pending
-	// instruction, which no longer has a live batch slot to point into.
+	// I$) inside the batch buffer, just ahead of batchPos; nil when
+	// none. The batch is only refilled after the pointee is consumed
+	// into the IQ, so the reference stays valid without copying the
+	// instruction out.
 	pending    *DynInst
-	pendingBuf DynInst
 	streamDone bool
 
 	// Stream batching: instructions are pulled from the source in
@@ -112,6 +115,8 @@ type Simulator struct {
 	// including the mispredicted branch fetch is waiting on; -1 if none.
 	stalledBranch int
 
+	// res accumulates the run's Result; the structures count into it
+	// directly.
 	res Result
 
 	// MaxCycles aborts a runaway simulation (0 means no limit).
@@ -161,12 +166,12 @@ func NewSimulator(cfg Config, mode Mode) *Simulator {
 	s := &Simulator{
 		cfg:           cfg,
 		mode:          mode,
-		iq:            make([]iqEntry, cfg.IQSize),
+		iq:            make([]IQEntry, cfg.IQSize),
 		stalledBranch: -1,
 		batch:         make([]DynInst, batch),
 	}
 	for i := range s.sets() {
-		s.st[i] = newStructures(&cfg)
+		s.st[i] = newStructures(&cfg, &s.res)
 	}
 	return s
 }
@@ -198,7 +203,7 @@ func (s *Simulator) skip(o Owner) bool {
 	return false
 }
 
-func (s *Simulator) iqAt(i int) *iqEntry {
+func (s *Simulator) iqAt(i int) *IQEntry {
 	idx := s.iqHead + i
 	if idx >= len(s.iq) {
 		idx -= len(s.iq)
@@ -209,14 +214,14 @@ func (s *Simulator) iqAt(i int) *iqEntry {
 // iqPush appends *d to the queue tail and returns the stored entry so
 // fetch can predict/flag it in place — one copy from the batch buffer
 // into the ring, no intermediates.
-func (s *Simulator) iqPush(d *DynInst) *iqEntry {
+func (s *Simulator) iqPush(d *DynInst) *IQEntry {
 	idx := s.iqHead + s.iqCount
 	if idx >= len(s.iq) {
 		idx -= len(s.iq)
 	}
 	e := &s.iq[idx]
-	e.inst = *d
-	e.mispredict = false
+	e.Inst = *d
+	e.Mispredict = false
 	s.iqCount++
 	return e
 }
@@ -338,7 +343,7 @@ func (s *Simulator) RunContext(ctx context.Context, src BatchSource) (*Result, e
 		}
 		s.cycle++
 	}
-	s.finishResult()
+	s.res.Cycles = s.cycle
 	return &s.res, nil
 }
 
@@ -395,13 +400,13 @@ func (s *Simulator) fetch() {
 		}
 		entry := s.iqPush(s.pending)
 		s.pending = nil
-		if entry.inst.IsBranch && !s.set(entry.inst.Owner).bp.PredictAndTrain(&entry.inst) {
-			entry.mispredict = true
+		if entry.Inst.IsBranch && !s.set(entry.Inst.Owner).bp.PredictAndTrain(&entry.Inst) {
+			entry.Mispredict = true
 			// Fetch stops until this branch resolves in EXE.
 			s.fetchState = fetchBranchWait
 			s.stalledBranch = s.iqCount - 1
-			s.fetchBlockOwner = entry.inst.Owner
-			s.fetchBlockComp = entry.inst.Comp
+			s.fetchBlockOwner = entry.Inst.Owner
+			s.fetchBlockComp = entry.Inst.Comp
 			return
 		}
 	}
@@ -415,7 +420,7 @@ func (s *Simulator) issue() int {
 	var issuedComps [8]Component
 	for issued < s.cfg.IssueWidth && s.iqCount > 0 {
 		e := s.iqAt(0)
-		d := &e.inst
+		d := &e.Inst
 		if !s.ready(d) {
 			break
 		}
@@ -437,7 +442,7 @@ func (s *Simulator) issue() int {
 				s.regDMiss[d.Dst] = false
 			}
 		}
-		if e.mispredict && s.fetchState == fetchBranchWait && s.stalledBranch == 0 {
+		if e.Mispredict && s.fetchState == fetchBranchWait && s.stalledBranch == 0 {
 			// Misprediction detected in EXE: redirect after the penalty.
 			s.fetchState = fetchRedirect
 			s.fetchReadyAt = s.cycle + 1 + uint64(s.cfg.MispredictPenalty)
@@ -487,7 +492,7 @@ func (s *Simulator) blockingDMiss(d *DynInst) bool {
 // sources: data-cache miss, instruction-cache miss, branch, scheduling.
 func (s *Simulator) accountBubble() {
 	if s.iqCount > 0 {
-		d := &s.iqAt(0).inst
+		d := &s.iqAt(0).Inst
 		if s.blockingDMiss(d) {
 			s.res.Bubbles[d.Owner][BubbleDMiss]++
 		} else {
@@ -510,23 +515,13 @@ func (s *Simulator) accountBubble() {
 }
 
 // ResultSoFar returns a copy of the accumulated Result as of the
-// current cycle boundary with the live structure statistics folded in,
-// without disturbing the in-progress accumulation. It is the
-// measurement primitive of sampled simulation: the warm-up mark is a
-// ResultSoFar, and the measured interval is the element-wise
-// difference (Result.Sub) between the final result and that mark.
+// current cycle boundary, without disturbing the in-progress
+// accumulation. It is the measurement primitive of sampled simulation:
+// the warm-up mark is a ResultSoFar, and the measured interval is the
+// element-wise difference (Result.Sub) between the final result and
+// that mark.
 func (s *Simulator) ResultSoFar() Result {
 	res := s.res
 	res.Cycles = s.cycle
-	for _, st := range s.sets() {
-		res.Add(&Result{
-			L1I: st.l1i.Stats, L1D: st.l1d.Stats, L2: st.l2.Stats, L1TLB: st.l1t.Stats, L2TLB: st.l2t.Stats,
-			Branch: st.bp.Stats, PrefetchesIssued: st.pref.Issued,
-		})
-	}
 	return res
-}
-
-func (s *Simulator) finishResult() {
-	s.res = s.ResultSoFar()
 }

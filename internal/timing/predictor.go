@@ -30,7 +30,7 @@ func (s *BranchStats) OwnerMispredictRate(o Owner) float64 {
 
 // predictor combines a Gshare direction predictor with a BTB for
 // targets: a set-associative array keyed by pc>>2 whose slots index
-// btbTargets.
+// btbTargets. It counts into a BranchStats it does not own.
 type predictor struct {
 	historyMask uint32
 	history     uint32
@@ -39,12 +39,14 @@ type predictor struct {
 	btb        setAssoc
 	btbTargets []uint32
 
-	Stats BranchStats
+	stats *BranchStats
 }
 
-// newPredictor builds the predictor from the configuration.
-func newPredictor(cfg *Config) predictor {
+// newPredictor builds the predictor from the configuration, counting
+// into stats.
+func newPredictor(cfg *Config, stats *BranchStats) predictor {
 	return predictor{
+		stats:       stats,
 		historyMask: 1<<cfg.BPHistoryBits - 1,
 		counters:    make([]uint8, 1<<cfg.BPHistoryBits),
 		btb:         newSetAssoc(cfg.BTBEntries, cfg.BTBAssoc),
@@ -87,7 +89,7 @@ func (p *predictor) update(pc uint32, isCond, taken bool, target uint32) {
 // branches, target).
 func (p *predictor) PredictAndTrain(d *DynInst) bool {
 	owner := d.Owner
-	p.Stats.Branches[owner]++
+	p.stats.Branches[owner]++
 
 	// A conditional branch needs the right direction; a taken branch
 	// (every unconditional one) also needs the BTB's target.
@@ -100,7 +102,7 @@ func (p *predictor) PredictAndTrain(d *DynInst) bool {
 	}
 	p.update(d.PC, d.IsCond, d.Taken, d.Target)
 	if !correct {
-		p.Stats.Mispredicts[owner]++
+		p.stats.Mispredicts[owner]++
 	}
 	return correct
 }

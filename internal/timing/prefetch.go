@@ -9,13 +9,14 @@ type stridePrefetcher struct {
 	last    []uint32
 	stride  []int32
 	conf    []uint8
-	Issued  uint64 // prefetches issued
+	issued  *uint64 // prefetches issued, a counter it does not own
 	enabled bool
 }
 
 // newStridePrefetcher creates a prefetcher with the given entry count
-// (a power of two). Zero entries disables prefetching.
-func newStridePrefetcher(entries int) stridePrefetcher {
+// (a power of two), counting issued prefetches into issued. Zero
+// entries disables prefetching.
+func newStridePrefetcher(entries int, issued *uint64) stridePrefetcher {
 	if entries == 0 {
 		return stridePrefetcher{}
 	}
@@ -28,6 +29,7 @@ func newStridePrefetcher(entries int) stridePrefetcher {
 		last:    make([]uint32, entries),
 		stride:  make([]int32, entries),
 		conf:    make([]uint8, entries),
+		issued:  issued,
 		enabled: true,
 	}
 }
@@ -63,7 +65,7 @@ func (p *stridePrefetcher) Observe(pc, addr uint32) uint32 {
 		return 0
 	}
 	if p.conf[idx] >= 2 {
-		p.Issued++
+		*p.issued++
 		return addr + uint32(d)
 	}
 	return 0

@@ -28,12 +28,6 @@ func (d *DynInst) Validate() error {
 	return nil
 }
 
-// IQEntry is one instruction-queue slot in a snapshot, head-first.
-type IQEntry struct {
-	Inst       DynInst `json:"inst"`
-	Mispredict bool    `json:"mispredict,omitempty"`
-}
-
 // LinesSnap captures one set-associative array — a cache, a TLB level
 // or the BTB — exactly as stored: Tags and Valid way-major within set,
 // one PLRU tree per set.
@@ -43,25 +37,22 @@ type LinesSnap struct {
 	PLRU  []uint16 `json:"plru"`
 }
 
-// SetSnap captures one structure set: its caches in Result order (L1I,
-// L1D, L2, L1 TLB, L2 TLB) with their statistics, the Gshare predictor
-// and BTB, the stride prefetcher, and the fetch unit's current I-cache
-// line.
+// SetSnap captures the contents of one structure set: its caches in
+// Result order (L1I, L1D, L2, L1 TLB, L2 TLB), the Gshare predictor and
+// BTB, the stride prefetcher, and the fetch unit's current I-cache
+// line. Its statistics are counters of SimSnapshot.Res.
 type SetSnap struct {
-	Caches     [numCaches]LinesSnap  `json:"caches"`
-	CacheStats [numCaches]CacheStats `json:"cache_stats"`
+	Caches [numCaches]LinesSnap `json:"caches"`
 
-	History    uint32      `json:"history"`
-	Counters   []byte      `json:"counters"`
-	BTB        LinesSnap   `json:"btb"`
-	BTBTargets []uint32    `json:"btb_targets"`
-	Branch     BranchStats `json:"branch"`
+	History    uint32    `json:"history"`
+	Counters   []byte    `json:"counters"`
+	BTB        LinesSnap `json:"btb"`
+	BTBTargets []uint32  `json:"btb_targets"`
 
-	PrefTags    []uint32 `json:"pref_tags"`
-	PrefLast    []uint32 `json:"pref_last"`
-	PrefStride  []int32  `json:"pref_stride"`
-	PrefConf    []byte   `json:"pref_conf"`
-	PrefsIssued uint64   `json:"prefs_issued"`
+	PrefTags   []uint32 `json:"pref_tags"`
+	PrefLast   []uint32 `json:"pref_last"`
+	PrefStride []int32  `json:"pref_stride"`
+	PrefConf   []byte   `json:"pref_conf"`
 
 	LastFetchLine uint32 `json:"last_fetch_line"`
 	HaveFetchLine bool   `json:"have_fetch_line"`
@@ -80,9 +71,8 @@ type SimSnapshot struct {
 	Mode Mode   `json:"mode"`
 
 	Cycle uint64 `json:"cycle"`
-	// Res holds the pre-finish accumulators; structure statistics live
-	// in the structure snapshots and are folded in by finishResult when
-	// the restored run completes, exactly once, like an unbroken run.
+	// Res holds the accumulated counters, structure statistics
+	// included; Cycles is set only once the run completes.
 	Res Result `json:"result"`
 
 	RegReady [NumSBRegs]uint64 `json:"reg_ready"`
@@ -95,7 +85,7 @@ type SimSnapshot struct {
 	FetchBlockOwner Owner     `json:"fetch_block_owner"`
 	FetchBlockComp  Component `json:"fetch_block_comp"`
 	StalledBranch   int       `json:"stalled_branch"`
-	Pending         *DynInst  `json:"pending,omitempty"`
+	Pending         *DynInst  `json:"pending,omitempty"` // pulled, awaiting the I-cache
 	StreamDone      bool      `json:"stream_done,omitempty"`
 	Batch           []DynInst `json:"batch,omitempty"` // undelivered refill tail
 
@@ -121,8 +111,7 @@ func (s *Simulator) Snapshot() *SimSnapshot {
 		StreamDone:      s.streamDone,
 	}
 	for i := 0; i < s.iqCount; i++ {
-		e := s.iqAt(i)
-		sn.IQ = append(sn.IQ, IQEntry{Inst: e.inst, Mispredict: e.mispredict})
+		sn.IQ = append(sn.IQ, *s.iqAt(i))
 	}
 	if s.pending != nil {
 		p := *s.pending
@@ -140,8 +129,10 @@ func (s *Simulator) Snapshot() *SimSnapshot {
 // RestoreSimulator rebuilds a Simulator from a snapshot. The returned
 // simulator is ready to resume via RunContext with a source delivering
 // the remainder of the original stream. Structure geometries are
-// validated against the snapshot's own Config; a mismatch (a corrupt
-// or hand-edited snapshot) is an error, never a panic.
+// validated against the snapshot's own Config, and the fetch unit's
+// state against what a run can produce; a mismatch (a corrupt or
+// hand-edited snapshot) is an error, never a panic or a run that
+// cannot advance.
 func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
 	if err := sn.Cfg.Validate(); err != nil {
 		return nil, err
@@ -155,10 +146,10 @@ func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
 	if sn.FetchBlockOwner >= NumOwners || sn.FetchBlockComp >= NumComponents {
 		return nil, fmt.Errorf("timing: snapshot fetch blocker has owner %d, component %d", sn.FetchBlockOwner, sn.FetchBlockComp)
 	}
-	s := NewSimulator(sn.Cfg, sn.Mode)
-	if len(sn.Batch) > len(s.batch) {
-		return nil, fmt.Errorf("timing: snapshot batch holds %d instructions, config StreamBatch=%d", len(sn.Batch), len(s.batch))
+	if err := sn.checkFetch(); err != nil {
+		return nil, err
 	}
+	s := NewSimulator(sn.Cfg, sn.Mode)
 	s.cycle = sn.Cycle
 	s.res = sn.Res
 	s.regReady = sn.RegReady
@@ -169,26 +160,27 @@ func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
 	s.fetchBlockComp = sn.FetchBlockComp
 	s.stalledBranch = sn.StalledBranch
 	s.streamDone = sn.StreamDone
-	s.iqHead, s.iqCount = 0, len(sn.IQ)
-	for i, e := range sn.IQ {
-		if err := e.Inst.Validate(); err != nil {
-			return nil, err
-		}
-		s.iq[i] = iqEntry{inst: e.Inst, mispredict: e.Mispredict}
-	}
+	s.iqHead, s.iqCount = 0, copy(s.iq, sn.IQ)
+	// A live run's pending instruction sits in the batch buffer just
+	// ahead of the undelivered tail; the restore puts it back there.
 	if sn.Pending != nil {
-		if err := sn.Pending.Validate(); err != nil {
+		s.batch[0] = *sn.Pending
+		s.pending, s.batchPos = &s.batch[0], 1
+	}
+	s.batchLen = s.batchPos + copy(s.batch[s.batchPos:], sn.Batch)
+	if s.batchLen < s.batchPos+len(sn.Batch) {
+		return nil, fmt.Errorf("timing: snapshot holds %d undelivered instructions, config StreamBatch=%d", s.batchPos+len(sn.Batch), len(s.batch))
+	}
+	for i := range s.iqCount {
+		if err := s.iq[i].Inst.Validate(); err != nil {
 			return nil, err
 		}
-		s.pendingBuf = *sn.Pending
-		s.pending = &s.pendingBuf
 	}
-	for i := range sn.Batch {
-		if err := sn.Batch[i].Validate(); err != nil {
+	for i := range s.batchLen {
+		if err := s.batch[i].Validate(); err != nil {
 			return nil, err
 		}
 	}
-	s.batchPos, s.batchLen = 0, copy(s.batch, sn.Batch)
 	sets := s.sets()
 	if len(sn.Sets) != len(sets) {
 		return nil, fmt.Errorf("timing: snapshot has %d structure sets, mode %v has %d", len(sn.Sets), sn.Mode, len(sets))
@@ -199,6 +191,33 @@ func RestoreSimulator(sn *SimSnapshot) (*Simulator, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkFetch rejects a fetch-unit state no run can produce: an unknown
+// state, a stalled branch outside a branch wait or not naming a
+// mispredicted IQ entry, or a stall longer than the config's longest.
+// Restored, each would leave fetch blocked for good.
+func (sn *SimSnapshot) checkFetch() error {
+	state := fetchBlock(sn.FetchState)
+	if state > fetchRedirect {
+		return fmt.Errorf("timing: snapshot fetch state %d out of range", sn.FetchState)
+	}
+	if b := sn.StalledBranch; state == fetchBranchWait {
+		if b < 0 || b >= len(sn.IQ) || !sn.IQ[b].Mispredict {
+			return fmt.Errorf("timing: snapshot fetch waits on IQ entry %d, not a mispredicted branch", b)
+		}
+	} else if b != -1 {
+		return fmt.Errorf("timing: snapshot stalled branch %d outside a branch wait", b)
+	}
+	maxStall := sn.Cfg.L2.HitLatency + sn.Cfg.MemLatency
+	if state == fetchRedirect {
+		maxStall = 1 + sn.Cfg.MispredictPenalty
+	}
+	if (state == fetchIMiss || state == fetchRedirect) &&
+		sn.FetchReadyAt > sn.Cycle && sn.FetchReadyAt-sn.Cycle > uint64(maxStall) {
+		return fmt.Errorf("timing: snapshot fetch stalls until cycle %d, %d cycles is the longest stall", sn.FetchReadyAt, maxStall)
+	}
+	return nil
 }
 
 func (a *setAssoc) snap() LinesSnap {
@@ -239,18 +258,15 @@ func (st *structures) snap() SetSnap {
 		Counters:      append([]byte(nil), p.counters...),
 		BTB:           p.btb.snap(),
 		BTBTargets:    append([]uint32(nil), p.btbTargets...),
-		Branch:        p.Stats,
 		PrefTags:      append([]uint32(nil), pf.tags...),
 		PrefLast:      append([]uint32(nil), pf.last...),
 		PrefStride:    append([]int32(nil), pf.stride...),
 		PrefConf:      append([]byte(nil), pf.conf...),
-		PrefsIssued:   pf.Issued,
 		LastFetchLine: st.lastFetchLine,
 		HaveFetchLine: st.haveFetchLine,
 	}
 	for k, c := range st.caches() {
 		sn.Caches[k] = c.snap()
-		sn.CacheStats[k] = c.Stats
 	}
 	return sn
 }
@@ -266,7 +282,6 @@ func (st *structures) restore(sn *SetSnap) error {
 		if err := c.restore(&sn.Caches[k]); err != nil {
 			return err
 		}
-		c.Stats = sn.CacheStats[k]
 	}
 	if err := p.btb.restore(&sn.BTB); err != nil {
 		return err
@@ -274,12 +289,10 @@ func (st *structures) restore(sn *SetSnap) error {
 	p.history = sn.History
 	copy(p.counters, sn.Counters)
 	copy(p.btbTargets, sn.BTBTargets)
-	p.Stats = sn.Branch
 	copy(pf.tags, sn.PrefTags)
 	copy(pf.last, sn.PrefLast)
 	copy(pf.stride, sn.PrefStride)
 	copy(pf.conf, sn.PrefConf)
-	pf.Issued = sn.PrefsIssued
 	st.lastFetchLine, st.haveFetchLine = sn.LastFetchLine, sn.HaveFetchLine
 	return nil
 }

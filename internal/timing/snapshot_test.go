@@ -59,8 +59,13 @@ func TestRestoreRejectsForeignSnapshots(t *testing.T) {
 
 // TestRestoreRejectsOutOfRangeState: a snapshot whose queued
 // instructions or fetch blocker index past the simulator's owner,
-// component or scoreboard tables, or whose mode is unknown, fails
-// RestoreSimulator with an error instead of panicking on resume.
+// component or scoreboard tables, whose mode is unknown, or whose fetch
+// unit is in a state no run produces (an unknown state, a branch wait
+// on no mispredicted IQ entry, a stall longer than the config allows, a
+// pending instruction with no room in the batch) fails RestoreSimulator
+// with an error instead of panicking or never advancing on resume. The
+// "control" rows are states a paused run can hold; they restore and
+// run to completion.
 func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 	ok := DynInst{PC: 0x1000, Owner: OwnerTOL, Comp: CompIM, Dst: 3, Src1: NumSBRegs - 1, Src2: RegNone}
 	doctored := func(f func(*DynInst)) DynInst {
@@ -79,6 +84,14 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 		doctor func(*SimSnapshot)
 	}{
 		{"control", func(*SimSnapshot) {}},
+		{"control branch wait", func(sn *SimSnapshot) {
+			sn.FetchState, sn.StalledBranch = uint8(fetchBranchWait), 0
+			sn.IQ[0].Mispredict = true
+		}},
+		{"control i-miss", func(sn *SimSnapshot) {
+			sn.FetchState, sn.Cycle = uint8(fetchIMiss), 100
+			sn.FetchReadyAt = sn.Cycle + uint64(sn.Cfg.L2.HitLatency+sn.Cfg.MemLatency)
+		}},
 		{"iq owner", func(sn *SimSnapshot) { sn.IQ = []IQEntry{{Inst: ok}, {Inst: owner5}} }},
 		{"iq component", func(sn *SimSnapshot) { sn.IQ = []IQEntry{{Inst: comp}} }},
 		{"iq dst", func(sn *SimSnapshot) { sn.IQ = []IQEntry{{Inst: dst}} }},
@@ -91,6 +104,27 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 		{"mode", func(sn *SimSnapshot) { sn.Mode = NumModes }},
 		{"fetch block owner", func(sn *SimSnapshot) { sn.FetchBlockOwner = NumOwners }},
 		{"fetch block component", func(sn *SimSnapshot) { sn.FetchBlockComp = NumComponents }},
+		{"fetch state 4", func(sn *SimSnapshot) { sn.FetchState = 4 }},
+		{"fetch state 9", func(sn *SimSnapshot) { sn.FetchState = 9 }},
+		{"branch wait on none", func(sn *SimSnapshot) { sn.FetchState = uint8(fetchBranchWait) }},
+		{"branch wait past iq", func(sn *SimSnapshot) {
+			sn.FetchState, sn.StalledBranch = uint8(fetchBranchWait), 5
+			sn.IQ[0].Mispredict = true
+		}},
+		{"branch wait empty iq", func(sn *SimSnapshot) {
+			sn.FetchState, sn.StalledBranch, sn.IQ = uint8(fetchBranchWait), 5, nil
+		}},
+		{"branch wait on predicted", func(sn *SimSnapshot) { sn.FetchState, sn.StalledBranch = uint8(fetchBranchWait), 0 }},
+		{"stalled branch while free", func(sn *SimSnapshot) {
+			sn.StalledBranch = 0
+			sn.IQ[0].Mispredict = true
+		}},
+		{"i-miss stall", func(sn *SimSnapshot) { sn.FetchState, sn.FetchReadyAt = uint8(fetchIMiss), 1<<62 }},
+		{"redirect stall", func(sn *SimSnapshot) {
+			sn.FetchState, sn.Cycle = uint8(fetchRedirect), 100
+			sn.FetchReadyAt = sn.Cycle + 2 + uint64(sn.Cfg.MispredictPenalty)
+		}},
+		{"pending past full batch", func(sn *SimSnapshot) { sn.Batch = make([]DynInst, DefaultStreamBatch) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -100,7 +134,7 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 			sn.Batch = []DynInst{ok}
 			c.doctor(sn)
 			s, err := RestoreSimulator(sn)
-			if c.name == "control" {
+			if strings.HasPrefix(c.name, "control") {
 				if err != nil {
 					t.Fatalf("in-range snapshot rejected: %v", err)
 				}

@@ -99,8 +99,7 @@ func (r *Result) zip(o *Result, u func(r, o uint64) uint64, f func(r, o float64)
 }
 
 // Add accumulates o's counters into r element-wise: how sampled
-// simulation pools its measured intervals, and how the simulator folds
-// each structure set's statistics into a run's result.
+// simulation pools its measured intervals.
 func (r *Result) Add(o *Result) {
 	r.zip(o, func(a, b uint64) uint64 { return a + b }, func(a, b float64) float64 { return a + b })
 }

@@ -139,12 +139,12 @@ func (t *Translator) TranslateBB(entry uint32) (*Translation, error) {
 		return nil, err
 	}
 
-	tr := &Translation{
+	tr := &Translation{TransDesc: TransDesc{
 		Kind:       KindBB,
 		GuestEntry: entry,
 		GuestLen:   len(bb.insts),
 		GuestPCs:   append([]uint32(nil), bb.pcs...),
-	}
+	}}
 
 	// Prologue: profiling instrumentation (counter increment plus, when
 	// SBM is enabled, the promotion-threshold check).

@@ -54,11 +54,11 @@ func (r ExitReason) String() string {
 // through this exit; the engine uses it for co-simulation and for the
 // per-mode dynamic instruction accounting of Figure 5b.
 type ExitInfo struct {
-	Reason      ExitReason
-	Retired     int
-	GuestTarget uint32 // static guest target; 0 when dynamic
-	Dynamic     bool   // target known only at run time
-	Chained     bool   // patched to jump directly to another translation
+	Reason      ExitReason `json:"reason"`
+	Retired     int        `json:"retired,omitempty"`
+	GuestTarget uint32     `json:"guest_target,omitempty"` // static guest target; 0 when dynamic
+	Dynamic     bool       `json:"dynamic,omitempty"`      // target known only at run time
+	Chained     bool       `json:"chained,omitempty"`      // patched to jump directly to another translation
 }
 
 // chainRef records one incoming patch into a translation: the source
@@ -77,18 +77,7 @@ type chainRef struct {
 // Translation is one code-cache entry: a translated basic block or an
 // optimized superblock.
 type Translation struct {
-	Kind       TransKind
-	GuestEntry uint32
-	GuestLen   int      // guest instructions covered (static)
-	GuestPCs   []uint32 // guest PC of each covered instruction
-	HostEntry  uint32
-	HostEnd    uint32 // exclusive
-
-	// Region boundaries for owner attribution: [HostEntry, BodyStart)
-	// is TOL-owned instrumentation; [BodyStart, StubStart) is
-	// application code; [StubStart, HostEnd) is TOL-owned exit glue.
-	BodyStart uint32
-	StubStart uint32
+	TransDesc
 
 	Exits map[uint32]*ExitInfo // keyed by host PC of the exit branch
 
@@ -105,6 +94,23 @@ type Translation struct {
 	// this translation (see CodeCache.Touch); the lru-translation
 	// policy orders victims by it.
 	lastUse uint64
+}
+
+// TransDesc is what a translation covers and where its code sits; a
+// snapshot of the translation carries it as is.
+type TransDesc struct {
+	Kind       TransKind `json:"kind"`
+	GuestEntry uint32    `json:"guest_entry"`
+	GuestLen   int       `json:"guest_len"` // guest instructions covered (static)
+	GuestPCs   []uint32  `json:"guest_pcs"` // guest PC of each covered instruction
+	HostEntry  uint32    `json:"host_entry"`
+	HostEnd    uint32    `json:"host_end"` // exclusive
+
+	// Region boundaries for owner attribution: [HostEntry, BodyStart)
+	// is TOL-owned instrumentation; [BodyStart, StubStart) is
+	// application code; [StubStart, HostEnd) is TOL-owned exit glue.
+	BodyStart uint32 `json:"body_start"`
+	StubStart uint32 `json:"stub_start"`
 }
 
 // LastUse returns the eviction-clock stamp of the most recent entry
@@ -239,9 +245,11 @@ type CodeCache struct {
 	SBCount int
 }
 
-// extent is a free range of instruction slots, [start, end).
+// extent is a free range of instruction slots, [Start, End); snapshots
+// carry the free list as is.
 type extent struct {
-	start, end uint32
+	Start uint32 `json:"start"`
+	End   uint32 `json:"end"`
 }
 
 // NewCodeCache returns an empty unbounded code cache.
@@ -380,10 +388,10 @@ func (c *CodeCache) Alloc(n int) (uint32, error) {
 func (c *CodeCache) takeFree(n uint32) (uint32, bool) {
 	for i := range c.free {
 		e := &c.free[i]
-		if e.end-e.start >= n {
-			slot := e.start
-			e.start += n
-			if e.start == e.end {
+		if e.End-e.Start >= n {
+			slot := e.Start
+			e.Start += n
+			if e.Start == e.End {
 				c.free = append(c.free[:i], c.free[i+1:]...)
 			}
 			return slot, true
@@ -396,19 +404,19 @@ func (c *CodeCache) takeFree(n uint32) (uint32, bool) {
 // coalesced.
 func (c *CodeCache) addFree(start, end uint32) {
 	i := 0
-	for i < len(c.free) && c.free[i].start < start {
+	for i < len(c.free) && c.free[i].Start < start {
 		i++
 	}
 	c.free = append(c.free, extent{})
 	copy(c.free[i+1:], c.free[i:])
 	c.free[i] = extent{start, end}
 	// Coalesce with the right neighbour, then the left.
-	if i+1 < len(c.free) && c.free[i].end == c.free[i+1].start {
-		c.free[i].end = c.free[i+1].end
+	if i+1 < len(c.free) && c.free[i].End == c.free[i+1].Start {
+		c.free[i].End = c.free[i+1].End
 		c.free = append(c.free[:i+1], c.free[i+2:]...)
 	}
-	if i > 0 && c.free[i-1].end == c.free[i].start {
-		c.free[i-1].end = c.free[i].end
+	if i > 0 && c.free[i-1].End == c.free[i].Start {
+		c.free[i-1].End = c.free[i].End
 		c.free = append(c.free[:i], c.free[i+1:]...)
 	}
 }

@@ -248,7 +248,7 @@ func TestOversizedSuperblockKeepsBBM(t *testing.T) {
 // place puts n nop instructions into the cache as a fake translation.
 func place(t *testing.T, cc *CodeCache, guestEntry uint32, n int) *Translation {
 	t.Helper()
-	tr := &Translation{Kind: KindBB, GuestEntry: guestEntry, GuestLen: n}
+	tr := &Translation{TransDesc: TransDesc{Kind: KindBB, GuestEntry: guestEntry, GuestLen: n}}
 	code := make([]host.Inst, n)
 	base, err := cc.Alloc(n)
 	if err != nil {

@@ -13,10 +13,8 @@ import "repro/internal/mem"
 // "still, the overhead is in the order of tens of RISC instructions"
 // as the paper puts it.
 type IBTC struct {
-	m     mem.Memory
-	Fills uint64
-	Hits  uint64 // counted by the engine at probe sites
-	Miss  uint64
+	m mem.Memory
+	IBTCCounters
 
 	// entry mirrors the host-entry word of every line (0 = empty), so
 	// the eviction-time unlink scans a Go array instead of reading 256
@@ -24,6 +22,14 @@ type IBTC struct {
 	// reads the table; every write goes through Fill, Invalidate and
 	// InvalidateHostRanges, which keep the mirror exact.
 	entry [IBTCEntries]uint32
+}
+
+// IBTCCounters counts the IBTC's fills, hits and misses. It is all of
+// the IBTC a snapshot captures: the table lives in host memory.
+type IBTCCounters struct {
+	Fills uint64 `json:"fills"`
+	Hits  uint64 `json:"hits"` // counted by the engine at probe sites
+	Miss  uint64 `json:"miss"`
 }
 
 // NewIBTC wraps host memory with IBTC accessors. Entries start zeroed

@@ -3,62 +3,55 @@ package tol
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
+	"repro/internal/emu"
 	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/timing"
 )
 
-// This file is the single place where every Engine field has an
-// explicit snapshot decision. A structural test (TestEngineFieldsHave
-// SnapshotDecision) fails compilation of intent: adding a stateful
-// field to Engine without extending the decision table below breaks
-// the build's test run, so no state can silently escape checkpoints.
-//
-// Engine field → decision:
-//
-//	Cfg          captured  EngineSnapshot.Cfg (restore rebuilds from it)
-//	isa          captured  EngineSnapshot.ISA (restore rejects a mismatch)
-//	plan         rebuilt   derived from isa at construction
-//	HostMem      captured  EngineSnapshot.Mem (every touched page)
-//	CPU          captured  EngineSnapshot.CPU (R, F as IEEE-754 bits, PC)
-//	GuestV       rebuilt   view over the restored HostMem
-//	guestMem     rebuilt   interface conversion of GuestV
-//	CC           captured  EngineSnapshot.Code (insts, translations, free map)
-//	TT           captured  EngineSnapshot.TT (sparse slots incl. tombstones)
-//	IB           captured  EngineSnapshot.IBTC counters; contents live in Mem
-//	  .entry     rebuilt   mirror of the lines' host-entry words, re-read
-//	                       from the restored Mem (IBTC.rebuild)
-//	Prof         captured  EngineSnapshot.Prof slot directory; counters in Mem
-//	Trans        rebuilt   stateless: LastWork, bb and em are per-call
-//	                       scratch, dec is the engine's decode cache
-//	cost         captured  EngineSnapshot.Cost (register rotation state)
-//	  .w         transient window of an open burst; nil at every
-//	                       generation boundary
-//	queue        captured  EngineSnapshot.Queue (undelivered stream suffix;
-//	                       the arena's capacity is not state)
-//	dec          rebuilt   pure decode cache over immutable guest code,
-//	                       shared by the interpreter and the translator
-//	gs           captured  EngineSnapshot.GS
-//	inTranslated captured  EngineSnapshot.InTranslated
-//	curTrans     captured  EngineSnapshot.CurTrans (entry PC; only meaningful
-//	                       while InTranslated — stale pointers are never read)
-//	halted       captured  EngineSnapshot.Halted
-//	err          excluded  failed engines refuse to snapshot
-//	ctx          transient run-scoped cancellation, re-attached by the caller
-//	ctxPollIn    transient poll countdown for ctx
-//	shadow       captured  EngineSnapshot.Shadow (wholesale: the shadow lags
-//	                       the CPU mid-translation, so it cannot be rebuilt)
-//	promoted     captured  EngineSnapshot.Promoted (seed → superblock entry)
-//	policy       captured  EngineSnapshot.PolicyState via StateSnapshotter
-//	evicted      captured  EngineSnapshot.Evicted
-//	stopAfter    transient run control, re-armed by the caller after restore
-//	paused       transient run control
-//	countOnly    transient Drain's sink setting, off outside Drain
-//	Stats        captured  EngineSnapshot.Stats (deep copy)
+// engineFields gives every Engine field its snapshot decision:
+// captured (and where in EngineSnapshot), rebuilt on restore, transient
+// run control, or excluded. TestEngineFieldsHaveSnapshotDecision
+// reflects over Engine and fails on a field missing here (or listed
+// here but gone), so no state can silently escape checkpoints.
+var engineFields = map[string]string{
+	"Cfg":          "captured: EngineSnapshot.Cfg (restore rebuilds from it)",
+	"isa":          "captured: EngineSnapshot.ISA (restore rejects a mismatch)",
+	"plan":         "rebuilt: derived from isa at construction",
+	"HostMem":      "captured: EngineSnapshot.Mem (every touched page)",
+	"CPU":          "captured: EngineSnapshot.CPU (R, F as IEEE-754 bits, PC)",
+	"GuestV":       "rebuilt: view over the restored HostMem",
+	"guestMem":     "rebuilt: interface conversion of GuestV",
+	"CC":           "captured: EngineSnapshot.Code (insts, translations, free map)",
+	"TT":           "captured: EngineSnapshot.TT (sparse slots incl. tombstones; live and occ are counted from them)",
+	"IB":           "captured: EngineSnapshot.IBTC counters; contents live in Mem, and .entry is re-read from it (IBTC.rebuild)",
+	"Prof":         "captured: EngineSnapshot.Prof slot directory; counters live in Mem",
+	"Trans":        "rebuilt: stateless; LastWork, bb and em are per-call scratch, dec is the engine's decode cache",
+	"cost":         "captured: EngineSnapshot.Cost (register rotation); .w is an open burst's window, nil at every generation boundary",
+	"queue":        "captured: EngineSnapshot.Queue (undelivered stream suffix; the arena's capacity is not state)",
+	"dec":          "rebuilt: pure decode cache over immutable guest code",
+	"gs":           "captured: EngineSnapshot.GS",
+	"inTranslated": "captured: EngineSnapshot.InTranslated",
+	"curTrans":     "captured: EngineSnapshot.CurTrans (entry PC; only meaningful while InTranslated)",
+	"halted":       "captured: EngineSnapshot.Halted",
+	"err":          "excluded: failed engines refuse to snapshot",
+	"ctx":          "transient: run-scoped cancellation, re-attached by the caller",
+	"ctxPollIn":    "transient: poll countdown for ctx",
+	"shadow":       "captured: EngineSnapshot.Shadow (wholesale: the shadow lags the CPU mid-translation)",
+	"promoted":     "captured: EngineSnapshot.Promoted (seed → superblock entry)",
+	"policy":       "captured: EngineSnapshot.PolicyState via StateSnapshotter",
+	"evicted":      "captured: EngineSnapshot.Evicted",
+	"stopAfter":    "transient: run control, re-armed by the caller after restore",
+	"paused":       "transient: run control",
+	"countOnly":    "transient: Drain's sink setting, off outside Drain",
+	"Stats":        "captured: EngineSnapshot.Stats (deep copy)",
+}
 
 // StateSnapshotter is implemented by promotion and eviction policies
 // that carry mutable per-run state. Policies without it are treated as
@@ -111,6 +104,28 @@ func (p *fifoRegionPolicy) RestoreState(raw json.RawMessage) error {
 	return nil
 }
 
+// policyState captures a promotion or eviction policy's mutable state:
+// nil for a stateless policy.
+func policyState(p any) (json.RawMessage, error) {
+	if ss, ok := p.(StateSnapshotter); ok {
+		return ss.SnapshotState()
+	}
+	return nil, nil
+}
+
+// restorePolicyState hands captured state back to a policy; state for
+// a policy that keeps none is an error.
+func restorePolicyState(p any, raw json.RawMessage, kind string) error {
+	if raw == nil {
+		return nil
+	}
+	ss, ok := p.(StateSnapshotter)
+	if !ok {
+		return fmt.Errorf("tol: snapshot carries %s-policy state but the configured policy has none", kind)
+	}
+	return ss.RestoreState(raw)
+}
+
 // PageSnap is one touched 4 KiB page of a sparse memory.
 type PageSnap struct {
 	Num  uint32 `json:"num"`
@@ -134,12 +149,8 @@ type CostSnap struct {
 
 // ExitSnap is one translation exit descriptor, keyed by host PC.
 type ExitSnap struct {
-	PC          uint32 `json:"pc"`
-	Reason      uint8  `json:"reason"`
-	Retired     int    `json:"retired,omitempty"`
-	GuestTarget uint32 `json:"guest_target,omitempty"`
-	Dynamic     bool   `json:"dynamic,omitempty"`
-	Chained     bool   `json:"chained,omitempty"`
+	PC uint32 `json:"pc"`
+	ExitInfo
 }
 
 // ChainRefSnap is one incoming chain patch recorded on a translation:
@@ -159,24 +170,11 @@ type ChainRefSnap struct {
 
 // TranslationSnap is one code-cache entry descriptor.
 type TranslationSnap struct {
-	Kind       uint8          `json:"kind"`
-	GuestEntry uint32         `json:"guest_entry"`
-	GuestLen   int            `json:"guest_len"`
-	GuestPCs   []uint32       `json:"guest_pcs"`
-	HostEntry  uint32         `json:"host_entry"`
-	HostEnd    uint32         `json:"host_end"`
-	BodyStart  uint32         `json:"body_start"`
-	StubStart  uint32         `json:"stub_start"`
-	Exits      []ExitSnap     `json:"exits"`
-	ProfSlot   uint32         `json:"prof_slot,omitempty"`
-	LastUse    uint64         `json:"last_use"`
-	Incoming   []ChainRefSnap `json:"incoming,omitempty"`
-}
-
-// ExtentSnap is one free range of code-cache instruction slots.
-type ExtentSnap struct {
-	Start uint32 `json:"start"`
-	End   uint32 `json:"end"`
+	TransDesc
+	Exits    []ExitSnap     `json:"exits"`
+	ProfSlot uint32         `json:"prof_slot,omitempty"`
+	LastUse  uint64         `json:"last_use"`
+	Incoming []ChainRefSnap `json:"incoming,omitempty"`
 }
 
 // CodeCacheSnap captures the code cache: the raw instruction arena
@@ -187,7 +185,7 @@ type ExtentSnap struct {
 type CodeCacheSnap struct {
 	Insts        []byte            `json:"insts"` // len/EncodedBytes slots
 	Translations []TranslationSnap `json:"translations"`
-	Free         []ExtentSnap      `json:"free,omitempty"`
+	Free         []extent          `json:"free,omitempty"`
 	Used         int               `json:"used"`
 	Peak         int               `json:"peak"`
 	UseClock     uint64            `json:"use_clock"`
@@ -222,28 +220,14 @@ type ProfileSnap struct {
 	Next  uint32         `json:"next"`
 }
 
-// IBTCSnap captures the IBTC counters; the table contents live in host
-// memory and travel with the page image.
-type IBTCSnap struct {
-	Fills uint64 `json:"fills"`
-	Hits  uint64 `json:"hits"`
-	Miss  uint64 `json:"miss"`
-}
-
 // ShadowSnap captures the co-simulation reference emulator wholesale.
 // Mid-translation the shadow lags the CPU by the in-flight block's
 // retired instructions, so its state cannot be reconstructed from the
 // engine's — it is serialized like a second machine.
 type ShadowSnap struct {
-	State        guest.State       `json:"state"`
-	Mem          []PageSnap        `json:"mem"`
-	DynInsts     uint64            `json:"dyn_insts"`
-	DynBranches  uint64            `json:"dyn_branches"`
-	DynIndirect  uint64            `json:"dyn_indirect"`
-	DynMemOps    uint64            `json:"dyn_mem_ops"`
-	DynFP        uint64            `json:"dyn_fp"`
-	Halted       bool              `json:"halted,omitempty"`
-	TakenTargets map[uint32]uint64 `json:"taken_targets,omitempty"`
+	State guest.State `json:"state"`
+	Mem   []PageSnap  `json:"mem"`
+	emu.Stats
 }
 
 // PromotedSnap is one seed → superblock mapping.
@@ -256,8 +240,7 @@ type PromotedSnap struct {
 // at a generation boundary (between Next/NextBatch calls). RestoreEngine
 // rebuilds an engine that, driven onward, produces a stream and final
 // statistics byte-identical to the original continuing uninterrupted.
-// The decision table at the top of this file maps every Engine field to
-// its slot here.
+// engineFields maps every Engine field to its slot here.
 type EngineSnapshot struct {
 	Cfg Config `json:"config"`
 
@@ -281,7 +264,7 @@ type EngineSnapshot struct {
 	Code CodeCacheSnap  `json:"code_cache"`
 	TT   TransTableSnap `json:"trans_table"`
 	Prof ProfileSnap    `json:"profile"`
-	IBTC IBTCSnap       `json:"ibtc"`
+	IBTC IBTCCounters   `json:"ibtc"`
 
 	Promoted []PromotedSnap `json:"promoted,omitempty"`
 	Evicted  []uint32       `json:"evicted,omitempty"`
@@ -332,12 +315,7 @@ const ccPoisonByte = 0xFF
 // cloneStats deep-copies Stats (map and slice fields included).
 func cloneStats(s *Stats) Stats {
 	c := *s
-	if s.StaticMode != nil {
-		c.StaticMode = make(map[uint32]Mode, len(s.StaticMode))
-		for k, v := range s.StaticMode {
-			c.StaticMode[k] = v
-		}
-	}
+	c.StaticMode = maps.Clone(s.StaticMode)
 	c.SBPasses = append([]PassStat(nil), s.SBPasses...)
 	return c
 }
@@ -361,7 +339,7 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 
 		Cost: CostSnap{RegRot: e.cost.regRot, PrevDst: e.cost.prevDst},
 
-		IBTC:  IBTCSnap{Fills: e.IB.Fills, Hits: e.IB.Hits, Miss: e.IB.Miss},
+		IBTC:  e.IB.IBTCCounters,
 		Stats: cloneStats(&e.Stats),
 	}
 	for i, f := range e.CPU.F {
@@ -385,44 +363,18 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 		sn.Promoted = append(sn.Promoted, PromotedSnap{Seed: seed, HostEntry: tr.HostEntry})
 	}
 	sort.Slice(sn.Promoted, func(i, j int) bool { return sn.Promoted[i].Seed < sn.Promoted[j].Seed })
-	for g := range e.evicted {
-		sn.Evicted = append(sn.Evicted, g)
-	}
-	sort.Slice(sn.Evicted, func(i, j int) bool { return sn.Evicted[i] < sn.Evicted[j] })
+	sn.Evicted = slices.Sorted(maps.Keys(e.evicted))
 
-	if ss, ok := e.policy.(StateSnapshotter); ok {
-		raw, err := ss.SnapshotState()
-		if err != nil {
-			return nil, err
-		}
-		sn.PolicyState = raw
+	var err error
+	if sn.PolicyState, err = policyState(e.policy); err != nil {
+		return nil, err
 	}
-	if ss, ok := e.CC.policy.(StateSnapshotter); ok {
-		raw, err := ss.SnapshotState()
-		if err != nil {
-			return nil, err
-		}
-		sn.EvictPolicyState = raw
+	if sn.EvictPolicyState, err = policyState(e.CC.policy); err != nil {
+		return nil, err
 	}
 
 	if e.shadow != nil {
-		sh := &ShadowSnap{
-			State:       e.shadow.State,
-			Mem:         snapPages(e.shadow.Mem),
-			DynInsts:    e.shadow.DynInsts,
-			DynBranches: e.shadow.DynBranches,
-			DynIndirect: e.shadow.DynIndirect,
-			DynMemOps:   e.shadow.DynMemOps,
-			DynFP:       e.shadow.DynFP,
-			Halted:      e.shadow.Halted,
-		}
-		if e.shadow.TakenTargets != nil {
-			sh.TakenTargets = make(map[uint32]uint64, len(e.shadow.TakenTargets))
-			for k, v := range e.shadow.TakenTargets {
-				sh.TakenTargets[k] = v
-			}
-		}
-		sn.Shadow = sh
+		sn.Shadow = &ShadowSnap{State: e.shadow.State, Mem: snapPages(e.shadow.Mem), Stats: e.shadow.Stats}
 	}
 	return sn, nil
 }
@@ -443,27 +395,10 @@ func (c *CodeCache) snapshot() CodeCacheSnap {
 		sn.Insts = host.Encode(sn.Insts, c.insts[i])
 	}
 	for _, tr := range c.all {
-		ts := TranslationSnap{
-			Kind:       uint8(tr.Kind),
-			GuestEntry: tr.GuestEntry,
-			GuestLen:   tr.GuestLen,
-			GuestPCs:   append([]uint32(nil), tr.GuestPCs...),
-			HostEntry:  tr.HostEntry,
-			HostEnd:    tr.HostEnd,
-			BodyStart:  tr.BodyStart,
-			StubStart:  tr.StubStart,
-			ProfSlot:   tr.ProfSlot,
-			LastUse:    tr.lastUse,
-		}
+		ts := TranslationSnap{TransDesc: tr.TransDesc, ProfSlot: tr.ProfSlot, LastUse: tr.lastUse}
+		ts.GuestPCs = append([]uint32(nil), tr.GuestPCs...)
 		for pc, info := range tr.Exits {
-			ts.Exits = append(ts.Exits, ExitSnap{
-				PC:          pc,
-				Reason:      uint8(info.Reason),
-				Retired:     info.Retired,
-				GuestTarget: info.GuestTarget,
-				Dynamic:     info.Dynamic,
-				Chained:     info.Chained,
-			})
+			ts.Exits = append(ts.Exits, ExitSnap{PC: pc, ExitInfo: *info})
 		}
 		sort.Slice(ts.Exits, func(i, j int) bool { return ts.Exits[i].PC < ts.Exits[j].PC })
 		for _, ref := range tr.incoming {
@@ -491,9 +426,7 @@ func (c *CodeCache) snapshot() CodeCacheSnap {
 		}
 		sn.Translations = append(sn.Translations, ts)
 	}
-	for _, ext := range c.free {
-		sn.Free = append(sn.Free, ExtentSnap{Start: ext.start, End: ext.end})
-	}
+	sn.Free = append(sn.Free, c.free...)
 	return sn
 }
 
@@ -557,8 +490,10 @@ func RestoreEngine(p *guest.Program, sn *EngineSnapshot) (*Engine, error) {
 	if err := e.TT.restore(&sn.TT); err != nil {
 		return nil, err
 	}
-	e.Prof.restore(&sn.Prof)
-	e.IB.Fills, e.IB.Hits, e.IB.Miss = sn.IBTC.Fills, sn.IBTC.Hits, sn.IBTC.Miss
+	if err := e.Prof.restore(&sn.Prof); err != nil {
+		return nil, err
+	}
+	e.IB.IBTCCounters = sn.IBTC
 	e.IB.rebuild(e.HostMem)
 
 	e.inTranslated = sn.InTranslated
@@ -593,23 +528,11 @@ func RestoreEngine(p *guest.Program, sn *EngineSnapshot) (*Engine, error) {
 		}
 	}
 
-	if sn.PolicyState != nil {
-		ss, ok := e.policy.(StateSnapshotter)
-		if !ok {
-			return nil, fmt.Errorf("tol: snapshot carries promotion-policy state but policy %q has none", e.policy.Name())
-		}
-		if err := ss.RestoreState(sn.PolicyState); err != nil {
-			return nil, err
-		}
+	if err := restorePolicyState(e.policy, sn.PolicyState, "promotion"); err != nil {
+		return nil, err
 	}
-	if sn.EvictPolicyState != nil {
-		ss, ok := e.CC.policy.(StateSnapshotter)
-		if !ok {
-			return nil, fmt.Errorf("tol: snapshot carries eviction-policy state but the configured policy has none")
-		}
-		if err := ss.RestoreState(sn.EvictPolicyState); err != nil {
-			return nil, err
-		}
+	if err := restorePolicyState(e.CC.policy, sn.EvictPolicyState, "eviction"); err != nil {
+		return nil, err
 	}
 
 	switch {
@@ -619,24 +542,9 @@ func RestoreEngine(p *guest.Program, sn *EngineSnapshot) (*Engine, error) {
 		return nil, fmt.Errorf("tol: snapshot lacks cosim shadow state but Cosim is enabled")
 	case sn.Shadow != nil:
 		sh := e.shadow
-		sh.State = sn.Shadow.State
-		sh.Mem = mem.NewSparse()
+		sh.State, sh.Stats, sh.Mem = sn.Shadow.State, sn.Shadow.Stats, mem.NewSparse()
 		if err := restorePages(sh.Mem, sn.Shadow.Mem); err != nil {
 			return nil, err
-		}
-		sh.DynInsts = sn.Shadow.DynInsts
-		sh.DynBranches = sn.Shadow.DynBranches
-		sh.DynIndirect = sn.Shadow.DynIndirect
-		sh.DynMemOps = sn.Shadow.DynMemOps
-		sh.DynFP = sn.Shadow.DynFP
-		sh.Halted = sn.Shadow.Halted
-		if sn.Shadow.TakenTargets != nil {
-			sh.TakenTargets = make(map[uint32]uint64, len(sn.Shadow.TakenTargets))
-			for k, v := range sn.Shadow.TakenTargets {
-				sh.TakenTargets[k] = v
-			}
-		} else {
-			sh.TakenTargets = nil
 		}
 	}
 
@@ -683,27 +591,12 @@ func (c *CodeCache) restore(sn *CodeCacheSnap) error {
 		if ts.HostEntry < mem.CodeCacheBase || hi > uint32(n) || lo >= hi {
 			return fmt.Errorf("tol: translation %#x-%#x outside snapshot arena", ts.HostEntry, ts.HostEnd)
 		}
-		tr := &Translation{
-			Kind:       TransKind(ts.Kind),
-			GuestEntry: ts.GuestEntry,
-			GuestLen:   ts.GuestLen,
-			GuestPCs:   append([]uint32(nil), ts.GuestPCs...),
-			HostEntry:  ts.HostEntry,
-			HostEnd:    ts.HostEnd,
-			BodyStart:  ts.BodyStart,
-			StubStart:  ts.StubStart,
-			ProfSlot:   ts.ProfSlot,
-			lastUse:    ts.LastUse,
-			Exits:      make(map[uint32]*ExitInfo, len(ts.Exits)),
-		}
+		tr := &Translation{TransDesc: ts.TransDesc, ProfSlot: ts.ProfSlot, lastUse: ts.LastUse,
+			Exits: make(map[uint32]*ExitInfo, len(ts.Exits))}
+		tr.GuestPCs = append([]uint32(nil), ts.GuestPCs...)
 		for _, ex := range ts.Exits {
-			tr.Exits[ex.PC] = &ExitInfo{
-				Reason:      ExitReason(ex.Reason),
-				Retired:     ex.Retired,
-				GuestTarget: ex.GuestTarget,
-				Dynamic:     ex.Dynamic,
-				Chained:     ex.Chained,
-			}
+			info := ex.ExitInfo
+			tr.Exits[ex.PC] = &info
 		}
 		if c.byEntry[tr.HostEntry] != nil {
 			return fmt.Errorf("tol: duplicate translation entry %#x in snapshot", tr.HostEntry)
@@ -750,38 +643,54 @@ func (c *CodeCache) restore(sn *CodeCacheSnap) error {
 		}
 	}
 
-	c.free = c.free[:0]
 	for _, ext := range sn.Free {
 		if ext.Start >= ext.End || ext.End > uint32(n) {
 			return fmt.Errorf("tol: free extent [%d,%d) outside snapshot arena", ext.Start, ext.End)
 		}
-		c.free = append(c.free, extent{start: ext.Start, end: ext.End})
 	}
+	c.free = append(c.free[:0], sn.Free...)
 	c.used = sn.Used
 	c.peak = sn.Peak
 	c.useClock = sn.UseClock
 	return nil
 }
 
-// restore rebuilds the translation table from its sparse snapshot.
+// restore rebuilds the translation table from its sparse snapshot. The
+// live and occupied counts are counted from the slots, not read from
+// the snapshot, and a table at Insert's fill bound is rejected.
 func (t *TransTable) restore(sn *TransTableSnap) error {
 	clear(t.pages[:])
+	t.live, t.occ = 0, 0
 	for _, s := range sn.Slots {
-		if s.Idx >= transTableEntries {
-			return fmt.Errorf("tol: translation-table snapshot slot %d out of range", s.Idx)
+		if s.Idx >= transTableEntries || s.Key == 0 || t.key(s.Idx) != 0 {
+			return fmt.Errorf("tol: translation-table snapshot slot %d out of range, empty or repeated", s.Idx)
 		}
 		t.set(s.Idx, s.Key, s.Val)
+		if t.occ++; s.Key != ttTombstone {
+			t.live++
+		}
 	}
-	t.live, t.occ = sn.Live, sn.Occ
+	if t.occ >= ttMaxOcc {
+		return fmt.Errorf("tol: translation-table snapshot holds %d slots, the fill bound is %d", t.occ, ttMaxOcc)
+	}
 	return nil
 }
 
 // restore rebuilds the profile-table slot directory; the counter values
-// are already back in host memory.
-func (p *ProfileTable) restore(sn *ProfileSnap) {
+// are already back in host memory. Every slot index must be one the
+// allocator handed out (below next), in the snapshot's allocation
+// order, so none appears twice.
+func (p *ProfileTable) restore(sn *ProfileSnap) error {
+	if sn.Next > p.maxLen {
+		return fmt.Errorf("tol: profile snapshot allocates %d slots, the table holds %d", sn.Next, p.maxLen)
+	}
 	p.slots = make(map[uint32]uint32, len(sn.Slots))
-	for _, s := range sn.Slots {
+	for i, s := range sn.Slots {
+		if s.Slot >= sn.Next || i > 0 && s.Slot <= sn.Slots[i-1].Slot {
+			return fmt.Errorf("tol: profile snapshot slot %d is unallocated, repeated or out of order", s.Slot)
+		}
 		p.slots[s.Guest] = s.Slot
 	}
 	p.next = sn.Next
+	return nil
 }

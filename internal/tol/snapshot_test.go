@@ -9,58 +9,36 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/timing"
+	"repro/internal/workload"
 )
 
 // TestEngineFieldsHaveSnapshotDecision is the structural guard of the
-// checkpoint layer: every Engine field must appear in this table (which
-// mirrors the decision table documented in snapshot.go). Adding a
-// stateful field to Engine without deciding how snapshots handle it
-// fails this test, so no state can silently escape checkpoints.
+// checkpoint layer: every Engine field must have a decision in
+// engineFields (snapshot.go), and every decision must name a field.
+// Adding a stateful field to Engine without deciding how snapshots
+// handle it fails this test, so no state can silently escape
+// checkpoints.
 func TestEngineFieldsHaveSnapshotDecision(t *testing.T) {
-	decisions := map[string]string{
-		"Cfg":          "captured",
-		"isa":          "captured",
-		"plan":         "rebuilt",
-		"HostMem":      "captured",
-		"CPU":          "captured",
-		"GuestV":       "rebuilt",
-		"guestMem":     "rebuilt",
-		"CC":           "captured",
-		"TT":           "captured",
-		"IB":           "captured",
-		"Prof":         "captured",
-		"Trans":        "rebuilt",
-		"cost":         "captured",
-		"queue":        "captured",
-		"dec":          "rebuilt",
-		"gs":           "captured",
-		"inTranslated": "captured",
-		"curTrans":     "captured",
-		"halted":       "captured",
-		"err":          "excluded",
-		"ctx":          "transient",
-		"ctxPollIn":    "transient",
-		"shadow":       "captured",
-		"promoted":     "captured",
-		"policy":       "captured",
-		"evicted":      "captured",
-		"stopAfter":    "transient",
-		"paused":       "transient",
-		"countOnly":    "transient",
-		"Stats":        "captured",
-	}
 	typ := reflect.TypeOf(Engine{})
 	seen := map[string]bool{}
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		seen[name] = true
-		if _, ok := decisions[name]; !ok {
-			t.Errorf("Engine field %q has no snapshot decision; extend the table in snapshot.go and this test", name)
+		decision, ok := engineFields[name]
+		if !ok {
+			t.Errorf("Engine field %q has no snapshot decision; extend engineFields in snapshot.go", name)
+			continue
+		}
+		kind, _, _ := strings.Cut(decision, ":")
+		switch kind {
+		case "captured", "rebuilt", "transient", "excluded":
+		default:
+			t.Errorf("Engine field %q has decision %q, want captured, rebuilt, transient or excluded", name, decision)
 		}
 	}
-	for name := range decisions {
+	for name := range engineFields {
 		if !seen[name] {
-			t.Errorf("snapshot decision table lists %q, which is no longer an Engine field", name)
+			t.Errorf("engineFields lists %q, which is no longer an Engine field", name)
 		}
 	}
 }
@@ -360,5 +338,100 @@ func TestSnapshotPageSetsRoundTrip(t *testing.T) {
 	blob2, _ := json.Marshal(sn2)
 	if !bytes.Equal(blob1, blob2) {
 		t.Fatalf("snapshot of restored engine differs from original snapshot (%d vs %d bytes)", len(blob1), len(blob2))
+	}
+}
+
+// TestRestoreRejectsDoctoredTables: an engine checkpoint whose
+// translation table or profile directory holds state no run produces
+// fails RestoreEngine with an error, instead of restoring and then
+// panicking, or counting outside the profile table, once the run goes
+// on. The table's live and occupied counts are derived from its slots,
+// so a doctored count is ignored: the "resumes" rows restore and finish
+// exactly like the uninterrupted run.
+func TestRestoreRejectsDoctoredTables(t *testing.T) {
+	wp, err := workload.OpenScaled("400.perlbench", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := wp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	ref := NewEngine(cfg, p)
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(cfg, p)
+	e.SetStopAfter(5000)
+	var discard []timing.DynInst
+	drainStream(e, &discard)
+	if !e.Paused() {
+		t.Fatal("engine did not pause")
+	}
+	sn, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sn.TT.Slots) == 0 || len(sn.Prof.Slots) < 2 {
+		t.Fatalf("pause too early: %d table slots, %d profile slots", len(sn.TT.Slots), len(sn.Prof.Slots))
+	}
+	blob, err := json.Marshal(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tombstones := func(sn *EngineSnapshot, n int) {
+		used := map[uint32]bool{}
+		for _, s := range sn.TT.Slots {
+			used[s.Idx] = true
+		}
+		for i := uint32(0); len(sn.TT.Slots) < n; i++ {
+			if !used[i] {
+				sn.TT.Slots = append(sn.TT.Slots, TTSlotSnap{Idx: i, Key: ttTombstone})
+			}
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		doctor  func(*EngineSnapshot)
+		resumes bool
+	}{
+		{"control", func(*EngineSnapshot) {}, true},
+		{"table occ", func(sn *EngineSnapshot) { sn.TT.Occ = transTableEntries }, true},
+		{"table at fill bound", func(sn *EngineSnapshot) { tombstones(sn, ttMaxOcc) }, false},
+		{"table slot repeated", func(sn *EngineSnapshot) { sn.TT.Slots = append(sn.TT.Slots, sn.TT.Slots[0]) }, false},
+		{"profile next", func(sn *EngineSnapshot) { sn.Prof.Next = 1 << 30 }, false},
+		{"profile slot", func(sn *EngineSnapshot) { sn.Prof.Slots[0].Slot = 1 << 31 }, false},
+		{"profile slot repeated", func(sn *EngineSnapshot) { sn.Prof.Slots[1].Slot = sn.Prof.Slots[0].Slot }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var doctored EngineSnapshot
+			if err := json.Unmarshal(blob, &doctored); err != nil {
+				t.Fatal(err)
+			}
+			c.doctor(&doctored)
+			e, err := RestoreEngine(p, &doctored)
+			if !c.resumes {
+				if err == nil || !strings.HasPrefix(err.Error(), "tol: ") {
+					t.Fatalf("RestoreEngine error = %v, want a tol error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("resumed run panicked: %v", r)
+				}
+			}()
+			drainStream(e, &discard)
+			if err := e.Err(); err != nil || !e.Halted() {
+				t.Fatalf("resumed run: err %v, halted %v", err, e.Halted())
+			}
+			if got, want := mustStatsJSON(t, &e.Stats), mustStatsJSON(t, &ref.Stats); !bytes.Equal(got, want) {
+				t.Fatalf("final stats differ:\nresumed:       %s\nuninterrupted: %s", got, want)
+			}
+		})
 	}
 }

@@ -497,7 +497,7 @@ func (t *Translator) BuildSuperblock(seed uint32) (*Translation, error) {
 		}
 	}
 
-	tr := &Translation{Kind: KindSB, GuestEntry: seed}
+	tr := &Translation{TransDesc: TransDesc{Kind: KindSB, GuestEntry: seed}}
 
 	mat := planFlagsLiveness(plan)
 

@@ -46,6 +46,10 @@ type ttPage struct {
 	vals [ttPageSlots]uint32 // host entry PC
 }
 
+// ttMaxOcc is Insert's fill bound: at this many occupied slots
+// (live + tombstones) the table refuses a new entry.
+const ttMaxOcc = transTableEntries * 3 / 4
+
 // ttTombstone marks a deleted slot. It can never collide with a live
 // key: keys store the guest IP + 1, and guest code lives far below
 // 0xFFFFFFFE.
@@ -108,7 +112,7 @@ func (t *TransTable) Lookup(g uint32) (hostEntry uint32, ok bool, probes []uint3
 // slice lists slots touched.
 func (t *TransTable) Insert(g, hostEntry uint32) (probes []uint32) {
 	t.probeBuf = t.probeBuf[:0]
-	if t.occ >= transTableEntries*3/4 {
+	if t.occ >= ttMaxOcc {
 		panic(fmt.Sprintf("tol: translation table over capacity (%d entries)", t.occ))
 	}
 	idx := hashGuest(g) & transTableMask

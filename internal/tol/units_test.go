@@ -125,7 +125,7 @@ func TestFlagsLiveness(t *testing.T) {
 
 func TestCodeCachePlaceAndFind(t *testing.T) {
 	cc := NewCodeCache()
-	tr := &Translation{Kind: KindBB, GuestEntry: 0x8048000, GuestLen: 3}
+	tr := &Translation{TransDesc: TransDesc{Kind: KindBB, GuestEntry: 0x8048000, GuestLen: 3}}
 	code := []host.Inst{{Op: host.Nop}, {Op: host.Addi, Rd: 1, Rs1: 1, Imm: 1}, {Op: host.Jal}}
 	base, err := cc.Alloc(len(code))
 	if err != nil {
@@ -165,7 +165,7 @@ func TestCodeCachePlaceAndFind(t *testing.T) {
 }
 
 func TestOwnerCompRegions(t *testing.T) {
-	tr := &Translation{HostEntry: 0x4000000, BodyStart: 0x4000010, StubStart: 0x4000020, HostEnd: 0x4000030}
+	tr := &Translation{TransDesc: TransDesc{HostEntry: 0x4000000, BodyStart: 0x4000010, StubStart: 0x4000020, HostEnd: 0x4000030}}
 	if o, c := tr.OwnerComp(0x4000000); o.String() != "tol" || c.String() != "bbm" {
 		t.Fatalf("prologue attribution: %v %v", o, c)
 	}
