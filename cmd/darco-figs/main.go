@@ -84,9 +84,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	storeDir := cmd.String("store", "", "content-addressed result store directory; completed work persists there and re-runs resume from it")
 	shard := cmd.String("shard", "", "with -grid, run only this deterministic slice of the cells, as i/n (e.g. 0/4)")
 	b := cmd.BindBatch("(<source>:<name>) appended to -benchmarks", "emit the tables as JSON", "regeneration")
-	if code, ok := cmd.Parse(args); !ok {
+	stop, code, ok := b.Parse(cmd, args)
+	if !ok {
 		return code
 	}
+	defer stop()
 
 	// The figure selection: 5a/5b name one table of figure 5.
 	sel, onlyTable := *fig, -1

@@ -48,6 +48,27 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: -cpuprofile and -memprofile write gzipped pprof
+// profiles and leave stdout byte-identical to the golden.
+func TestProfileFlags(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "fig9.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-q", "-fig", "9", "-scale", "0.1", "-benchmarks", "429.mcf",
+		"-cpuprofile", cpu, "-memprofile", mem}, &stdout, &stderr)
+	if code != 0 || !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("exit %d (%s), stdout differs from testdata/fig9.txt:\n%s", code, stderr.String(), stdout.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if b, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %d bytes, error %v; want a gzipped profile", filepath.Base(path), len(b), err)
+		}
+	}
+}
+
 // TestRunFromRecords: records written the way darco-suite -json writes
 // them serve every run of a figure over the same selection — no "run "
 // progress line — and the figure is byte-identical to a fresh one.

@@ -51,9 +51,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	b := cmd.BindBatch("(<source>:<name>) added to the selection",
 		"emit JSON records (full results) instead of a table", "sweep")
 	cmd.StringVar(&b.Knobs.Mode, "mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
-	if code, ok := cmd.Parse(args); !ok {
+	stop, code, ok := b.Parse(cmd, args)
+	if !ok {
 		return code
 	}
+	defer stop()
 	if *bench != "" && *suite != "" {
 		return cmd.Exit(cli.Usage, "-suite has no effect here: -bench selects exactly one benchmark")
 	}

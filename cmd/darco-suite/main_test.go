@@ -60,6 +60,25 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: -cpuprofile and -memprofile write gzipped pprof
+// profiles and leave stdout byte-identical to the golden.
+func TestProfileFlags(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "int.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
+	code, stdout, stderr := runCmd(t, "-suite", "int", "-scale", "0.1", "-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 || stdout != string(want) {
+		t.Errorf("exit %d (%s), stdout differs from testdata/int.txt:\n%s", code, stderr, stdout)
+	}
+	for _, path := range []string{cpu, mem} {
+		if b, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %d bytes, error %v; want a gzipped profile", filepath.Base(path), len(b), err)
+		}
+	}
+}
+
 // TestSuiteSelectsWithinISACatalog: -suite filters the catalog of the
 // -isa frontend, so an rv32 suite run covers the ported members instead
 // of dying on the first unported one.

@@ -62,9 +62,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	b := cmd.BindBatch("(<source>:<name>; sources: "+strings.Join(workload.Sources(), ", ")+")",
 		"emit results as JSON records instead of tables", "run")
 	cmd.StringVar(&b.Knobs.Mode, "mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
-	if code, ok := cmd.Parse(args); !ok {
+	stop, code, ok := b.Parse(cmd, args)
+	if !ok {
 		return code
 	}
+	defer stop()
 
 	if *printConfig {
 		dumpConfig(stdout)

@@ -53,6 +53,24 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: -cpuprofile and -memprofile write gzipped pprof
+// profiles and leave stdout byte-identical to the golden.
+func TestProfileFlags(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "bench.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
+	if got := mustRun(t, "-bench", "462.libquantum", "-scale", "0.25", "-cpuprofile", cpu, "-memprofile", mem); got != string(want) {
+		t.Errorf("stdout differs from testdata/bench.txt:\n%s", got)
+	}
+	for _, path := range []string{cpu, mem} {
+		if b, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %d bytes, error %v; want a gzipped profile", filepath.Base(path), len(b), err)
+		}
+	}
+}
+
 // records decodes a -json stdout.
 func records(t *testing.T, stdout string) []darco.Record {
 	t.Helper()
@@ -146,6 +164,8 @@ func TestExitCodes(t *testing.T) {
 		{"-bench", "429.mcf", "-O", "0", "-passes", "dce"},
 		{"-bench", "429.mcf", "-scale", "-1"},
 		{"-bench", "429.mcf", "-workload", "429.mcf"},
+		{"-bench", "429.mcf", "-cpuprofile", filepath.Join(t.TempDir(), "no", "cpu.prof")},
+		{"-bench", "429.mcf", "-memprofile", filepath.Join(t.TempDir(), "no", "mem.prof")},
 	} {
 		code, stdout, stderr := runCmd(t, args...)
 		if code != 2 || stdout != "" {

@@ -3,7 +3,8 @@
 // in-process; a Tool owns the flag set, the diagnostics prefix and the
 // exit-code convention; a Batch owns what the batch tools (darco,
 // darco-suite, darco-figs) have in common: the -scale -jobs -timeout
-// -server -workload -json + run-knob flag block, the path from it to a
+// -server -workload -json -cpuprofile -memprofile + run-knob flag
+// block, host profiling of the whole command, the path from it to a
 // validated darco.Config and a session, and the batch run itself.
 package cli
 
@@ -14,6 +15,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -90,6 +93,10 @@ type Batch struct {
 	Workload string
 	JSON     bool
 	Knobs    *darco.Knobs
+
+	// CPUProfile and MemProfile name the host profiles of the command
+	// (pprof format); empty means none.
+	CPUProfile, MemProfile string
 }
 
 // BindBatch registers the shared flag block on the tool. The three
@@ -103,7 +110,61 @@ func (t *Tool) BindBatch(workloadUsage, jsonUsage, timeoutScope string) *Batch {
 	t.StringVar(&b.Server, "server", "", "run on a darco-serve instance at this base URL instead of simulating locally")
 	t.StringVar(&b.Workload, "workload", "", "comma-separated workload references "+workloadUsage)
 	t.BoolVar(&b.JSON, "json", false, jsonUsage)
+	t.StringVar(&b.CPUProfile, "cpuprofile", "", "write a CPU profile of the command to `file`")
+	t.StringVar(&b.MemProfile, "memprofile", "", "write an allocation profile to `file` when the command ends")
 	return b
+}
+
+// Parse is Tool.Parse for a batch tool, which then starts the host
+// profiles -cpuprofile and -memprofile ask for. When ok, the caller
+// defers stop: it ends the CPU profile and writes the allocation
+// profile. A profile that cannot be started is a usage error, and
+// nothing runs.
+func (b *Batch) Parse(t *Tool, args []string) (stop func(), code int, ok bool) {
+	if code, ok = t.Parse(args); !ok {
+		return nil, code, false
+	}
+	var cpu, mem *os.File
+	fail := func(err error) (func(), int, bool) {
+		for _, f := range []*os.File{cpu, mem} {
+			if f != nil {
+				f.Close()
+			}
+		}
+		return nil, t.Exit(Usage, err), false
+	}
+	var err error
+	if b.MemProfile != "" {
+		if mem, err = os.Create(b.MemProfile); err != nil {
+			return fail(err)
+		}
+	}
+	if b.CPUProfile != "" {
+		if cpu, err = os.Create(b.CPUProfile); err != nil {
+			return fail(err)
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			return fail(fmt.Errorf("-cpuprofile: %w", err))
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				t.Log("-cpuprofile:", err)
+			}
+		}
+		if mem != nil {
+			runtime.GC() // the profile's in-use figures date from the last collection
+			err := pprof.Lookup("allocs").WriteTo(mem, 0)
+			if cerr := mem.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Log("-memprofile:", err)
+			}
+		}
+	}, OK, true
 }
 
 // Config folds the run-knob flags into base and validates the result.

@@ -38,6 +38,7 @@ package darco
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -230,11 +231,17 @@ func EncodeRecords(w io.Writer, recs []Record) error {
 // DecodeRecords reads a []Record produced by EncodeRecords. Records
 // are returned as stored — failures and summary-only records included;
 // consumers that need full results (e.g. Session preloading) skip
-// records whose Result is nil.
+// records whose Result is nil. Anything but whitespace after the array
+// is an error, so a corrupt or concatenated file is not read as its
+// first value.
 func DecodeRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
-	if err := json.NewDecoder(r).Decode(&recs); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&recs); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("darco: records: data after the array")
 	}
 	return recs, nil
 }

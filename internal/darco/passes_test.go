@@ -77,6 +77,36 @@ func TestRecordPassStatsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRecordsRejectsTrailingData: a records file is one array;
+// anything but whitespace after it fails the decode instead of being
+// dropped, so a corrupt or concatenated -from file is not read as its
+// first value.
+func TestDecodeRecordsRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeRecords(&buf, []Record{{Benchmark: "429.mcf", Suite: "int", Scale: 1, Mode: "shared", Error: "boom"}}); err != nil {
+		t.Fatal(err)
+	}
+	array := buf.String()
+	for _, c := range []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"as encoded", "", true},
+		{"trailing whitespace", " \t\r\n\n", true},
+		{"truncated object", ` {"garbage": tru`, false},
+		{"extra brackets", "]]]", false},
+		{"second array", "[]", false},
+	} {
+		recs, err := DecodeRecords(strings.NewReader(array + c.tail))
+		if c.ok && (err != nil || len(recs) != 1 || recs[0].Error != "boom") {
+			t.Errorf("%s: got %d records, error %v; want the one record", c.name, len(recs), err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: got %d records and no error; want an error", c.name, len(recs))
+		}
+	}
+}
+
 // TestPipelineResultDeterminism: one pipeline spec ⇒ byte-identical
 // Result JSON across repeated runs (the property the Session cache and
 // the figure harness rely on).

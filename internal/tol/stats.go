@@ -25,9 +25,11 @@ func (m Mode) String() string {
 }
 
 // Stats aggregates TOL-level statistics over a run. The struct is
-// JSON-serializable and round-trips exactly: StaticMode (keyed by
-// guest PC, encoded as string object keys) carries the full static
-// code-distribution information behind Figure 5a.
+// JSON-serializable and round-trips exactly: StaticMode carries the
+// full static code-distribution information behind Figure 5a, one
+// entry per executed guest PC, and is most of a record's bytes; its
+// StaticModes codec writes encoding/json's bytes for the plain map
+// without reflection.
 type Stats struct {
 	// Dynamic guest instructions executed, per mode (Figure 5b).
 	DynIM  uint64 `json:"dyn_im"`
@@ -36,7 +38,7 @@ type Stats struct {
 
 	// StaticMode maps each executed static guest instruction to the
 	// highest mode that ever owned it (Figure 5a).
-	StaticMode map[uint32]Mode `json:"static_mode,omitempty"`
+	StaticMode StaticModes `json:"static_mode,omitempty"`
 
 	// Activity counters.
 	BBTranslated   int    `json:"bb_translated"`
@@ -129,7 +131,7 @@ func (s *Stats) DynTotal() uint64 { return s.DynIM + s.DynBBM + s.DynSBM }
 
 func (s *Stats) markStatic(pc uint32, m Mode) {
 	if s.StaticMode == nil {
-		s.StaticMode = make(map[uint32]Mode)
+		s.StaticMode = make(StaticModes)
 	}
 	if s.StaticMode[pc] < m {
 		s.StaticMode[pc] = m
