@@ -170,6 +170,7 @@ func TestGridUsageErrors(t *testing.T) {
 		{"-grid", spec("no-workloads.json", `{"workloads": []}`)},
 		{"-grid", spec("unknown-workload.json", `{"workloads": ["no.such.benchmark"]}`)},
 		{"-grid", spec("negative-scale.json", `{"workloads": ["429.mcf"], "scale": -1}`)},
+		{"-grid", spec("trailing-garbage.json", `{"workloads": ["429.mcf"], "scale": 0.05} ]]] {"garbage": tru`)},
 		{"-grid", good, "-shard", "half"},
 		{"-grid", good, "-shard", "2/2"},
 	} {

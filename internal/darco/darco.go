@@ -38,12 +38,12 @@ package darco
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/guest"
 	"repro/internal/sample"
+	"repro/internal/strictjson"
 	"repro/internal/timing"
 	"repro/internal/tol"
 )
@@ -228,20 +228,14 @@ func EncodeRecords(w io.Writer, recs []Record) error {
 	return enc.Encode(recs)
 }
 
-// DecodeRecords reads a []Record produced by EncodeRecords. Records
-// are returned as stored — failures and summary-only records included;
-// consumers that need full results (e.g. Session preloading) skip
-// records whose Result is nil. Anything but whitespace after the array
-// is an error, so a corrupt or concatenated file is not read as its
-// first value.
+// DecodeRecords reads a []Record produced by EncodeRecords through
+// strictjson.Decode. Records are returned as stored — failures and
+// summary-only records included; consumers that need full results
+// (e.g. Session preloading) skip records whose Result is nil.
 func DecodeRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&recs); err != nil {
+	if err := strictjson.Decode(r, &recs); err != nil {
 		return nil, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, errors.New("darco: records: data after the array")
 	}
 	return recs, nil
 }

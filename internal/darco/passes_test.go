@@ -80,7 +80,7 @@ func TestRecordPassStatsRoundTrip(t *testing.T) {
 // TestDecodeRecordsRejectsTrailingData: a records file is one array;
 // anything but whitespace after it fails the decode instead of being
 // dropped, so a corrupt or concatenated -from file is not read as its
-// first value.
+// first value. A field this build does not read fails it too.
 func TestDecodeRecordsRejectsTrailingData(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeRecords(&buf, []Record{{Benchmark: "429.mcf", Suite: "int", Scale: 1, Mode: "shared", Error: "boom"}}); err != nil {
@@ -96,8 +96,13 @@ func TestDecodeRecordsRejectsTrailingData(t *testing.T) {
 		{"truncated object", ` {"garbage": tru`, false},
 		{"extra brackets", "]]]", false},
 		{"second array", "[]", false},
+		{"unknown field", "", false},
 	} {
-		recs, err := DecodeRecords(strings.NewReader(array + c.tail))
+		in := array + c.tail
+		if c.name == "unknown field" {
+			in = strings.Replace(in, "{", `{"no_such_field": 1, `, 1)
+		}
+		recs, err := DecodeRecords(strings.NewReader(in))
 		if c.ok && (err != nil || len(recs) != 1 || recs[0].Error != "boom") {
 			t.Errorf("%s: got %d records, error %v; want the one record", c.name, len(recs), err)
 		}

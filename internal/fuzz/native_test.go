@@ -91,7 +91,12 @@ func FuzzSnapshotResume(f *testing.F) {
 			t.Skip()
 		}
 		spec = spec.Clamp(nativeDynBudget / 2)
-		if err := o.checkSnapshotResume(context.Background(), spec, c); err != nil {
+		job, err := o.job(spec, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, refErr := o.session().Run(context.Background(), job)
+		if err := o.checkSnapshotResume(context.Background(), spec, c, ref, refErr); err != nil {
 			// A failing *reference* run means the spec itself is noise
 			// (runaway guard, degenerate shape) — nothing snapshot-related
 			// was compared yet.

@@ -249,7 +249,7 @@ func (o *Oracle) Check(ctx context.Context, spec workload.Spec) (*Report, error)
 	}
 
 	if o.SnapshotCheck {
-		if err := o.checkSnapshotResume(ctx, spec, cells[0]); err != nil {
+		if err := o.checkSnapshotResume(ctx, spec, cells[0], batch[0].Result, batch[0].Err); err != nil {
 			rep.SnapshotErr = err.Error()
 		}
 	}
@@ -264,33 +264,22 @@ func (o *Oracle) Check(ctx context.Context, spec workload.Spec) (*Report, error)
 // checkSnapshotResume pauses a run of spec at half its retired
 // instructions, checkpoints the whole machine through the snapshot
 // envelope, restores, resumes, and compares the completed run against
-// an uninterrupted one: timing, TOL statistics and final guest state
-// must all match exactly.
-func (o *Oracle) checkSnapshotResume(ctx context.Context, spec workload.Spec, cell Cell) error {
+// ref, the session's uninterrupted run of the same cell (or refErr, its
+// failure): retired instructions, final guest state and cycles must
+// all match exactly.
+func (o *Oracle) checkSnapshotResume(ctx context.Context, spec workload.Spec, cell Cell, ref *darco.Result, refErr error) error {
+	if refErr != nil {
+		return fmt.Errorf("reference run: %w", refErr)
+	}
 	cfg, err := o.config(cell)
 	if err != nil {
-		return err
-	}
-	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	p, err := spec.Build()
 	if err != nil {
 		return err
 	}
-
-	// Uninterrupted reference.
-	refEng := tol.NewEngine(cfg.TOL, p)
-	refEng.SetContext(ctx)
-	refSim := timing.NewSimulator(cfg.Timing, cfg.Mode)
-	refRes, err := refSim.RunContext(ctx, refEng)
-	if err != nil {
-		return fmt.Errorf("reference run: %w", err)
-	}
-	if err := refEng.Err(); err != nil {
-		return fmt.Errorf("reference run: %w", err)
-	}
-	pause := refEng.Stats.DynTotal() / 2
+	pause := ref.GuestDyn() / 2
 	if pause == 0 {
 		return nil // too short to pause mid-run
 	}
@@ -327,13 +316,13 @@ func (o *Oracle) checkSnapshotResume(ctx context.Context, spec workload.Spec, ce
 		return fmt.Errorf("resumed run: %w", err)
 	}
 
-	if got, want := eng2.Stats.DynTotal(), refEng.Stats.DynTotal(); got != want {
+	if got, want := eng2.Stats.DynTotal(), ref.GuestDyn(); got != want {
 		return fmt.Errorf("resumed run retired %d guest insts, uninterrupted %d", got, want)
 	}
-	if d := eng2.GuestState().Diff(refEng.GuestState()); d != "" {
+	if d := eng2.GuestState().Diff(&ref.Final); d != "" {
 		return fmt.Errorf("resumed final state differs: %s", d)
 	}
-	if got, want := res.Cycles, refRes.Cycles; got != want {
+	if got, want := res.Cycles, ref.Timing.Cycles; got != want {
 		return fmt.Errorf("resumed run took %d cycles, uninterrupted %d", got, want)
 	}
 	return nil

@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/store"
+	"repro/internal/strictjson"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -379,9 +380,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.sweepExpired()
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := strictjson.Decode(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -542,6 +542,28 @@ func TestSubmitValidation(t *testing.T) {
 
 func intp(v int) *int { return &v }
 
+// TestSubmitRejectsTrailingData: a submit body is one JSON object, so
+// a value or garbage after it is a 400 and no job. The typed client
+// cannot send such a body; these are posted raw.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	const body = `{"workload": "462.libquantum", "scale": 0.1, "cosim": false}`
+	for _, c := range []struct {
+		tail string
+		want int
+	}{
+		{"\n", http.StatusAccepted},
+		{` {"garbage": tru`, http.StatusBadRequest},
+		{` {"x":1} junk`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body+c.tail)))
+		if rec.Code != c.want {
+			t.Errorf("body + %q: status %d, want %d (%s)", c.tail, rec.Code, c.want, rec.Body.String())
+		}
+	}
+}
+
 // TestDeleteJob pins the manual registry-eviction endpoint: a running
 // job is refused, a completed one is removed and subsequent lookups
 // 404.

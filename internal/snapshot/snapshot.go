@@ -30,9 +30,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/guest"
+	"repro/internal/strictjson"
 	"repro/internal/timing"
 	"repro/internal/tol"
 )
@@ -154,13 +154,8 @@ func Encode(m *Machine) ([]byte, error) {
 // field this build does not read is state a restore would drop.
 func Decode(b []byte) (*Machine, error) {
 	var m Machine
-	d := json.NewDecoder(bytes.NewReader(b))
-	d.DisallowUnknownFields()
-	if err := d.Decode(&m); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(b), &m); err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", err)
-	}
-	if _, err := d.Token(); err != io.EOF {
-		return nil, fmt.Errorf("snapshot: decode: data after the envelope")
 	}
 	if err := m.Validate(""); err != nil {
 		return nil, err

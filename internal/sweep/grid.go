@@ -26,11 +26,11 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"repro/internal/darco"
+	"repro/internal/strictjson"
 	"repro/internal/workload"
 )
 
@@ -302,14 +302,12 @@ func (g *Grid) baselineCoords() []Coord {
 	return coords
 }
 
-// DecodeGrid reads one Grid in JSON form, rejecting unknown fields (a
-// typo in a knob name must not silently sweep nothing) and validating
-// the result — the same strictness as workload.DecodeSpecs.
+// DecodeGrid reads one Grid in JSON form through strictjson.Decode
+// (a typo in a knob name must not silently sweep nothing, nor a
+// corrupt file sweep its first value) and validates the result.
 func DecodeGrid(r io.Reader) (*Grid, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var g Grid
-	if err := dec.Decode(&g); err != nil {
+	if err := strictjson.Decode(r, &g); err != nil {
 		return nil, fmt.Errorf("sweep: decode grid: %w", err)
 	}
 	if err := g.Validate(); err != nil {

@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -214,4 +217,35 @@ func TestJobForKnobs(t *testing.T) {
 	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Timing: &timing.Config{MemLatency: 200}}); err == nil {
 		t.Fatal("degenerate timing override accepted")
 	}
+}
+
+// FuzzDecodeGrid: a grid file comes from outside the process, so
+// DecodeGrid returns an error or a grid that passes Validate, and never
+// panics. The committed example grids seed it, each also with a
+// garbage tail; each must decode as committed.
+func FuzzDecodeGrid(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "grids", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed grids under examples/grids (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeGrid(bytes.NewReader(data)); err != nil {
+			f.Fatalf("committed grid %s: %v", path, err)
+		}
+		f.Add(data)
+		f.Add([]byte(string(data) + `]]] {"garbage": tru`))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := DecodeGrid(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("decoded grid fails Validate: %v", err)
+		}
+	})
 }

@@ -147,14 +147,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// PaperConfig returns the paper's exact thresholds (IM/BBth = 5,
-// BB/SBth = 10K), appropriate for multi-billion-instruction runs.
-func PaperConfig() Config {
-	c := DefaultConfig()
-	c.SBThreshold = 10_000
-	return c
-}
-
 // Validate rejects configurations that would fail deep inside a run
 // (or silently simulate garbage): negative thresholds, degenerate
 // superblock bounds, unknown pass or policy names, and an empty

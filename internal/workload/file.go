@@ -2,11 +2,12 @@ package workload
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+
+	"repro/internal/strictjson"
 )
 
 // The file source loads benchmark Specs from JSON, so new synthetic
@@ -45,40 +46,41 @@ func (fileSource) Open(name string) (Program, error) {
 	return SpecProgram{Spec: spec, Source: "file"}, nil
 }
 
-// DecodeSpecs reads one Spec or an array of Specs from JSON, validating
-// each. Unknown fields are errors.
+// DecodeSpecs reads one Spec (see DecodeSpec) or an array of Specs
+// through strictjson.Decode, validating each.
 func DecodeSpecs(r io.Reader) ([]Spec, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) == 0 || trimmed[0] != '[' {
+		s, err := DecodeSpec(data)
+		if err != nil {
+			return nil, err
+		}
+		return []Spec{s}, nil
+	}
 	var specs []Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := dec.Decode(&specs); err != nil {
-			return nil, err
-		}
-	} else {
-		var s Spec
-		if err := dec.Decode(&s); err != nil {
-			return nil, err
-		}
-		specs = []Spec{s}
+	if err := strictjson.Decode(bytes.NewReader(data), &specs); err != nil {
+		return nil, err
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("no specs defined")
 	}
 	for i := range specs {
-		if specs[i].Name == "" {
-			return nil, fmt.Errorf("spec %d has no Name", i)
-		}
-		if err := specs[i].Validate(); err != nil {
+		if err := checkSpec(i, specs[i]); err != nil {
 			return nil, err
 		}
 	}
 	return specs, nil
+}
+
+// checkSpec validates entry i of a decoded spec file.
+func checkSpec(i int, s Spec) error {
+	if s.Name == "" {
+		return fmt.Errorf("spec %d has no Name", i)
+	}
+	return s.Validate()
 }
 
 // selectSpec picks the referenced entry: the fragment name when given,

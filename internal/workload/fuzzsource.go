@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+
+	"repro/internal/strictjson"
 )
 
 // The fuzz source generates random-but-valid benchmark Specs from a
@@ -379,18 +381,17 @@ func EncodeSpec(s Spec) []byte {
 	return b
 }
 
-// DecodeSpec parses a single JSON spec as written by EncodeSpec,
-// validating it. Arrays are rejected: a corpus entry is one case.
+// DecodeSpec parses one JSON spec as written by EncodeSpec through
+// strictjson.Decode, validating it: a corpus entry is one case.
 func DecodeSpec(data []byte) (Spec, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		return Spec{}, fmt.Errorf("workload: DecodeSpec wants a single spec object, got an array")
-	}
-	specs, err := DecodeSpecs(bytes.NewReader(data))
-	if err != nil {
+	var s Spec
+	if err := strictjson.Decode(bytes.NewReader(data), &s); err != nil {
 		return Spec{}, err
 	}
-	return specs[0], nil
+	if err := checkSpec(0, s); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
 }
 
 // fuzzSource resolves "fuzz:<seed>[/<profile>]" references to

@@ -267,6 +267,15 @@ func TestFileSource(t *testing.T) {
 	if _, err := Open("file:" + typo); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+
+	// A second object after the spec is an error, not ignored.
+	two := filepath.Join(dir, "two.json")
+	if err := os.WriteFile(two, append(EncodeSpec(spec), EncodeSpec(spec2)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open("file:" + two); err == nil {
+		t.Fatal("second object after the spec accepted")
+	}
 }
 
 // TestTraceRoundTrip is the record→replay golden test: serializing a
@@ -317,6 +326,21 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadTrace(&buf2); err == nil {
 		t.Fatal("wrong format accepted")
+	}
+	// So are a garbage tail and a field this build does not read, through
+	// the trace: source.
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"tail":    buf.String() + `]]] {"garbage": tru`,
+		"unknown": strings.Replace(buf.String(), "{", `{"no_such_field": 1,`, 1),
+	} {
+		path := filepath.Join(dir, name+".trace.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open("trace:" + path); err == nil {
+			t.Errorf("trace with %s accepted", name)
+		}
 	}
 }
 

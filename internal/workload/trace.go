@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/mem"
+	"repro/internal/strictjson"
 )
 
 // The trace source implements record/replay: recording captures a
@@ -113,10 +114,10 @@ func WriteTrace(w io.Writer, t *Trace) error {
 	return enc.Encode(t)
 }
 
-// ReadTrace decodes and validates a trace.
+// ReadTrace decodes a trace through strictjson.Decode and validates it.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
+	if err := strictjson.Decode(r, &t); err != nil {
 		return nil, fmt.Errorf("workload: reading trace: %w", err)
 	}
 	if err := t.Validate(); err != nil {

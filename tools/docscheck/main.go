@@ -56,6 +56,7 @@ var packages = map[string]string{
 	"store":       "internal/store",
 	"serve":       "internal/serve",
 	"snapshot":    "internal/snapshot",
+	"strictjson":  "internal/strictjson",
 	"sample":      "internal/sample",
 	"fuzz":        "internal/fuzz",
 	"cli":         "internal/cli",
