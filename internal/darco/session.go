@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/sample"
 	"repro/internal/timing"
 	"repro/internal/workload"
 )
@@ -123,18 +122,22 @@ func WithEvents(fn func(Event)) SessionOption {
 
 // ResultStore is the persistence hook of a Session: a durable,
 // shareable result cache keyed by the Session memo key (Job.Key — the
-// program fingerprint × config hash). A session with a store
-// consults it after a memory-cache miss and saves every successful run
-// into it, so results survive process restarts and are shared across
-// replicas pointed at the same store. internal/store implements it on
+// program fingerprint × config hash), holding each result as the bytes
+// of its Record. A session with a store consults it after a
+// memory-cache miss and saves every successful run into it, so results
+// survive process restarts and are shared across replicas pointed at
+// the same store. The session encodes a fresh Record once and decodes a
+// stored one once, and keeps those bytes for RecordBytes. It has the
+// method set of sample.BlobCache, so a sampled run warm-starts its
+// fast-forward from the same store. internal/store implements it on
 // disk; both methods must be safe for concurrent use.
 type ResultStore interface {
-	// Get returns the stored record for a memo key, reporting a miss
-	// with ok=false. A record whose Result is nil counts as a miss.
-	Get(key string) (rec *Record, ok bool, err error)
-	// Put persists the record under the memo key, atomically replacing
-	// any previous entry.
-	Put(key string, rec *Record) error
+	// GetRaw returns the stored Record bytes for a memo key, reporting
+	// a miss with ok=false.
+	GetRaw(key string) (raw json.RawMessage, ok bool, err error)
+	// PutRaw persists Record bytes under the memo key, atomically
+	// replacing any previous entry.
+	PutRaw(key string, raw json.RawMessage) error
 }
 
 // WithStore attaches a persistent result store to the session. Store
@@ -193,6 +196,7 @@ type Session struct {
 type sessionEntry struct {
 	done chan struct{}
 	res  *Result
+	raw  json.RawMessage // the Record bytes stored or read, when the session has a store
 	err  error
 }
 
@@ -332,6 +336,26 @@ func (s *Session) Preload(job Job, res *Result) error {
 	return nil
 }
 
+// RecordBytes returns the Record bytes of a finished job that the
+// session wrote to or read from its store — exactly what the store
+// holds under key. It reports false for a key that is unknown, still
+// running, failed or preloaded, and always in a session without a
+// store.
+func (s *Session) RecordBytes(key string) (json.RawMessage, bool) {
+	s.mu.Lock()
+	e := s.cache[key]
+	s.mu.Unlock()
+	if e == nil {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+		return e.raw, e.raw != nil
+	default:
+		return nil, false
+	}
+}
+
 // Run executes one job through the session, deduplicating it against
 // identical in-flight or completed jobs. The first caller for a cache
 // key runs the job on a worker slot; concurrent callers with the same
@@ -379,10 +403,14 @@ func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 	// worker slot. Store errors (including corrupt entries the store
 	// itself tolerates) degrade to simulation.
 	if s.store != nil {
-		if rec, ok, serr := s.store.Get(key); serr == nil && ok && rec.Result != nil {
-			s.finish(key, e, rec.Result, nil)
-			s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventCached})
-			return rec.Result, nil
+		if raw, ok, serr := s.store.GetRaw(key); serr == nil && ok {
+			var rec Record
+			if json.Unmarshal(raw, &rec) == nil && rec.Result != nil {
+				e.raw = raw
+				s.finish(key, e, rec.Result, nil)
+				s.notify(&job, Event{Job: job.Name, Mode: mode, Kind: EventCached})
+				return rec.Result, nil
+			}
 		}
 	}
 
@@ -408,7 +436,10 @@ func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 		// Best-effort persistence: a full Record (digest + result), so
 		// the store serves the established interchange format directly.
 		rec := NewRecord(job.Name, jobSuite(&job), job.Scale, mode, res, nil)
-		_ = s.store.Put(key, &rec)
+		if raw, merr := json.Marshal(&rec); merr == nil {
+			e.raw = raw
+			_ = s.store.PutRaw(key, raw)
+		}
 	}
 
 	s.finish(key, e, res, err)
@@ -463,18 +494,15 @@ func (s *Session) execute(ctx context.Context, job *Job) (res *Result, err error
 	}
 	// In-run progress becomes EventProgress. Sampled runs inherit the
 	// session's worker-pool width for their interval measurements and
-	// warm-start their fast-forward pass from the persistent store when
-	// it can hold raw blobs (internal/store can). The job holds one
-	// session slot; the fan-out happens inside.
+	// warm-start their fast-forward pass from the persistent store. The
+	// job holds one session slot; the fan-out happens inside.
 	env := runEnv{
 		parallel: s.workers,
+		cache:    s.store, // a nil ResultStore converts to a nil BlobCache
 		program:  workload.Fingerprint(job.Program),
 		progress: func(cycles, _ uint64) {
 			s.notify(job, Event{Job: job.Name, Mode: job.Config.Mode, Kind: EventProgress, Cycles: cycles})
 		},
-	}
-	if bc, ok := s.store.(sample.BlobCache); ok {
-		env.cache = bc
 	}
 	res, err = job.Config.runWith(ctx, p, env)
 	if err != nil {

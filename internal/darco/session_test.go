@@ -286,3 +286,94 @@ func TestSessionPreload(t *testing.T) {
 		t.Errorf("Preload of an invalid config: err = %v, want the Key error %v", err, keyErr)
 	}
 }
+
+// memStore is an in-memory ResultStore that counts its traffic.
+type memStore struct {
+	mu         sync.Mutex
+	m          map[string]json.RawMessage
+	gets, puts int
+}
+
+func (s *memStore) GetRaw(key string) (json.RawMessage, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gets++
+	raw, ok := s.m[key]
+	return raw, ok, nil
+}
+
+func (s *memStore) PutRaw(key string, raw json.RawMessage) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.puts++
+	s.m[key] = raw
+	return nil
+}
+
+// TestSessionRecordBytes: a session with a store encodes a fresh
+// record once and reads a stored one once, and RecordBytes hands back
+// exactly the bytes the store holds; a memo hit touches the store not
+// at all. Sessions without a store, and preloaded results, hold no
+// bytes.
+func TestSessionRecordBytes(t *testing.T) {
+	ctx := context.Background()
+	job := benchJob(t, "462.libquantum", 0.1)
+	key, err := job.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &memStore{m: map[string]json.RawMessage{}}
+	expect := func(phase string, gets, puts int) {
+		t.Helper()
+		if st.gets != gets || st.puts != puts {
+			t.Errorf("%s: %d GetRaw and %d PutRaw, want %d and %d", phase, st.gets, st.puts, gets, puts)
+		}
+		st.gets, st.puts = 0, 0
+	}
+
+	s := NewSession(WithWorkers(1), WithStore(st))
+	res, err := s.Run(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("cold", 1, 1)
+	rec := NewRecord(job.Name, jobSuite(&job), job.Scale, job.Config.Mode, res, nil)
+	want, err := json.Marshal(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, ok := s.RecordBytes(key); !ok || string(raw) != string(want) || string(st.m[key]) != string(want) {
+		t.Fatalf("cold: RecordBytes ok=%v, %d bytes; stored %d; want the %d bytes of json.Marshal(NewRecord(...))", ok, len(raw), len(st.m[key]), len(want))
+	}
+	if _, err := s.Run(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	expect("memo hit", 0, 0)
+
+	s2 := NewSession(WithWorkers(1), WithStore(st))
+	if _, err := s2.Run(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	expect("store hit", 1, 0)
+	if raw, ok := s2.RecordBytes(key); !ok || string(raw) != string(want) {
+		t.Fatalf("store hit: RecordBytes ok=%v, %d bytes, want the stored %d", ok, len(raw), len(want))
+	}
+
+	plain := NewSession(WithWorkers(1))
+	if _, err := plain.Run(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := plain.RecordBytes(key); ok {
+		t.Error("a session without a store holds record bytes")
+	}
+	pre := NewSession(WithStore(st))
+	if err := pre.Preload(job, res); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pre.RecordBytes(key); ok {
+		t.Error("a preloaded result holds record bytes")
+	}
+	if _, ok := pre.RecordBytes("no such key"); ok {
+		t.Error("an unknown key holds record bytes")
+	}
+}

@@ -188,16 +188,17 @@ func (c *Client) Events(ctx context.Context, id string, fn func(WireEvent)) erro
 	if resp.StatusCode != http.StatusOK {
 		return decodeStatusError(resp)
 	}
+	// Event lines are a few hundred bytes; the buffer grows for a long
+	// one, up to the 1 MB line cap.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		data, ok := strings.CutPrefix(line, "data: ")
+		data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
 		if !ok {
 			continue // blank separators and SSE comments
 		}
 		var ev WireEvent
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+		if err := json.Unmarshal(data, &ev); err != nil {
 			return fmt.Errorf("serve: bad event %q: %w", data, err)
 		}
 		if fn != nil {
@@ -232,11 +233,30 @@ func (c *Client) ResultRaw(ctx context.Context, id string, wait bool) ([]byte, e
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeStatusError(resp)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("serve: read result: %w", err)
 	}
 	return raw, nil
+}
+
+// readBody reads a response body into one buffer of its declared
+// length, or grows one as the bytes arrive when no length (or one over
+// 64 MB) is declared. A body that ends before its declared length is
+// io.ErrUnexpectedEOF.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > 64<<20 {
+		return io.ReadAll(resp.Body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Result fetches and decodes the job's terminal Record.

@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -231,14 +232,15 @@ func (s *Server) worker() {
 	}
 }
 
-// recordBytes marshals the job's terminal Record: on success the full
-// result, on failure the established error-carrying Record. When the
-// session served the job from the persistent store, the stored bytes
-// are returned verbatim, so a re-fetched result is byte-identical to
-// the run that produced it.
+// recordBytes returns the job's terminal Record: on success the full
+// result, on failure the established error-carrying Record. With a
+// persistent store the session holds the bytes it stored or read for
+// the key, and those are returned verbatim, so a re-fetched result is
+// byte-identical to the run that produced it and costs no store I/O
+// and no marshal.
 func (s *Server) recordBytes(j *job, res *darco.Result, err error) json.RawMessage {
-	if err == nil && j.isFromCache() && s.st != nil {
-		if raw, ok, serr := s.st.GetRaw(j.key); serr == nil && ok {
+	if err == nil { // a failed job never takes another run's bytes for its key
+		if raw, ok := s.sess.RecordBytes(j.key); ok {
 			return raw
 		}
 	}
@@ -573,7 +575,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s is %s; poll /jobs/%s or fetch with ?wait=1", j.id, state, j.id)
 		return
 	}
+	writeRaw(w, raw)
+}
+
+// writeRaw sends JSON bytes with their length declared, so a client
+// reads them into one buffer of the right size.
+func writeRaw(w http.ResponseWriter, raw []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(raw)
 }
@@ -609,9 +618,7 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no store entry at %q", addr)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
+	writeRaw(w, raw)
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {

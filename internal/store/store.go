@@ -19,13 +19,15 @@
 //   - The store is process-crash safe, not power-loss safe: PutRaw
 //     renames without an fsync, so a killed process leaves whole
 //     entries or none, but a machine losing power may lose or truncate
-//     the last writes (which Get then treats as misses).
+//     the last writes (which reads then treat as misses).
 //   - Reads are tolerant: a corrupt or foreign file is a cache miss
-//     in Get and skipped by List, never a fatal error. A persistent
+//     in GetRaw and skipped by List, never a fatal error. A persistent
 //     cache must survive partial damage; re-simulation repairs it.
 //
-// Store implements darco.ResultStore, so attaching persistence to a
-// batch executor is darco.NewSession(darco.WithStore(st)).
+// Store implements darco.ResultStore with GetRaw and PutRaw, which move
+// a record's bytes as they are: attaching persistence to a batch
+// executor is darco.NewSession(darco.WithStore(st)), and the session
+// encodes each fresh record once and reads each stored one once.
 package store
 
 import (
@@ -102,15 +104,8 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, Addr(key)+entrySuffix)
 }
 
-// Put persists the record under the memo key, atomically replacing any
-// previous entry. Concurrent Puts of the same key are safe: each
-// writes its own temporary file and the rename commits whole entries,
-// so readers see one complete record (last writer wins — callers store
-// deterministic results, so the winners are interchangeable).
+// Put marshals the record and persists it with PutRaw.
 func (s *Store) Put(key string, rec *darco.Record) error {
-	if key == "" {
-		return fmt.Errorf("store: empty key")
-	}
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: marshal record for %q: %w", key, err)
@@ -118,8 +113,12 @@ func (s *Store) Put(key string, rec *darco.Record) error {
 	return s.PutRaw(key, raw)
 }
 
-// PutRaw persists pre-marshaled record bytes under the memo key — the
-// path used to mirror an entry byte-identically between stores.
+// PutRaw persists marshaled record bytes under the memo key, atomically
+// replacing any previous entry. Concurrent writes of the same key are
+// safe: each writes its own temporary file and the rename commits
+// whole entries, so readers see one complete record (last writer wins
+// — callers store deterministic results, so the winners are
+// interchangeable).
 func (s *Store) PutRaw(key string, record json.RawMessage) error {
 	if key == "" {
 		return fmt.Errorf("store: empty key")
@@ -195,20 +194,17 @@ func (s *Store) GetRaw(key string) (json.RawMessage, bool, error) {
 	return env.Record, true, nil
 }
 
-// Get returns the decoded record for a memo key, reporting a miss with
-// ok=false. Together with Put it implements darco.ResultStore, so a
-// Session with this store serves restart-surviving cache hits. A
-// corrupt entry is a miss, not an error.
+// Get reads a record with GetRaw and decodes it; a record that does
+// not decode is a miss, not an error.
 func (s *Store) Get(key string) (*darco.Record, bool, error) {
-	env, ok, err := readEntry(s.path(key))
+	raw, ok, err := s.GetRaw(key)
 	if !ok || err != nil {
 		return nil, false, err
 	}
 	var rec darco.Record
-	if err := json.Unmarshal(env.Record, &rec); err != nil {
-		return nil, false, nil // corrupt record: miss, not fatal
+	if json.Unmarshal(raw, &rec) != nil {
+		return nil, false, nil
 	}
-	s.touch(key)
 	return &rec, true, nil
 }
 
