@@ -167,12 +167,12 @@ func (r *Runner) runGrid(g *sweep.Grid) (*sweep.ResultSet, error) {
 	return sweep.RunOn(r.ctx(), r.sess, g, sweep.Options{Config: &base})
 }
 
-// DefaultCCCapacities is the capacity sweep of FigCC, in instruction
+// defaultCCCapacities is the capacity sweep of FigCC, in instruction
 // slots. 0 is the unbounded baseline; the bounded points shrink
 // geometrically into the range where the catalog benchmarks' code
 // footprints (roughly 600–6500 instruction slots at scale 1) no
 // longer fit, so every policy is exercised under real pressure.
-var DefaultCCCapacities = []int{0, 4096, 2048, 1024, 512, 256}
+var defaultCCCapacities = []int{0, 4096, 2048, 1024, 512, 256}
 
 // ccGrid builds the cache-pressure sweep of the workloads as a grid
 // spec: a policy axis (the unbounded baseline plus every registered
@@ -216,7 +216,7 @@ func (r *Runner) ccGrid(workloads []string, caps []int, policies []string) *swee
 
 // FigCC runs the cache-pressure characterization enabled by the
 // bounded code cache: every benchmark is swept over the given
-// capacities (nil = DefaultCCCapacities) under every registered
+// capacities (nil = defaultCCCapacities) under every registered
 // eviction policy, and the table reports cycles, the slowdown against
 // the unbounded baseline, and the eviction/retranslation activity at
 // each point. Rows are grouped per benchmark — the baseline first,
@@ -224,7 +224,7 @@ func (r *Runner) ccGrid(workloads []string, caps []int, policies []string) *swee
 // so the capacity axis of the figure reads directly down the table.
 func (r *Runner) FigCC(capacities []int) (*stats.Table, error) {
 	if capacities == nil {
-		capacities = DefaultCCCapacities
+		capacities = defaultCCCapacities
 	}
 	// The unbounded baseline (capacity 0) always runs — the slowdown
 	// column needs its reference point; bounded capacities are swept in

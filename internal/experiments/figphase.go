@@ -18,11 +18,11 @@ import (
 // the pool) under every registered eviction policy at one bounded
 // capacity, against the unbounded baseline.
 
-// DefaultPhasePool lists the catalog members FigPhase cycles through:
+// defaultPhasePool lists the catalog members FigPhase cycles through:
 // benchmarks with deliberately diverse static footprints and
 // repetition characters, so successive phases displace each other's
 // hot code.
-var DefaultPhasePool = []string{
+var defaultPhasePool = []string{
 	"401.bzip2",
 	"462.libquantum",
 	"429.mcf",
@@ -33,20 +33,20 @@ var DefaultPhasePool = []string{
 
 // FigPhase defaults.
 const (
-	// DefaultPhaseCount is the largest composite of the sweep.
-	DefaultPhaseCount = 4
-	// DefaultPhaseCapacityInsts bounds the code cache during the
+	// defaultPhaseCount is the largest composite of the sweep.
+	defaultPhaseCount = 4
+	// defaultPhaseCapacityInsts bounds the code cache during the
 	// sweep: below a typical two-phase translated footprint at scale
 	// 1, so phase changes evict.
-	DefaultPhaseCapacityInsts = 2048
+	defaultPhaseCapacityInsts = 2048
 )
 
 // phasePool returns the member-name cycle: the session's synthetic
 // benchmarks when the runner was restricted with Options.Benchmarks,
-// otherwise DefaultPhasePool.
+// otherwise defaultPhasePool.
 func (r *Runner) phasePool() []string {
 	if r.opts.Benchmarks == nil {
-		return DefaultPhasePool
+		return defaultPhasePool
 	}
 	var pool []string
 	for _, p := range r.progs {
@@ -55,7 +55,7 @@ func (r *Runner) phasePool() []string {
 		}
 	}
 	if len(pool) == 0 {
-		return DefaultPhasePool
+		return defaultPhasePool
 	}
 	return pool
 }
@@ -63,15 +63,15 @@ func (r *Runner) phasePool() []string {
 // FigPhase runs the phase-behaviour characterization: composites of
 // 1..maxPhases members under the unbounded baseline and under every
 // registered eviction policy at capacityInsts. Zero arguments select
-// DefaultPhaseCount and DefaultPhaseCapacityInsts. Rows are grouped
+// defaultPhaseCount and defaultPhaseCapacityInsts. Rows are grouped
 // per phase count — baseline first, then the policies in registration
 // order — so the phase axis reads directly down the table.
 func (r *Runner) FigPhase(maxPhases, capacityInsts int) (*stats.Table, error) {
 	if maxPhases <= 0 {
-		maxPhases = DefaultPhaseCount
+		maxPhases = defaultPhaseCount
 	}
 	if capacityInsts <= 0 {
-		capacityInsts = DefaultPhaseCapacityInsts
+		capacityInsts = defaultPhaseCapacityInsts
 	}
 	if capacityInsts < tol.MinCacheCapacityInsts {
 		return nil, fmt.Errorf("experiments: phase capacity %d below minimum %d",

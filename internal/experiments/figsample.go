@@ -19,11 +19,11 @@ import (
 // Both runs simulate fresh (no preloads, no cross-figure memoization),
 // so the timed columns measure real work.
 
-// DefaultSamplePlan is the sweep's sampling plan: small intervals so
+// defaultSamplePlan is the sweep's sampling plan: small intervals so
 // the scaled-down catalog benchmarks still span many of them, a 1-in-8
 // selection for a large detailed-work reduction, and a warm-up window
 // of one sixteenth of the interval.
-var DefaultSamplePlan = sample.Config{Interval: 50_000, Every: 8, Warmup: 3_000}
+var defaultSamplePlan = sample.Config{Interval: 50_000, Every: 8, Warmup: 3_000}
 
 // sampleGrid builds the comparison as a grid spec: every benchmark
 // against a two-point "sim" axis — full detail versus the sampling
@@ -44,13 +44,13 @@ func sampleGrid(workloads []string, sc sample.Config, scale float64) *sweep.Grid
 }
 
 // FigSample runs the sampled-vs-full comparison under the given plan
-// (nil = DefaultSamplePlan). The grid executes sequentially (one cell
+// (nil = defaultSamplePlan). The grid executes sequentially (one cell
 // at a time) so the wall-clock columns are not distorted by
 // co-scheduling; the sampled leg still measures its selected intervals
 // in parallel across the session's workers, exactly as a production
 // sampled run would.
 func (r *Runner) FigSample(plan *sample.Config) (*stats.Table, error) {
-	sc := DefaultSamplePlan
+	sc := defaultSamplePlan
 	if plan != nil {
 		sc = *plan
 	}

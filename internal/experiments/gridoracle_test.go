@@ -145,7 +145,7 @@ func (r *Runner) oracleFig5() (*stats.Table, *stats.Table, error) {
 // oracleFigCC is the pre-refactor FigCC.
 func (r *Runner) oracleFigCC(capacities []int) (*stats.Table, error) {
 	if capacities == nil {
-		capacities = DefaultCCCapacities
+		capacities = defaultCCCapacities
 	}
 	var caps []int
 	for _, c := range capacities {
@@ -223,10 +223,10 @@ func (r *Runner) oracleFigCC(capacities []int) (*stats.Table, error) {
 // oracleFigPhase is the pre-refactor FigPhase.
 func (r *Runner) oracleFigPhase(maxPhases, capacityInsts int) (*stats.Table, error) {
 	if maxPhases <= 0 {
-		maxPhases = DefaultPhaseCount
+		maxPhases = defaultPhaseCount
 	}
 	if capacityInsts <= 0 {
-		capacityInsts = DefaultPhaseCapacityInsts
+		capacityInsts = defaultPhaseCapacityInsts
 	}
 	if capacityInsts < tol.MinCacheCapacityInsts {
 		return nil, fmt.Errorf("experiments: phase capacity %d below minimum %d",
@@ -314,7 +314,7 @@ func (r *Runner) oracleFigPhase(maxPhases, capacityInsts int) (*stats.Table, err
 
 // oracleFigSample is the pre-refactor FigSample.
 func (r *Runner) oracleFigSample(plan *sample.Config) (*stats.Table, error) {
-	sc := DefaultSamplePlan
+	sc := defaultSamplePlan
 	if plan != nil {
 		sc = *plan
 	}

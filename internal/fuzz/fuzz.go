@@ -11,7 +11,7 @@
 //
 // The pieces:
 //
-//   - Cell / SmokeMatrix / FullMatrix (this file): one configuration
+//   - Cell / smokeMatrix / fullMatrix (this file): one configuration
 //     point and the curated/full matrices the oracle sweeps.
 //   - Oracle (oracle.go): runs one spec across the matrix through a
 //     darco.Session, classifies failures, aggregates a coverage report,
@@ -80,12 +80,12 @@ func (c Cell) Name() string {
 	return s
 }
 
-// SmokeMatrix is the curated matrix for CI and the default fuzzrun
+// smokeMatrix is the curated matrix for CI and the default fuzzrun
 // sweep: every optimization level, every eviction policy plus the
 // unbounded cache, both promotion policies, and both extreme stream
 // batch sizes appear in at least one cell, at a fraction of the full
 // cross product's cost.
-func SmokeMatrix() []Cell {
+func smokeMatrix() []Cell {
 	return []Cell{
 		cell(0, 0, "", "", 0),
 		cell(1, 0, "", "", 1),
@@ -98,10 +98,10 @@ func SmokeMatrix() []Cell {
 	}
 }
 
-// FullMatrix is the full cross product — O0–O3 × {unbounded, flush-all,
+// fullMatrix is the full cross product — O0–O3 × {unbounded, flush-all,
 // fifo-region, lru-translation} × {fixed, adaptive} × {batch 1, batch
 // default} — for nightly-depth runs.
-func FullMatrix() []Cell {
+func fullMatrix() []Cell {
 	var out []Cell
 	for opt := 0; opt <= 3; opt++ {
 		for _, cache := range []struct {
@@ -123,16 +123,16 @@ func FullMatrix() []Cell {
 func Matrix(name string) ([]Cell, error) {
 	switch name {
 	case "", "smoke":
-		return SmokeMatrix(), nil
+		return smokeMatrix(), nil
 	case "full":
-		return FullMatrix(), nil
+		return fullMatrix(), nil
 	}
 	return nil, fmt.Errorf("fuzz: unknown config matrix %q (want smoke or full)", name)
 }
 
-// AsDivergence extracts the structured cosim divergence from a run
+// asDivergence extracts the structured cosim divergence from a run
 // error, if it carries one.
-func AsDivergence(err error) (*tol.DivergenceError, bool) {
+func asDivergence(err error) (*tol.DivergenceError, bool) {
 	var div *tol.DivergenceError
 	if errors.As(err, &div) {
 		return div, true

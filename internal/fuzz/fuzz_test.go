@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func demoSpec() workload.Spec {
 // shrinking minimizer to a reproducer of at most 8 blocks.
 func TestInjectedFaultCaughtAndMinimized(t *testing.T) {
 	ctx := context.Background()
-	o := New(SmokeMatrix())
+	o := New(smokeMatrix())
 	o.Fault = tol.FaultDropInc
 
 	spec := demoSpec()
@@ -127,7 +128,7 @@ func TestRLEStaleBaseFaultRegistered(t *testing.T) {
 // snapshot-resume and sampled-vs-full cross-checks with no findings.
 func TestOracleCleanOnGeneratedSpecs(t *testing.T) {
 	ctx := context.Background()
-	o := New(SmokeMatrix())
+	o := New(smokeMatrix())
 	o.SnapshotCheck = true
 	o.SampledCheck = true
 	for _, ref := range []struct {
@@ -190,5 +191,36 @@ func TestRegressionDirConvention(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoverageAddSumsEveryField: Coverage.Add is the one place coverage
+// is summed, so a field it skips would drop from every report and sweep
+// total. Every field is filled by reflection, so a new field is checked
+// without editing the test.
+func TestCoverageAddSumsEveryField(t *testing.T) {
+	fill := func(k uint64) Coverage {
+		var c Coverage
+		v := reflect.ValueOf(&c).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			n := k * uint64(i+1)
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int:
+				f.SetInt(int64(n))
+			case reflect.Uint64:
+				f.SetUint(n)
+			case reflect.Map:
+				f.Set(reflect.ValueOf(map[string]uint64{"x86": n}))
+			default:
+				t.Fatalf("Coverage.%s has kind %s, which this test cannot fill", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return c
+	}
+	var got Coverage
+	got.Add(fill(1))
+	got.Add(fill(1))
+	if want := fill(2); !reflect.DeepEqual(got, want) {
+		t.Errorf("two Adds of %+v = %+v, want %+v", fill(1), got, want)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // the activity to the rv32 frontend.
 func TestOracleCleanOnRV32Specs(t *testing.T) {
 	ctx := context.Background()
-	o := New(SmokeMatrix())
+	o := New(smokeMatrix())
 	o.SnapshotCheck = true
 	o.SampledCheck = true
 	for _, seed := range []int64{11, 12} {

@@ -86,14 +86,14 @@ func (o *Oracle) reproduce(ctx context.Context, spec workload.Spec, cell Cell) (
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	if div, ok := AsDivergence(err); ok {
+	if div, ok := asDivergence(err); ok {
 		return div, nil
 	}
 	return nil, nil
 }
 
-// RegressionName returns the artifact base name a spec is filed under.
-func RegressionName(spec *workload.Spec) string {
+// regressionName returns the artifact base name a spec is filed under.
+func regressionName(spec *workload.Spec) string {
 	name := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
@@ -115,7 +115,7 @@ func WriteRegression(dir string, spec workload.Spec) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, RegressionName(&spec))
+	path := filepath.Join(dir, regressionName(&spec))
 	if err := workload.RecordTrace(path, workload.SpecProgram{Spec: spec, Source: "fuzz"}); err != nil {
 		return "", err
 	}

@@ -25,7 +25,7 @@ const defaultMaxGuestInsts = 4_000_000
 type Oracle struct {
 	// Session executes and memoizes the matrix runs.
 	Session *darco.Session
-	// Cells is the configuration matrix (SmokeMatrix if empty).
+	// Cells is the configuration matrix (smokeMatrix if empty).
 	Cells []Cell
 	// MaxGuestInsts guards each cell (defaultMaxGuestInsts if 0).
 	MaxGuestInsts uint64
@@ -83,27 +83,48 @@ type Coverage struct {
 	ByISA map[string]uint64 `json:"by_isa,omitempty"`
 }
 
-// add folds one run's statistics into the aggregate under the spec's
-// frontend ("" means x86, the workload-layer default).
-func (c *Coverage) add(isa string, s *tol.Stats) {
+// runCoverage is one run's coverage: its TOL statistics under the
+// spec's frontend ("" means x86, the workload-layer default).
+func runCoverage(isa string, s *tol.Stats) Coverage {
 	if isa == "" {
 		isa = "x86"
 	}
-	if c.ByISA == nil {
-		c.ByISA = make(map[string]uint64)
+	c := Coverage{
+		DynTotal:       s.DynTotal(),
+		BBTranslated:   s.BBTranslated,
+		Promotions:     s.SBCreated,
+		Evictions:      s.Evictions,
+		Retranslations: s.Retranslations,
+		IBTCFills:      s.IBTCFills,
+		Chains:         s.Chains,
+		CosimChecks:    s.CosimChecks,
+		ByISA:          map[string]uint64{isa: s.DynTotal()},
 	}
-	c.ByISA[isa] += s.DynTotal()
-	c.DynTotal += s.DynTotal()
-	c.BBTranslated += s.BBTranslated
-	c.Promotions += s.SBCreated
-	c.Evictions += s.Evictions
-	c.Retranslations += s.Retranslations
-	c.IBTCFills += s.IBTCFills
 	if s.IndirectDyn > s.IBTCFills {
-		c.IBTCHits += s.IndirectDyn - s.IBTCFills
+		c.IBTCHits = s.IndirectDyn - s.IBTCFills
 	}
-	c.Chains += s.Chains
-	c.CosimChecks += s.CosimChecks
+	return c
+}
+
+// Add folds o into c. A report's coverage is the sum of its cells' and
+// a sweep's the sum of its programs', so every field is summed here
+// and nowhere else.
+func (c *Coverage) Add(o Coverage) {
+	c.DynTotal += o.DynTotal
+	c.BBTranslated += o.BBTranslated
+	c.Promotions += o.Promotions
+	c.Evictions += o.Evictions
+	c.Retranslations += o.Retranslations
+	c.IBTCFills += o.IBTCFills
+	c.IBTCHits += o.IBTCHits
+	c.Chains += o.Chains
+	c.CosimChecks += o.CosimChecks
+	for isa, dyn := range o.ByISA {
+		if c.ByISA == nil {
+			c.ByISA = make(map[string]uint64)
+		}
+		c.ByISA[isa] += dyn
+	}
 }
 
 // Report is the oracle's verdict on one spec.
@@ -153,7 +174,7 @@ func (r *Report) Clean() bool {
 
 func (o *Oracle) cells() []Cell {
 	if len(o.Cells) == 0 {
-		return SmokeMatrix()
+		return smokeMatrix()
 	}
 	return o.Cells
 }
@@ -222,7 +243,7 @@ func (o *Oracle) Check(ctx context.Context, spec workload.Spec) (*Report, error)
 		case br.Err != nil && ctx.Err() != nil:
 			return nil, ctx.Err()
 		case br.Err != nil:
-			if div, ok := AsDivergence(br.Err); ok {
+			if div, ok := asDivergence(br.Err); ok {
 				out.Div = div
 			} else {
 				out.Err = br.Err.Error()
@@ -230,7 +251,7 @@ func (o *Oracle) Check(ctx context.Context, spec workload.Spec) (*Report, error)
 		default:
 			out.DynTotal = br.Result.GuestDyn()
 			out.Cycles = br.Result.Timing.Cycles
-			rep.Coverage.add(spec.ISA, &br.Result.TOL)
+			rep.Coverage.Add(runCoverage(spec.ISA, &br.Result.TOL))
 			// Cross-cell agreement: every configuration must retire the
 			// same guest instructions into the same architectural state.
 			if agreeFinal == nil {

@@ -34,14 +34,14 @@ func TestRegressionCorpusReplaysClean(t *testing.T) {
 				t.Fatal(err)
 			}
 			prog := mustBuild(t, tr.Program())
-			for _, cell := range SmokeMatrix() {
+			for _, cell := range smokeMatrix() {
 				cfg, err := new(Oracle).config(cell)
 				if err != nil {
 					t.Fatal(err)
 				}
 				res, err := darco.Run(ctx, prog, darco.WithConfig(cfg))
 				if err != nil {
-					if div, ok := AsDivergence(err); ok {
+					if div, ok := asDivergence(err); ok {
 						t.Errorf("%s: regressed:\n%s", cell.Name(), div.Report())
 						continue
 					}

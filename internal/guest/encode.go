@@ -21,11 +21,11 @@ import (
 // Relative branch offsets are relative to the address of the following
 // instruction, matching x86 semantics.
 
-// ErrTruncated is returned when the byte buffer ends mid-instruction.
-var ErrTruncated = errors.New("guest: truncated instruction")
+// errTruncated is returned when the byte buffer ends mid-instruction.
+var errTruncated = errors.New("guest: truncated instruction")
 
-// ErrBadOpcode is returned for undefined opcode bytes.
-var ErrBadOpcode = errors.New("guest: undefined opcode")
+// errBadOpcode is returned for undefined opcode bytes.
+var errBadOpcode = errors.New("guest: undefined opcode")
 
 // numX86Ops bounds the opcodes that exist in the x86 encoding. The
 // RISC-family opcodes appended after it share the Inst form but have
@@ -87,8 +87,8 @@ func sizeOf(op Op) int {
 	return int(formatSize[formatOf[op]])
 }
 
-// MaxInstSize is the longest guest instruction encoding in bytes.
-const MaxInstSize = 7
+// maxInstSize is the longest guest instruction encoding in bytes.
+const maxInstSize = 7
 
 func put32(b []byte, v uint32) {
 	b[0] = byte(v)
@@ -124,7 +124,7 @@ func encode(dst []byte, inst Inst) []byte {
 		panic(fmt.Sprintf("guest: encode opcode %d has no x86 encoding", inst.Op))
 	}
 	f := formatOf[inst.Op]
-	var buf [MaxInstSize]byte
+	var buf [maxInstSize]byte
 	buf[0] = byte(inst.Op)
 	switch f {
 	case fmt0:
@@ -189,16 +189,16 @@ func checkNibble(v uint8) {
 // instruction's Size field is set to the number of bytes consumed.
 func decode(b []byte) (Inst, error) {
 	if len(b) == 0 {
-		return Inst{}, ErrTruncated
+		return Inst{}, errTruncated
 	}
 	op := Op(b[0])
 	if op >= numX86Ops {
-		return Inst{}, fmt.Errorf("%w: byte %#02x", ErrBadOpcode, b[0])
+		return Inst{}, fmt.Errorf("%w: byte %#02x", errBadOpcode, b[0])
 	}
 	f := formatOf[op]
 	size := int(formatSize[f])
 	if len(b) < size {
-		return Inst{}, ErrTruncated
+		return Inst{}, errTruncated
 	}
 	inst := Inst{Op: op, Size: uint8(size), Scale: 1}
 	switch f {

@@ -96,8 +96,8 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal("decode of undefined opcode should fail")
 	}
 	// Truncated multi-byte instruction.
-	if _, err := decode([]byte{byte(OpMovRI), 0}); err != ErrTruncated {
-		t.Fatalf("decode truncated: err=%v, want ErrTruncated", err)
+	if _, err := decode([]byte{byte(OpMovRI), 0}); err != errTruncated {
+		t.Fatalf("decode truncated: err=%v, want errTruncated", err)
 	}
 	// Out-of-range condition byte.
 	if _, err := decode([]byte{byte(OpJcc), 0xff, 0, 0, 0, 0}); err == nil {
@@ -118,7 +118,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 func TestSizeOfAllOpsPositive(t *testing.T) {
 	for op := Op(0); op < numX86Ops; op++ {
 		s := sizeOf(op)
-		if s < 1 || s > MaxInstSize {
+		if s < 1 || s > maxInstSize {
 			t.Fatalf("sizeOf(%s) = %d", op, s)
 		}
 	}
@@ -157,8 +157,8 @@ func TestCondNegate(t *testing.T) {
 		}
 		// On any flag value the two must disagree... except LE/G pairs
 		// share flag inputs, so verify by exhaustive flag sweep.
-		for _, f := range []uint32{0, FlagZF, FlagSF, FlagOF, FlagCF,
-			FlagZF | FlagSF, FlagSF | FlagOF, FlagZF | FlagSF | FlagOF | FlagCF} {
+		for _, f := range []uint32{0, FlagZF, FlagSF, flagOF, FlagCF,
+			FlagZF | FlagSF, FlagSF | flagOF, FlagZF | FlagSF | flagOF | FlagCF} {
 			if c.Eval(f) == n.Eval(f) {
 				t.Fatalf("cond %s and negation %s agree on flags %#x", c, n, f)
 			}

@@ -93,7 +93,7 @@ func Step(s *State, m mem.Memory, res *StepResult) error {
 // fetchDecode reads and decodes the instruction at eip — the shared
 // front half of Step and DecodeCache.Step.
 func fetchDecode(eip uint32, m mem.Memory) (Inst, error) {
-	var buf [MaxInstSize]byte
+	var buf [maxInstSize]byte
 	for i := range buf {
 		buf[i] = m.Read8(eip + uint32(i))
 	}

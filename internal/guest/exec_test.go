@@ -60,7 +60,7 @@ func TestFlagsAddSub(t *testing.T) {
 	if s.Flags&FlagCF == 0 {
 		t.Error("CF not set after 0xffffffff+1")
 	}
-	if s.Flags&FlagOF != 0 {
+	if s.Flags&flagOF != 0 {
 		t.Error("OF wrongly set after -1+1")
 	}
 
@@ -69,7 +69,7 @@ func TestFlagsAddSub(t *testing.T) {
 		b.AddRI(EAX, 1) // signed overflow
 		b.Halt()
 	})
-	if s.Flags&FlagOF == 0 {
+	if s.Flags&flagOF == 0 {
 		t.Error("OF not set after INT_MAX+1")
 	}
 	if s.Flags&FlagSF == 0 {

@@ -8,10 +8,10 @@ import "math/bits"
 // move — the cost asymmetry the paper calls out when explaining why TOL
 // performance depends on the guest instruction mix.
 
-// parity returns FlagPF if the low byte of v has even parity (x86 PF).
+// parity returns flagPF if the low byte of v has even parity (x86 PF).
 func parity(v uint32) uint32 {
 	if bits.OnesCount8(uint8(v))%2 == 0 {
-		return FlagPF
+		return flagPF
 	}
 	return 0
 }
@@ -36,7 +36,7 @@ func addFlags(a, b, res uint32) uint32 {
 	}
 	// Overflow: operands same sign, result different sign.
 	if (a^b)&0x8000_0000 == 0 && (a^res)&0x8000_0000 != 0 {
-		f |= FlagOF
+		f |= flagOF
 	}
 	return f
 }
@@ -49,7 +49,7 @@ func subFlags(a, b, res uint32) uint32 {
 	}
 	// Overflow: operands different sign, result sign differs from a.
 	if (a^b)&0x8000_0000 != 0 && (a^res)&0x8000_0000 != 0 {
-		f |= FlagOF
+		f |= flagOF
 	}
 	return f
 }
@@ -61,7 +61,7 @@ func logicFlags(res uint32) uint32 { return szpFlags(res) }
 func incFlags(old uint32, res uint32) uint32 {
 	f := szpFlags(res) | old&FlagCF
 	if res == 0x8000_0000 {
-		f |= FlagOF
+		f |= flagOF
 	}
 	return f
 }
@@ -70,7 +70,7 @@ func incFlags(old uint32, res uint32) uint32 {
 func decFlags(old uint32, res uint32) uint32 {
 	f := szpFlags(res) | old&FlagCF
 	if res == 0x7fff_ffff {
-		f |= FlagOF
+		f |= flagOF
 	}
 	return f
 }
@@ -82,7 +82,7 @@ func negFlags(a, res uint32) uint32 {
 		f |= FlagCF
 	}
 	if a == 0x8000_0000 {
-		f |= FlagOF
+		f |= flagOF
 	}
 	return f
 }
@@ -119,7 +119,7 @@ func mulFlags(a, b int32) uint32 {
 func fcmpFlags(a, b float64) uint32 {
 	switch {
 	case a != a || b != b: // NaN: unordered
-		return FlagZF | FlagCF | FlagPF
+		return FlagZF | FlagCF | flagPF
 	case a == b:
 		return FlagZF
 	case a < b:

@@ -63,10 +63,10 @@ func (f FReg) String() string { return fmt.Sprintf("f%d", uint8(f)) }
 // Condition-flag bit positions follow the x86 EFLAGS layout.
 const (
 	FlagCF uint32 = 1 << 0  // carry
-	FlagPF uint32 = 1 << 2  // parity (of low result byte)
+	flagPF uint32 = 1 << 2  // parity (of low result byte)
 	FlagZF uint32 = 1 << 6  // zero
 	FlagSF uint32 = 1 << 7  // sign
-	FlagOF uint32 = 1 << 11 // signed overflow
+	flagOF uint32 = 1 << 11 // signed overflow
 )
 
 // FlagsMask selects the architecturally observable flag bits. PF is
@@ -74,7 +74,7 @@ const (
 // code reads it, so it is excluded from state comparison and the
 // translator does not materialize it (the same shortcut production x86
 // translators take, since parity consumers are vanishingly rare).
-const FlagsMask = FlagCF | FlagZF | FlagSF | FlagOF
+const FlagsMask = FlagCF | FlagZF | FlagSF | flagOF
 
 // Cond is a branch condition evaluated against the flags register.
 type Cond uint8
@@ -107,7 +107,7 @@ func (c Cond) String() string {
 func (c Cond) Eval(flags uint32) bool {
 	zf := flags&FlagZF != 0
 	sf := flags&FlagSF != 0
-	of := flags&FlagOF != 0
+	of := flags&flagOF != 0
 	cf := flags&FlagCF != 0
 	switch c {
 	case CondE:

@@ -13,7 +13,7 @@ import (
 // the canonical step semantics, the reference emulator, the decode
 // cache, the TOL translator tiers — is ISA-agnostic and consumes the
 // frontend through this description. Frontends register themselves in
-// an init-time registry (RegisterISA), mirroring the tol.Pass and
+// an init-time registry (registerISA), mirroring the tol.Pass and
 // workload.Source registries, and are selected by name through
 // Program.ISA (empty means x86).
 type ISA struct {
@@ -83,7 +83,7 @@ func (isa *ISA) fetchDecode(buf []byte, eip uint32, m mem.Memory) (Inst, error) 
 // guest. Its decoder lives in encode.go.
 var X86 = &ISA{
 	Name:        "x86",
-	MaxInstSize: MaxInstSize,
+	MaxInstSize: maxInstSize,
 	InstShift:   0,
 	NumRegs:     NumRegs,
 	HasFlags:    true,
@@ -98,12 +98,12 @@ var X86 = &ISA{
 
 var isaRegistry = registry.New[*ISA]("guest: ISA %q registered twice")
 
-// RegisterISA adds a frontend to the registry. Like the workload
+// registerISA adds a frontend to the registry. Like the workload
 // source registry, registration happens in init functions and panics
 // on conflicts — a duplicate name is a programming error.
-func RegisterISA(isa *ISA) {
+func registerISA(isa *ISA) {
 	if isa.Name == "" {
-		panic("guest: RegisterISA with empty name")
+		panic("guest: registerISA with empty name")
 	}
 	if isa.NumRegs > MaxGuestRegs {
 		panic(fmt.Sprintf("guest: ISA %q has %d registers, State holds %d", isa.Name, isa.NumRegs, MaxGuestRegs))
@@ -120,11 +120,11 @@ func LookupISA(name string) (*ISA, error) {
 	if isa, ok := isaRegistry.Lookup(name); ok {
 		return isa, nil
 	}
-	return nil, fmt.Errorf("guest: unknown ISA %q (registered: %v)", name, ISANames())
+	return nil, fmt.Errorf("guest: unknown ISA %q (registered: %v)", name, isaNames())
 }
 
-// ISANames lists the registered frontends in sorted order.
-func ISANames() []string { return isaRegistry.Sorted() }
+// isaNames lists the registered frontends in sorted order.
+func isaNames() []string { return isaRegistry.Sorted() }
 
 // ISAOf resolves a program's frontend (empty Program.ISA means x86).
 func ISAOf(p *Program) (*ISA, error) {
@@ -132,5 +132,5 @@ func ISAOf(p *Program) (*ISA, error) {
 }
 
 func init() {
-	RegisterISA(X86)
+	registerISA(X86)
 }

@@ -23,8 +23,8 @@ import (
 // State.Regs file alongside x86. x0 is the hardwired zero: the shared
 // step semantics and the translator both discard writes to it.
 
-// RV32InstBytes is the fixed RV32I encoding width.
-const RV32InstBytes = 4
+// rv32InstBytes is the fixed RV32I encoding width.
+const rv32InstBytes = 4
 
 // rv32NumRegs is the exposed integer register count (x0..x15).
 const rv32NumRegs = 16
@@ -32,7 +32,7 @@ const rv32NumRegs = 16
 // RV32 is the RISC-V RV32I guest frontend.
 var RV32 = &ISA{
 	Name:        "rv32",
-	MaxInstSize: RV32InstBytes,
+	MaxInstSize: rv32InstBytes,
 	InstShift:   2,
 	NumRegs:     rv32NumRegs,
 	HasFlags:    false,
@@ -46,11 +46,11 @@ var RV32 = &ISA{
 }
 
 func init() {
-	RegisterISA(RV32)
+	registerISA(RV32)
 }
 
-// ErrRV32Truncated reports fewer than four bytes of encoding.
-var ErrRV32Truncated = fmt.Errorf("guest: truncated rv32 instruction")
+// errRV32Truncated reports fewer than four bytes of encoding.
+var errRV32Truncated = fmt.Errorf("guest: truncated rv32 instruction")
 
 func rv32Reg(n uint32) (Reg, error) {
 	if n >= rv32NumRegs {
@@ -62,11 +62,11 @@ func rv32Reg(n uint32) (Reg, error) {
 // decodeRV32 decodes one RV32I instruction whose four-byte
 // little-endian encoding starts at b and whose address is pc.
 func decodeRV32(b []byte, pc uint32) (Inst, error) {
-	if len(b) < RV32InstBytes {
-		return Inst{}, ErrRV32Truncated
+	if len(b) < rv32InstBytes {
+		return Inst{}, errRV32Truncated
 	}
 	w := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	in := Inst{Size: RV32InstBytes}
+	in := Inst{Size: rv32InstBytes}
 
 	opcode := w & 0x7f
 	rd := (w >> 7) & 0x1f
@@ -184,7 +184,7 @@ func decodeRV32(b []byte, pc uint32) (Inst, error) {
 			int32(w&0x000f_f000) | // imm[19:12]
 			int32(w>>9)&0x800 | // imm[11]
 			int32(w>>20)&0x7fe // imm[10:1]
-		in.Op, in.R1, in.Imm = OpJal, r1, imm-RV32InstBytes
+		in.Op, in.R1, in.Imm = OpJal, r1, imm-rv32InstBytes
 
 	case 0x67: // JALR
 		if funct3 != 0 {
@@ -231,7 +231,7 @@ func decodeRV32(b []byte, pc uint32) (Inst, error) {
 			int32(w<<4)&0x800 | // imm[11]
 			int32(w>>20)&0x7e0 | // imm[10:5]
 			int32(w>>7)&0x1e // imm[4:1]
-		in.Op, in.R1, in.R2, in.Cond, in.Imm = OpBcc, r1, r2, cond, imm-RV32InstBytes
+		in.Op, in.R1, in.R2, in.Cond, in.Imm = OpBcc, r1, r2, cond, imm-rv32InstBytes
 
 	case 0x03: // LOAD
 		if funct3 != 2 {

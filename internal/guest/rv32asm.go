@@ -261,7 +261,7 @@ func (b *RV32Builder) AddrOf(label string) (uint32, bool) {
 	if !ok {
 		return 0, false
 	}
-	return mem.GuestCodeBase + uint32(idx*RV32InstBytes), true
+	return mem.GuestCodeBase + uint32(idx*rv32InstBytes), true
 }
 
 // Build resolves labels and returns the program image.
@@ -269,7 +269,7 @@ func (b *RV32Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	addrOf := func(idx int) uint32 { return uint32(idx * RV32InstBytes) }
+	addrOf := func(idx int) uint32 { return uint32(idx * rv32InstBytes) }
 	for idx, fix := range b.fixups {
 		target, ok := b.labels[fix.label]
 		if !ok {
@@ -290,7 +290,7 @@ func (b *RV32Builder) Build() (*Program, error) {
 			b.words[idx] |= rv32EncJ(rel, 0)
 		}
 	}
-	code := make([]byte, len(b.words)*RV32InstBytes)
+	code := make([]byte, len(b.words)*rv32InstBytes)
 	for i, w := range b.words {
 		code[i*4+0] = byte(w)
 		code[i*4+1] = byte(w >> 8)

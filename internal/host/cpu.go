@@ -7,15 +7,6 @@ import (
 	"repro/internal/mem"
 )
 
-// CodeStore resolves host PCs to decoded instructions. The code cache
-// and the TOL runtime implement it.
-type CodeStore interface {
-	// InstAt returns the instruction at pc, or nil if pc is not mapped
-	// to executable host code (e.g. a TOL service entry point handled
-	// by the runtime).
-	InstAt(pc uint32) *Inst
-}
-
 // Outcome describes the architectural side effects of one executed host
 // instruction, consumed by the engine to build the dynamic stream fed
 // to the timing simulator.

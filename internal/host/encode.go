@@ -19,8 +19,8 @@ import (
 // EncodedBytes is the serialized size of one instruction.
 const EncodedBytes = 8
 
-// ErrTruncated is returned when fewer than EncodedBytes are available.
-var ErrTruncated = errors.New("host: truncated instruction record")
+// errTruncated is returned when fewer than EncodedBytes are available.
+var errTruncated = errors.New("host: truncated instruction record")
 
 // Encode appends the canonical serialization of inst to dst.
 func Encode(dst []byte, inst Inst) []byte {
@@ -35,7 +35,7 @@ func Encode(dst []byte, inst Inst) []byte {
 // Decode decodes one instruction record from the start of b.
 func Decode(b []byte) (Inst, error) {
 	if len(b) < EncodedBytes {
-		return Inst{}, ErrTruncated
+		return Inst{}, errTruncated
 	}
 	op := Op(b[0])
 	if op >= NumOps {

@@ -34,7 +34,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte{0, 0, 0}); err != ErrTruncated {
+	if _, err := Decode([]byte{0, 0, 0}); err != errTruncated {
 		t.Fatalf("short decode err = %v", err)
 	}
 	bad := Encode(nil, Inst{Op: Nop})
@@ -52,7 +52,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestLoadImm32(t *testing.T) {
 	cases := []uint32{0, 1, 0xffff, 0x1_0000, 0xdead_0000, 0xdead_beef, 0xffff_ffff}
 	for _, v := range cases {
-		seq := LoadImm32(nil, RT0, v)
+		seq := LoadImm32(nil, rt0, v)
 		if len(seq) != loadImmLen(v) {
 			t.Fatalf("loadImmLen(%#x) = %d, emitted %d", v, loadImmLen(v), len(seq))
 		}
@@ -63,8 +63,8 @@ func TestLoadImm32(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if c.R[RT0] != v {
-			t.Fatalf("LoadImm32(%#x) produced %#x", v, c.R[RT0])
+		if c.R[rt0] != v {
+			t.Fatalf("LoadImm32(%#x) produced %#x", v, c.R[rt0])
 		}
 	}
 }
@@ -158,12 +158,12 @@ func TestBranchesAndJumps(t *testing.T) {
 	}
 
 	c.PC = 0x1000
-	jal := Inst{Op: Jal, Rd: RTLR, Imm: 0x100}
+	jal := Inst{Op: Jal, Rd: rtLR, Imm: 0x100}
 	if err := c.Exec(&jal, &out); err != nil {
 		t.Fatal(err)
 	}
-	if c.R[RTLR] != 0x1004 || c.PC != 0x1104 {
-		t.Fatalf("jal: lr=%#x pc=%#x", c.R[RTLR], c.PC)
+	if c.R[rtLR] != 0x1004 || c.PC != 0x1104 {
+		t.Fatalf("jal: lr=%#x pc=%#x", c.R[rtLR], c.PC)
 	}
 
 	c.PC = 0x1000
@@ -237,10 +237,10 @@ func TestGuestRegMapping(t *testing.T) {
 		t.Fatal("guest FP mapping wrong")
 	}
 	// TOL and app registers must not overlap.
-	if RTLR >= RGuestRegBase {
+	if rtLR >= rGuestRegBase {
 		t.Fatal("TOL registers leak into app half")
 	}
-	if RAllocBase <= RFlags || RAllocEnd != 63 {
+	if rAllocBase <= RFlags || RAllocEnd != 63 {
 		t.Fatal("allocator range wrong")
 	}
 }

@@ -36,23 +36,16 @@ const (
 
 	// TOL-owned registers (r1..r31). T-series names are scratch used by
 	// TOL cost streams and runtime glue.
-	RT0  Reg = 1
-	RT1  Reg = 2
-	RT2  Reg = 3
-	RT3  Reg = 4
-	RT4  Reg = 5
-	RT5  Reg = 6
-	RT6  Reg = 7
-	RTSP Reg = 30 // TOL stack pointer
-	RTLR Reg = 31 // TOL link register
+	rt0  Reg = 1
+	rtLR Reg = 31 // TOL link register
 
 	// Application-owned registers (r32..r63).
-	RGuestRegBase Reg = 32 // r32..r39 hold guest EAX..EDI
+	rGuestRegBase Reg = 32 // r32..r39 hold guest EAX..EDI
 	RFlags        Reg = 40 // guest EFLAGS image
 	RMemBase      Reg = 41 // guest memory window base (constant)
 	RAppS0        Reg = 42 // translated-code scratch
 	RAppS1        Reg = 43 // translated-code scratch
-	RAllocBase    Reg = 44 // first register available to the SBM allocator
+	rAllocBase    Reg = 44 // first register available to the SBM allocator
 	RAllocEnd     Reg = 63 // last register available to the SBM allocator
 )
 
@@ -61,17 +54,13 @@ type FReg uint8
 
 // FP register convention: f0..f15 are TOL-owned, f16..f23 hold guest
 // F0..F7, f24..f31 are translated-code scratch.
-const (
-	FGuestBase FReg = 16
-	FAppS0     FReg = 24
-	FAppS1     FReg = 25
-)
+const fGuestBase FReg = 16
 
 // GuestReg returns the host register holding guest GPR g.
-func GuestReg(g uint8) Reg { return RGuestRegBase + Reg(g) }
+func GuestReg(g uint8) Reg { return rGuestRegBase + Reg(g) }
 
 // GuestFReg returns the host FP register holding guest FP register g.
-func GuestFReg(g uint8) FReg { return FGuestBase + FReg(g) }
+func GuestFReg(g uint8) FReg { return fGuestBase + FReg(g) }
 
 // Op is a host opcode.
 type Op uint8

@@ -163,7 +163,7 @@ const (
 	// assigned a PC range inside this region by the cost model, so the
 	// instruction-cache behaviour of TOL emerges from which routines run.
 	TOLCodeBase uint32 = 0x0010_0000
-	TOLCodeSize uint32 = 0x0004_0000 // 256 KiB of TOL text
+	tolCodeSize uint32 = 0x0004_0000 // 256 KiB of TOL text
 
 	// DispatchTableBase is the interpreter's opcode dispatch table.
 	DispatchTableBase uint32 = 0x0200_0000
@@ -187,10 +187,10 @@ const (
 	// intermediate representation while forming superblocks.
 	IRBufBase uint32 = 0x0250_0000
 
-	// GuestStateBase is the in-memory guest architectural state block
+	// guestStateBase is the in-memory guest architectural state block
 	// (8 GPRs, EFLAGS, EIP, 8 FP registers) read/written by the
 	// interpreter and by translation entry/exit glue.
-	GuestStateBase uint32 = 0x0300_0000
+	guestStateBase uint32 = 0x0300_0000
 
 	// CodeCacheBase is where translated host code is placed. Host PCs
 	// of translated basic blocks and superblocks fall in this region.

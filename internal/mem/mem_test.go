@@ -112,13 +112,13 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 		hi   uint32
 	}
 	regions := []region{
-		{"tolcode", TOLCodeBase, TOLCodeBase + TOLCodeSize},
+		{"tolcode", TOLCodeBase, TOLCodeBase + tolCodeSize},
 		{"dispatch", DispatchTableBase, DispatchTableBase + 0x1_0000},
 		{"transtable", TransTableBase, TransTableBase + 0x10_0000},
 		{"profile", ProfileTableBase, ProfileTableBase + 0x10_0000},
 		{"ibtc", IBTCBase, IBTCBase + 0x1_0000},
 		{"irbuf", IRBufBase, IRBufBase + 0x10_0000},
-		{"gueststate", GuestStateBase, GuestStateBase + 0x1000},
+		{"gueststate", guestStateBase, guestStateBase + 0x1000},
 		{"codecache", CodeCacheBase, CodeCacheBase + CodeCacheSize},
 		{"tolstack", TOLStackBase - 0x1_0000, TOLStackBase},
 		{"guestwin", GuestWindowBase, 0xffff_ffff},

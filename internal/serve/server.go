@@ -53,18 +53,18 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultQueueLimit bounds the admission queue when Config.QueueLimit
+// defaultQueueLimit bounds the admission queue when Config.QueueLimit
 // is zero.
-const DefaultQueueLimit = 256
+const defaultQueueLimit = 256
 
-// ErrShuttingDown is recorded on jobs that were still queued when the
+// errShuttingDown is recorded on jobs that were still queued when the
 // server began draining.
-var ErrShuttingDown = errors.New("serve: server shutting down")
+var errShuttingDown = errors.New("serve: server shutting down")
 
-// ErrCancelled is recorded on jobs stopped by POST /jobs/{id}/cancel
+// errCancelled is recorded on jobs stopped by POST /jobs/{id}/cancel
 // before they ran (a job cancelled mid-simulation carries the
 // simulation's context error instead).
-var ErrCancelled = errors.New("serve: job cancelled")
+var errCancelled = errors.New("serve: job cancelled")
 
 // Config configures a Server.
 type Config struct {
@@ -72,7 +72,7 @@ type Config struct {
 	Workers int
 	// QueueLimit bounds the number of queued (not yet running) jobs;
 	// submissions beyond it are rejected with 429 (0 =
-	// DefaultQueueLimit, negative = unbounded).
+	// defaultQueueLimit, negative = unbounded).
 	QueueLimit int
 	// Store, when non-nil, persists every result and serves
 	// restart-surviving cache hits.
@@ -130,7 +130,7 @@ func NewServer(cfg Config) *Server {
 	}
 	limit := cfg.QueueLimit
 	if limit == 0 {
-		limit = DefaultQueueLimit
+		limit = defaultQueueLimit
 	}
 	base := darco.DefaultConfig()
 	if cfg.Base != nil {
@@ -186,7 +186,7 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Shutdown drains the server: admission stops (new submissions get
-// 503), jobs still queued fail immediately with ErrShuttingDown, and
+// 503), jobs still queued fail immediately with errShuttingDown, and
 // in-flight simulations are given until ctx's deadline to finish —
 // then their contexts are cancelled and the shutdown completes once
 // every worker has exited. It is the handler behind cmd/darco-serve's
@@ -200,8 +200,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return errors.New("serve: Shutdown called twice")
 	}
 	for _, j := range s.queue.close() {
-		j.note(darco.Event{Job: j.sjob.Name, Mode: j.sjob.Config.Mode, Kind: darco.EventFailed, Err: ErrShuttingDown})
-		j.finish(s.recordBytes(j, nil, ErrShuttingDown), ErrShuttingDown)
+		j.note(darco.Event{Job: j.sjob.Name, Mode: j.sjob.Config.Mode, Kind: darco.EventFailed, Err: errShuttingDown})
+		j.finish(s.recordBytes(j, nil, errShuttingDown), errShuttingDown)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -296,8 +296,8 @@ func (s *Server) runJob(j *job) {
 	if j.ctx.Err() != nil {
 		// Cancelled (or drained) while still queued: settle without
 		// ever occupying a simulation slot.
-		j.note(darco.Event{Job: j.sjob.Name, Mode: j.sjob.Config.Mode, Kind: darco.EventFailed, Err: ErrCancelled})
-		j.finish(s.recordBytes(j, nil, ErrCancelled), ErrCancelled)
+		j.note(darco.Event{Job: j.sjob.Name, Mode: j.sjob.Config.Mode, Kind: darco.EventFailed, Err: errCancelled})
+		j.finish(s.recordBytes(j, nil, errCancelled), errCancelled)
 		s.logf("job %s cancelled while queued", j.id)
 		return
 	}
@@ -622,7 +622,7 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	out := Workloads{Sources: workload.Sources(), Listed: map[string][]string{}}
+	out := workloads{Sources: workload.Sources(), Listed: map[string][]string{}}
 	for _, scheme := range out.Sources {
 		if src, ok := workload.LookupSource(scheme); ok {
 			if l, ok := src.(workload.Lister); ok {

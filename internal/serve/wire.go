@@ -114,9 +114,9 @@ type Health struct {
 	Jobs    int    `json:"jobs"`
 }
 
-// Workloads is the body of GET /workloads: the registered source
+// workloads is the body of GET /workloads: the registered source
 // schemes and the enumerable programs of each listable source.
-type Workloads struct {
+type workloads struct {
 	Sources []string            `json:"sources"`
 	Listed  map[string][]string `json:"listed,omitempty"`
 }

@@ -37,11 +37,11 @@ import (
 	"repro/internal/tol"
 )
 
-// Version is the current checkpoint format version. Decode rejects
+// version is the current checkpoint format version. Decode rejects
 // envelopes with a different version: checkpoint formats evolve with
 // the machine state they capture, and a mis-versioned restore would
 // corrupt a run silently.
-const Version = 1
+const version = 1
 
 // Machine is one checkpoint: the engine state (always) plus the timing
 // simulator state (when the checkpoint was taken mid-simulation rather
@@ -81,7 +81,7 @@ func Capture(program string, eng *tol.Engine, sim *timing.Simulator) (*Machine, 
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	m := &Machine{
-		Version:    Version,
+		Version:    version,
 		Program:    program,
 		ISA:        esn.ISA,
 		GuestInsts: esn.GuestInsts(),
@@ -97,8 +97,8 @@ func Capture(program string, eng *tol.Engine, sim *timing.Simulator) (*Machine, 
 // state present, and — when both the envelope and the caller know the
 // program fingerprint — a matching program.
 func (m *Machine) Validate(program string) error {
-	if m.Version != Version {
-		return fmt.Errorf("snapshot: format version %d, this build reads version %d", m.Version, Version)
+	if m.Version != version {
+		return fmt.Errorf("snapshot: format version %d, this build reads version %d", m.Version, version)
 	}
 	if m.Engine == nil {
 		return fmt.Errorf("snapshot: envelope has no engine state")

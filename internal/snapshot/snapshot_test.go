@@ -200,7 +200,7 @@ func TestMachineRoundTripFuzzSpecs(t *testing.T) {
 }
 
 func TestDecodeRejectsWrongVersion(t *testing.T) {
-	m := &Machine{Version: Version + 1, Engine: &tol.EngineSnapshot{}}
+	m := &Machine{Version: version + 1, Engine: &tol.EngineSnapshot{}}
 	blob, _ := json.Marshal(m)
 	if _, err := Decode(blob); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("expected version error, got %v", err)

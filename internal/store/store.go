@@ -10,7 +10,7 @@
 //   - One entry per file, named by the SHA-256 of the memo key (the
 //     content address — keys contain benchmark names with arbitrary
 //     characters, so they never appear in filenames). Each file is an
-//     Entry envelope: the key in clear plus the darco.Record as raw
+//     entry envelope: the key in clear plus the darco.Record as raw
 //     JSON.
 //   - Writes are atomic: an entry is written to a temporary file in
 //     the store directory and renamed into place, so readers (and
@@ -52,10 +52,10 @@ const tmpPrefix = ".tmp-"
 // entryFormat versions the on-disk envelope.
 const entryFormat = 1
 
-// Entry is the on-disk envelope of one stored result: the memo key in
+// entry is the on-disk envelope of one stored result: the memo key in
 // clear (the filename only holds its hash) and the record as raw
 // bytes, so a fetch can serve exactly what was stored.
-type Entry struct {
+type entry struct {
 	Format int             `json:"format"`
 	Key    string          `json:"key"`
 	Record json.RawMessage `json:"record"`
@@ -123,7 +123,7 @@ func (s *Store) PutRaw(key string, record json.RawMessage) error {
 	if key == "" {
 		return fmt.Errorf("store: empty key")
 	}
-	env, err := json.Marshal(Entry{Format: entryFormat, Key: key, Record: record})
+	env, err := json.Marshal(entry{Format: entryFormat, Key: key, Record: record})
 	if err != nil {
 		return fmt.Errorf("store: marshal entry for %q: %w", key, err)
 	}
@@ -153,17 +153,17 @@ func (s *Store) PutRaw(key string, record json.RawMessage) error {
 // (a torn or truncated envelope), a wrong format, an empty record or a
 // key whose hash does not match the filename all report ok=false with
 // a nil error: corrupt or foreign is a miss, never fatal.
-func readEntry(path string) (env Entry, ok bool, err error) {
+func readEntry(path string) (env entry, ok bool, err error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return Entry{}, false, nil
+		return entry{}, false, nil
 	}
 	if err != nil {
-		return Entry{}, false, fmt.Errorf("store: read entry: %w", err)
+		return entry{}, false, fmt.Errorf("store: read entry: %w", err)
 	}
 	if json.Unmarshal(raw, &env) != nil || env.Format != entryFormat || len(env.Record) == 0 ||
 		Addr(env.Key)+entrySuffix != filepath.Base(path) {
-		return Entry{}, false, nil
+		return entry{}, false, nil
 	}
 	return env, true, nil
 }

@@ -18,7 +18,7 @@
 // from another shard — never repeats work.
 //
 // Grids are plain data: DecodeGrid loads the JSON form (rejecting
-// unknown fields, like workload.DecodeSpecs), cmd/darco-figs surfaces
+// unknown fields, like the workload file: source), cmd/darco-figs surfaces
 // it as -grid, and committed specs live in examples/grids/. Every
 // figure of internal/experiments runs on this engine: Figures 5–11 as
 // one workloads × mode-axis grid (Runner.Figure), FigCC, FigPhase and

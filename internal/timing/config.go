@@ -54,7 +54,7 @@ type Config struct {
 	PrefetcherEntries int // stride prefetcher table entries (0 disables)
 
 	// StreamBatch is the number of stream instructions the simulator
-	// pulls from its source per refill (0 = DefaultStreamBatch). It is
+	// pulls from its source per refill (0 = defaultStreamBatch). It is
 	// a host-side transport knob: results are identical for every value
 	// (the stream-equality tests pin this), only simulation throughput
 	// changes. It participates in config hashing like every other
@@ -62,10 +62,10 @@ type Config struct {
 	StreamBatch int
 }
 
-// DefaultStreamBatch is the stream refill size when Config.StreamBatch
+// defaultStreamBatch is the stream refill size when Config.StreamBatch
 // is zero: large enough to amortize the source call, small enough that
 // cancellation polls (one per refill) stay prompt.
-const DefaultStreamBatch = 1024
+const defaultStreamBatch = 1024
 
 // DefaultConfig returns the configuration of Table I of the paper.
 func DefaultConfig() Config {

@@ -161,7 +161,7 @@ const ctxCheckMask = 1<<13 - 1
 func NewSimulator(cfg Config, mode Mode) *Simulator {
 	batch := cfg.StreamBatch
 	if batch <= 0 {
-		batch = DefaultStreamBatch
+		batch = defaultStreamBatch
 	}
 	s := &Simulator{
 		cfg:           cfg,

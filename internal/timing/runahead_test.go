@@ -232,7 +232,7 @@ func TestRunAheadLifecycle(t *testing.T) {
 			src := &choppySource{insts: insts}
 			sim := NewSimulator(DefaultConfig(), ModeShared)
 			ra := NewRunAhead(sim, src, nil)
-			buf := make([]DynInst, DefaultStreamBatch)
+			buf := make([]DynInst, defaultStreamBatch)
 			for i := 0; i < 3; i++ {
 				ra.NextBatch(buf)
 			}

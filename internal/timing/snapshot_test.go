@@ -124,7 +124,7 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 			sn.FetchState, sn.Cycle = uint8(fetchRedirect), 100
 			sn.FetchReadyAt = sn.Cycle + 2 + uint64(sn.Cfg.MispredictPenalty)
 		}},
-		{"pending past full batch", func(sn *SimSnapshot) { sn.Batch = make([]DynInst, DefaultStreamBatch) }},
+		{"pending past full batch", func(sn *SimSnapshot) { sn.Batch = make([]DynInst, defaultStreamBatch) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

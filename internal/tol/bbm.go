@@ -31,21 +31,21 @@ func (b *decodedBB) terminator() *guest.Inst {
 	return &b.insts[b.term]
 }
 
-// Translator builds BBM translations and (via superblock.go) SBM
+// translator builds BBM translations and (via superblock.go) SBM
 // superblocks. It reads guest code through the co-design component's
 // decode cache, so a block the interpreter already executed — and every
 // retranslation of an evicted block — is decoded once, not again per
 // translation. The SBM optimizer is the translator's resolved pass
 // pipeline; the promotion policy supplies the threshold compiled into
 // each BBM block's profiling instrumentation.
-type Translator struct {
+type translator struct {
 	cfg      *Config
 	plan     *regPlan
 	pipeline []Pass
 	policy   PromotionPolicy
 	cc       *CodeCache
-	tt       *TransTable
-	prof     *ProfileTable
+	tt       *transTable
+	prof     *profileTable
 	dec      *guest.DecodeCache
 	guest    mem.Memory // guest address space view (window-adapted)
 
@@ -56,13 +56,13 @@ type Translator struct {
 	bb decodedBB
 	em *emitter
 
-	// Work accounting for the cost model (reset per operation).
-	LastWork Work
+	// work accounting for the cost model (reset per operation).
+	LastWork work
 }
 
-// Work quantifies the effort of the last translation/optimization, in
+// work quantifies the effort of the last translation/optimization, in
 // units the cost model converts into host-instruction streams.
-type Work struct {
+type work struct {
 	GuestInsts   int          // guest instructions processed
 	HostEmitted  int          // host instructions produced
 	OptPassInsts int          // total IR visits (sum of Passes[i].Visits)
@@ -70,12 +70,12 @@ type Work struct {
 	TableProbes  []uint32     // translation-table slots touched
 }
 
-// NewTranslator wires a translator to the TOL services for one guest
+// newTranslator wires a translator to the TOL services for one guest
 // frontend, resolving the configured optimization pipeline and the
 // frontend's translation ABI. The promotion policy instance is shared
 // with the engine so stateful policies see every promotion, and the
 // decode cache with its interpreter.
-func NewTranslator(cfg *Config, isa *guest.ISA, policy PromotionPolicy, cc *CodeCache, tt *TransTable, prof *ProfileTable, dec *guest.DecodeCache, g mem.Memory) (*Translator, error) {
+func newTranslator(cfg *Config, isa *guest.ISA, policy PromotionPolicy, cc *CodeCache, tt *transTable, prof *profileTable, dec *guest.DecodeCache, g mem.Memory) (*translator, error) {
 	pipeline, err := cfg.Pipeline()
 	if err != nil {
 		return nil, err
@@ -84,21 +84,21 @@ func NewTranslator(cfg *Config, isa *guest.ISA, policy PromotionPolicy, cc *Code
 	if err != nil {
 		return nil, err
 	}
-	return &Translator{cfg: cfg, plan: plan, pipeline: pipeline,
+	return &translator{cfg: cfg, plan: plan, pipeline: pipeline,
 		policy: policy, cc: cc, tt: tt, prof: prof, dec: dec, guest: g,
 		em: newEmitter(plan)}, nil
 }
 
 // begin resets the per-translation scratch and returns the emitter.
-func (t *Translator) begin() *emitter {
-	t.LastWork = Work{TableProbes: t.LastWork.TableProbes[:0]}
+func (t *translator) begin() *emitter {
+	t.LastWork = work{TableProbes: t.LastWork.TableProbes[:0]}
 	t.em.reset()
 	return t.em
 }
 
 // decodeBB decodes the basic block starting at guest address entry
 // into the translator's scratch block, valid until the next decodeBB.
-func (t *Translator) decodeBB(entry uint32) (*decodedBB, error) {
+func (t *translator) decodeBB(entry uint32) (*decodedBB, error) {
 	bb := &t.bb
 	*bb = decodedBB{entry: entry, term: -1, insts: bb.insts[:0], pcs: bb.pcs[:0]}
 	pc := entry
@@ -132,7 +132,7 @@ func branchTarget(in *guest.Inst, instEnd uint32) (uint32, bool) {
 // TranslateBB translates the basic block at guest address entry,
 // places it in the code cache and registers it in the translation
 // table. Returns the placed translation.
-func (t *Translator) TranslateBB(entry uint32) (*Translation, error) {
+func (t *translator) TranslateBB(entry uint32) (*Translation, error) {
 	e := t.begin()
 	bb, err := t.decodeBB(entry)
 	if err != nil {
@@ -201,7 +201,7 @@ func (t *Translator) TranslateBB(entry uint32) (*Translation, error) {
 // the exit stubs. retired is the number of guest instructions retired
 // when leaving the block. It returns the code index where the stub
 // region starts, or -1 to use the current end of code.
-func (t *Translator) emitTerminator(e *emitter, bb *decodedBB, retired int) int {
+func (t *translator) emitTerminator(e *emitter, bb *decodedBB, retired int) int {
 	term := bb.terminator()
 	if term == nil {
 		// Length-capped block: fall through to the next guest address.
@@ -296,7 +296,7 @@ func (t *Translator) emitTerminator(e *emitter, bb *decodedBB, retired int) int 
 }
 
 // emitPush emits a push of a constant (the return address of a call).
-func (t *Translator) emitPush(e *emitter, value uint32) {
+func (t *translator) emitPush(e *emitter, value uint32) {
 	e.loadImm(sc1, value)
 	e.emit(host.Inst{Op: host.Addi, Rd: e.r(guest.ESP), Rs1: e.r(guest.ESP), Imm: -4})
 	e.emit(host.Inst{Op: host.Add, Rd: sc0, Rs1: host.RMemBase, Rs2: e.r(guest.ESP)})

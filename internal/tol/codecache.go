@@ -155,7 +155,7 @@ type CacheConfig struct {
 // It does not guarantee that every translation fits — a flags-heavy
 // full-length block can expand well past it — but a translation
 // larger than the whole cache is not fatal: Alloc reports
-// ErrTranslationTooLarge and the engine leaves that block
+// errTranslationTooLarge and the engine leaves that block
 // interpreted (see Engine.translateBB), as a real TOL would.
 const MinCacheCapacityInsts = 256
 
@@ -197,11 +197,11 @@ type EvictEvent struct {
 }
 
 // CodeCache stores translated host code at simulated addresses in the
-// code-cache region. It implements host.CodeStore for the functional
-// CPU and supports patching for chaining.
+// code-cache region. It resolves host PCs to decoded instructions for
+// the functional CPU (InstAt) and supports patching for chaining.
 //
-// Unbounded (NewCodeCache), it is the append-only arena of the
-// original infrastructure. Bounded (NewBoundedCodeCache), it becomes a
+// Unbounded (newCodeCache), it is the append-only arena of the
+// original infrastructure. Bounded (newBoundedCodeCache), it becomes a
 // managed resource: placements that do not fit consult the eviction
 // policy, evicted translations are unlinked from every structure that
 // can reach them (translation table, IBTC, chain patches in surviving
@@ -229,8 +229,8 @@ type CodeCache struct {
 	peak     int
 
 	// Lookup structures unlinked on eviction (set by Link).
-	tt *TransTable
-	ib *IBTC
+	tt *transTable
+	ib *ibtc
 
 	// useClock drives the lru-translation recency stamps.
 	useClock uint64
@@ -252,8 +252,8 @@ type extent struct {
 	End   uint32 `json:"end"`
 }
 
-// NewCodeCache returns an empty unbounded code cache.
-func NewCodeCache() *CodeCache {
+// newCodeCache returns an empty unbounded code cache.
+func newCodeCache() *CodeCache {
 	return &CodeCache{
 		byEntry:  make(map[uint32]*Translation),
 		capacity: archCapacityInsts,
@@ -281,11 +281,11 @@ func (c *CodeCache) extend(n int) {
 	clear(c.meta[old:])
 }
 
-// NewBoundedCodeCache returns an empty cache bounded per cfg that
+// newBoundedCodeCache returns an empty cache bounded per cfg that
 // evicts through the given policy instance. The policy instance must
 // not be shared between caches (policies may be stateful).
-func NewBoundedCodeCache(cfg CacheConfig, policy EvictionPolicy) *CodeCache {
-	c := NewCodeCache()
+func newBoundedCodeCache(cfg CacheConfig, policy EvictionPolicy) *CodeCache {
+	c := newCodeCache()
 	if cfg.CapacityInsts > 0 {
 		c.capacity = uint32(cfg.CapacityInsts)
 		c.policy = policy
@@ -296,7 +296,7 @@ func NewBoundedCodeCache(cfg CacheConfig, policy EvictionPolicy) *CodeCache {
 // Link connects the cache to the lookup structures that hold
 // references into it, so eviction can unlink them. A nil argument
 // skips that structure (useful in unit tests).
-func (c *CodeCache) Link(tt *TransTable, ib *IBTC) {
+func (c *CodeCache) link(tt *transTable, ib *ibtc) {
 	c.tt, c.ib = tt, ib
 }
 
@@ -336,7 +336,9 @@ func (c *CodeCache) rebuildMeta(slot uint32, owner timing.Owner, comp timing.Com
 	d.Owner, d.Comp = owner, comp
 }
 
-// InstAt implements host.CodeStore.
+// InstAt returns the instruction at pc, or nil if pc is not mapped to
+// executable host code (e.g. a TOL service entry point handled by the
+// runtime).
 func (c *CodeCache) InstAt(pc uint32) *host.Inst {
 	if !c.Contains(pc) {
 		return nil
@@ -357,7 +359,7 @@ func (c *CodeCache) Alloc(n int) (uint32, error) {
 		return 0, fmt.Errorf("tol: alloc of %d insts", n)
 	}
 	if uint32(n) > c.capacity {
-		return 0, fmt.Errorf("%w: %d insts into %d", ErrTranslationTooLarge, n, c.capacity)
+		return 0, fmt.Errorf("%w: %d insts into %d", errTranslationTooLarge, n, c.capacity)
 	}
 	for {
 		if slot, ok := c.takeFree(uint32(n)); ok {
@@ -488,7 +490,7 @@ func (c *CodeCache) Touch(tr *Translation) {
 }
 
 // Evict unlinks the given translations from the cache and from every
-// structure that can reach them: their TransTable entries are deleted,
+// structure that can reach them: their transTable entries are deleted,
 // IBTC lines caching their entry points are invalidated, and chain
 // patches from surviving translations are restored to their original
 // exit stubs. Freed slots are poisoned so any dangling jump faults in
@@ -611,25 +613,25 @@ func (c *CodeCache) FindByPC(pc uint32) *Translation {
 	return nil
 }
 
-// ErrUnplacedPatch reports a Patch against a slot that no placed
+// errUnplacedPatch reports a Patch against a slot that no placed
 // translation owns — patching there would scribble on freed or
 // never-allocated cache space.
-var ErrUnplacedPatch = errors.New("tol: patch target not inside a placed translation")
+var errUnplacedPatch = errors.New("tol: patch target not inside a placed translation")
 
-// ErrTranslationTooLarge reports an Alloc request larger than the
+// errTranslationTooLarge reports an Alloc request larger than the
 // whole cache capacity, which no amount of eviction can satisfy. The
 // engine treats it as non-fatal: the block stays interpreted.
-var ErrTranslationTooLarge = errors.New("tol: translation exceeds code cache capacity")
+var errTranslationTooLarge = errors.New("tol: translation exceeds code cache capacity")
 
 // Patch replaces the instruction at host PC with a direct jump to
 // target (chaining). pc must lie inside a live translation
-// (ErrUnplacedPatch otherwise). When target is the entry of another
+// (errUnplacedPatch otherwise). When target is the entry of another
 // live translation, the patch is recorded on it so eviction can
 // restore the original instruction.
 func (c *CodeCache) Patch(pc uint32, target uint32) error {
 	src := c.FindByPC(pc)
 	if src == nil {
-		return fmt.Errorf("%w: %#x", ErrUnplacedPatch, pc)
+		return fmt.Errorf("%w: %#x", errUnplacedPatch, pc)
 	}
 	slot := c.slotOf(pc)
 	orig := c.insts[slot]

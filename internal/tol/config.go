@@ -14,8 +14,8 @@
 //     a superblock, which is optimized by the configurable pass
 //     pipeline and placed in the code cache.
 //
-// The SBM optimizer is a pipeline of registered passes (see Pass,
-// ParsePipeline and RegisteredPasses). The registered passes are:
+// The SBM optimizer is a pipeline of registered passes (see Pass and
+// Config.Passes). The registered passes are:
 //
 //   - constprop: copy and constant propagation with constant folding
 //     (including folded flag results and constant side exits),
@@ -82,8 +82,7 @@ type Config struct {
 	// Promotion selects the tier-promotion policy consulted by the
 	// engine and compiled into the BBM instrumentation stubs: "fixed"
 	// (the paper's two-threshold policy, the default when empty) or
-	// "adaptive" (threshold back-off as superblocks accumulate). See
-	// RegisteredPromotionPolicies.
+	// "adaptive" (threshold back-off as superblocks accumulate).
 	Promotion string `json:",omitempty"`
 
 	// Passes selects the SBM optimization pipeline as a comma-separated

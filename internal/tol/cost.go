@@ -378,7 +378,7 @@ func (c *costEmitter) IBTCFill(target uint32) {
 // loads of the guest code, translator ALU work, stores of the emitted
 // host instructions into the code cache, and the translation-table
 // insert probes.
-func (c *costEmitter) BBMTranslate(tr *Translation, work *Work) {
+func (c *costEmitter) BBMTranslate(tr *Translation, work *work) {
 	c.begin(costBBMFixed + (costBBMPerGuestInst+1)*len(tr.GuestPCs) +
 		costBBMPerHostInst*work.HostEmitted + len(work.TableProbes) + 1)
 	pc := translateText
@@ -407,25 +407,25 @@ func (c *costEmitter) BBMTranslate(tr *Translation, work *Work) {
 	c.end()
 }
 
-// SBMCost splits the modeled host instructions of one SBM invocation
+// sbmCost splits the modeled host instructions of one SBM invocation
 // by activity: each optimization pass's IR walk separately, and
 // everything else (trace construction, IR build, emission, table
 // probes and the fixed prologue/epilogue) as Other. The engine folds
 // it into Stats so per-pass SBM time can be reported (the Figure-7
 // refinement); the parts always sum to the invocation's total SBM
 // stream.
-type SBMCost struct {
-	PerPass []int // modeled host instructions per pass, aligned with Work.Passes
+type sbmCost struct {
+	PerPass []int // modeled host instructions per pass, aligned with work.Passes
 	Other   int   // trace build + emission + bookkeeping instructions
 }
 
 // SBMOptimize emits the cost of forming and optimizing a superblock:
 // trace construction reads guest code, the IR is built and then
 // visited by each optimization pass in the IR buffer region, and the
-// final code is stored into the code cache. The returned SBMCost
+// final code is stored into the code cache. The returned sbmCost
 // reports how many stream instructions each pass accounted for.
-func (c *costEmitter) SBMOptimize(tr *Translation, work *Work) SBMCost {
-	cost := SBMCost{PerPass: make([]int, len(work.Passes))}
+func (c *costEmitter) SBMOptimize(tr *Translation, work *work) sbmCost {
+	cost := sbmCost{PerPass: make([]int, len(work.Passes))}
 	visits := 0
 	for _, pr := range work.Passes {
 		visits += pr.Visits

@@ -33,22 +33,22 @@ type Engine struct {
 	isa  *guest.ISA
 	plan *regPlan
 
-	HostMem *mem.Sparse
-	CPU     *host.CPU
-	GuestV  mem.GuestView
+	hostMem *mem.Sparse
+	cpu     *host.CPU
+	guestV  mem.GuestView
 
-	// guestMem is GuestV pre-converted to the mem.Memory interface.
-	// GuestV is a two-word struct, so converting it at every
+	// guestMem is guestV pre-converted to the mem.Memory interface.
+	// guestV is a two-word struct, so converting it at every
 	// interpreter step would heap-allocate; the conversion is hoisted
 	// here once instead (the interpreter loop must stay allocation-free
 	// per step).
 	guestMem mem.Memory
 
 	CC    *CodeCache
-	TT    *TransTable
-	IB    *IBTC
-	Prof  *ProfileTable
-	Trans *Translator
+	tt    *transTable
+	ib    *ibtc
+	prof  *profileTable
+	trans *translator
 
 	cost  *costEmitter
 	queue dynQueue
@@ -116,25 +116,25 @@ const ctxPollSteps = 1024
 // bounds — see Config.Validate) or an unsupported program surfaces as
 // an immediate run error: the engine produces no stream and Err
 // reports the problem. A failed engine is still inspectable — its
-// exported CC, TT, IB and Prof are empty, never nil.
+// CC and its lookup structures are empty, never nil.
 func NewEngine(cfg Config, p *guest.Program) *Engine {
 	hm := mem.NewSparse()
 	p.LoadIntoWindow(hm)
 	e := &Engine{
 		Cfg:     cfg,
-		HostMem: hm,
-		CPU:     host.NewCPU(hm),
-		GuestV:  mem.GuestView{Host: hm},
-		TT:      NewTransTable(),
-		IB:      NewIBTC(hm),
-		Prof:    NewProfileTable(hm),
+		hostMem: hm,
+		cpu:     host.NewCPU(hm),
+		guestV:  mem.GuestView{Host: hm},
+		tt:      newTransTable(),
+		ib:      newIBTC(hm),
+		prof:    newProfileTable(hm),
 
 		promoted: make(map[uint32]*Translation),
 	}
-	e.guestMem = e.GuestV
+	e.guestMem = e.guestV
 	if err := e.wire(p); err != nil {
 		e.err = err
-		e.CC = NewCodeCache()
+		e.CC = newCodeCache()
 	}
 	return e
 }
@@ -158,14 +158,14 @@ func (e *Engine) wire(p *guest.Program) error {
 	e.dec = guest.NewDecodeCache(isa)
 	if e.Cfg.Cache.CapacityInsts > 0 {
 		evp, _ := e.Cfg.Cache.NewEvictionPolicy() // validated above
-		e.CC = NewBoundedCodeCache(e.Cfg.Cache, evp)
+		e.CC = newBoundedCodeCache(e.Cfg.Cache, evp)
 	} else {
-		e.CC = NewCodeCache()
+		e.CC = newCodeCache()
 	}
-	e.CC.Link(e.TT, e.IB)
+	e.CC.link(e.tt, e.ib)
 	e.CC.OnEvict = e.onEvict
 	e.policy, _ = e.Cfg.NewPromotionPolicy() // validated above
-	e.Trans, _ = NewTranslator(&e.Cfg, e.isa, e.policy, e.CC, e.TT, e.Prof, e.dec, e.guestMem)
+	e.trans, _ = newTranslator(&e.Cfg, e.isa, e.policy, e.CC, e.tt, e.prof, e.dec, e.guestMem)
 	e.cost = newCostEmitter(&e.queue)
 	e.isa.InitState(&e.gs, p.Entry)
 	if e.Cfg.Cosim {
@@ -335,11 +335,11 @@ func (e *Engine) cancelErr(err error) {
 func (e *Engine) stateFromCPU(eip uint32) guest.State {
 	var s guest.State
 	for i := 0; i < e.isa.NumRegs; i++ {
-		s.Regs[i] = e.CPU.R[e.plan.reg[i]]
+		s.Regs[i] = e.cpu.R[e.plan.reg[i]]
 	}
-	s.Flags = e.CPU.R[host.RFlags]
+	s.Flags = e.cpu.R[host.RFlags]
 	for i := 0; i < guest.NumFRegs; i++ {
-		s.FRegs[i] = e.CPU.F[host.GuestFReg(uint8(i))]
+		s.FRegs[i] = e.cpu.F[host.GuestFReg(uint8(i))]
 	}
 	s.EIP = eip
 	return s
@@ -352,11 +352,11 @@ func (e *Engine) syncCPUFromState() {
 		if e.plan.reg[i] == host.RZero {
 			continue // the hardwired zero is not written (rv32 x0)
 		}
-		e.CPU.R[e.plan.reg[i]] = e.gs.Regs[i]
+		e.cpu.R[e.plan.reg[i]] = e.gs.Regs[i]
 	}
-	e.CPU.R[host.RFlags] = e.gs.Flags & guest.FlagsMask
+	e.cpu.R[host.RFlags] = e.gs.Flags & guest.FlagsMask
 	for i := 0; i < guest.NumFRegs; i++ {
-		e.CPU.F[host.GuestFReg(uint8(i))] = e.gs.FRegs[i]
+		e.cpu.F[host.GuestFReg(uint8(i))] = e.gs.FRegs[i]
 	}
 }
 
@@ -404,11 +404,11 @@ func (e *Engine) stepIM() {
 	target := res.Target
 
 	// Profile the branch target and check for an existing translation.
-	cnt := e.Prof.Bump(target)
-	entry, ok, probes := e.TT.Lookup(target)
+	cnt := e.prof.Bump(target)
+	entry, ok, probes := e.tt.Lookup(target)
 	e.Stats.Lookups++
 	e.Stats.LookupProbes += uint64(len(probes))
-	e.cost.IMProfile(e.Prof.SlotAddr(target), probes[0])
+	e.cost.IMProfile(e.prof.SlotAddr(target), probes[0])
 	e.cost.Lookup(probes, ok)
 	if ok {
 		e.enterTranslated(entry)
@@ -448,10 +448,10 @@ func (e *Engine) onEvict(ev EvictEvent) {
 // backs off before trying again.
 func (e *Engine) translateBB(g uint32) *Translation {
 	wasEvicted := e.evicted[g]
-	tr, err := e.Trans.TranslateBB(g)
+	tr, err := e.trans.TranslateBB(g)
 	if err != nil {
-		if errors.Is(err, ErrTranslationTooLarge) {
-			e.Prof.Reset(g)
+		if errors.Is(err, errTranslationTooLarge) {
+			e.prof.Reset(g)
 			return nil
 		}
 		e.fail("tol: bbm: %v", err)
@@ -467,7 +467,7 @@ func (e *Engine) translateBB(g uint32) *Translation {
 	for _, pc := range tr.GuestPCs {
 		e.Stats.markStatic(pc, ModeBBM)
 	}
-	e.cost.BBMTranslate(tr, &e.Trans.LastWork)
+	e.cost.BBMTranslate(tr, &e.trans.LastWork)
 	return tr
 }
 
@@ -477,9 +477,9 @@ func (e *Engine) translateBB(g uint32) *Translation {
 // executing the BBM block (like the SBM-disabled path).
 func (e *Engine) buildSB(g uint32) *Translation {
 	wasEvicted := e.evicted[g]
-	tr, err := e.Trans.BuildSuperblock(g)
+	tr, err := e.trans.BuildSuperblock(g)
 	if err != nil {
-		if !errors.Is(err, ErrTranslationTooLarge) {
+		if !errors.Is(err, errTranslationTooLarge) {
 			e.fail("tol: sbm: %v", err)
 		}
 		return nil
@@ -494,8 +494,8 @@ func (e *Engine) buildSB(g uint32) *Translation {
 	for _, pc := range tr.GuestPCs {
 		e.Stats.markStatic(pc, ModeSBM)
 	}
-	cost := e.cost.SBMOptimize(tr, &e.Trans.LastWork)
-	e.Stats.addSBMPasses(e.Trans.LastWork.Passes, cost)
+	cost := e.cost.SBMOptimize(tr, &e.trans.LastWork)
+	e.Stats.addSBMPasses(e.trans.LastWork.Passes, cost)
 	e.policy.OnSuperblock(g)
 	return tr
 }
@@ -510,7 +510,7 @@ func (e *Engine) enterTranslated(hostEntry uint32) {
 	e.syncCPUFromState()
 	e.CC.Touch(tr)
 	e.cost.ResumeJump(hostEntry)
-	e.CPU.PC = hostEntry
+	e.cpu.PC = hostEntry
 	e.curTrans = tr
 	e.inTranslated = true
 }
@@ -528,7 +528,7 @@ func (e *Engine) enterTranslated(hostEntry uint32) {
 // crossings take the map path only when the target leaves the current
 // translation's address range.
 func (e *Engine) runTranslated() {
-	cpu := e.CPU
+	cpu := e.cpu
 	cc := e.CC
 	insts, meta := cc.insts, cc.meta
 	curLo, curHi := e.curTrans.HostEntry, e.curTrans.HostEnd
@@ -554,7 +554,7 @@ func (e *Engine) runTranslated() {
 
 		if out.Taken {
 			target := out.Target
-			if target == TOLEntry {
+			if target == tolEntry {
 				e.handleExit(pc)
 				return
 			}
@@ -635,7 +635,7 @@ func (e *Engine) accountExitInfo(pc uint32, info *ExitInfo) bool {
 		}
 		target := info.GuestTarget
 		if info.Dynamic {
-			target = e.CPU.R[sc0]
+			target = e.cpu.R[sc0]
 		}
 		got := e.stateFromCPU(target)
 		e.Stats.CosimChecks++
@@ -691,7 +691,7 @@ func (e *Engine) handlePromote(info *ExitInfo) {
 	if sb == nil {
 		if !e.Cfg.EnableSBM {
 			// SBM disabled: reset the counter and continue in BBM.
-			e.Prof.Reset(seed)
+			e.prof.Reset(seed)
 			e.resumeAt(bbTrans.HostEntry)
 			return
 		}
@@ -701,7 +701,7 @@ func (e *Engine) handlePromote(info *ExitInfo) {
 				// Superblock larger than the whole cache: give up on
 				// promotion for now (reset the counter so the threshold
 				// must be earned again) and continue in BBM.
-				e.Prof.Reset(seed)
+				e.prof.Reset(seed)
 				e.resumeAt(bbTrans.HostEntry)
 			}
 			return
@@ -730,14 +730,14 @@ func (e *Engine) handlePromote(info *ExitInfo) {
 // handleIndirect services an IBTC miss: the guest target is in the
 // scratch register per the translation ABI.
 func (e *Engine) handleIndirect() {
-	target := e.CPU.R[sc0]
-	entry, ok, probes := e.TT.Lookup(target)
+	target := e.cpu.R[sc0]
+	entry, ok, probes := e.tt.Lookup(target)
 	e.Stats.Lookups++
 	e.Stats.LookupProbes += uint64(len(probes))
 	e.cost.Lookup(probes, ok)
 	if !ok {
-		cnt := e.Prof.Bump(target)
-		e.cost.IMProfile(e.Prof.SlotAddr(target), probes[0])
+		cnt := e.prof.Bump(target)
+		e.cost.IMProfile(e.prof.SlotAddr(target), probes[0])
 		if e.policy.ShouldTranslate(target, cnt) {
 			if tr := e.translateBB(target); tr != nil {
 				entry, ok = tr.HostEntry, true
@@ -750,7 +750,7 @@ func (e *Engine) handleIndirect() {
 		return
 	}
 	if e.Cfg.EnableIBTC {
-		e.IB.Fill(target, entry)
+		e.ib.Fill(target, entry)
 		e.Stats.IBTCFills++
 		e.cost.IBTCFill(target)
 	}
@@ -762,13 +762,13 @@ func (e *Engine) handleIndirect() {
 // resume; or fall back to IM below the threshold.
 func (e *Engine) handleStaticExit(pc uint32, info *ExitInfo) {
 	target := info.GuestTarget
-	entry, ok, probes := e.TT.Lookup(target)
+	entry, ok, probes := e.tt.Lookup(target)
 	e.Stats.Lookups++
 	e.Stats.LookupProbes += uint64(len(probes))
 	e.cost.Lookup(probes, ok)
 	if !ok {
-		cnt := e.Prof.Bump(target)
-		e.cost.IMProfile(e.Prof.SlotAddr(target), probes[0])
+		cnt := e.prof.Bump(target)
+		e.cost.IMProfile(e.prof.SlotAddr(target), probes[0])
 		if e.policy.ShouldTranslate(target, cnt) {
 			if tr := e.translateBB(target); tr != nil {
 				entry, ok = tr.HostEntry, true
@@ -806,6 +806,6 @@ func (e *Engine) resumeAt(hostEntry uint32) {
 	e.CC.Touch(tr)
 	e.cost.ResumeJump(hostEntry)
 	e.curTrans = tr
-	e.CPU.PC = hostEntry
+	e.cpu.PC = hostEntry
 	e.inTranslated = true
 }

@@ -418,19 +418,19 @@ func TestNewEngineInvalidConfigStillInspectable(t *testing.T) {
 			if e.Err() == nil {
 				t.Fatal("engine built without error")
 			}
-			if e.CC == nil || e.TT == nil || e.IB == nil || e.Prof == nil {
-				t.Fatalf("failed engine lost a structure: CC=%v TT=%v IB=%v Prof=%v", e.CC, e.TT, e.IB, e.Prof)
+			if e.CC == nil || e.tt == nil || e.ib == nil || e.prof == nil {
+				t.Fatalf("failed engine lost a structure: CC=%v TT=%v IB=%v Prof=%v", e.CC, e.tt, e.ib, e.prof)
 			}
 			if n := len(e.CC.Translations()); n != 0 || e.CC.UsedInsts() != 0 || e.CC.Bounded() {
 				t.Errorf("code cache of a failed engine: %d translations, %d insts, bounded=%v", n, e.CC.UsedInsts(), e.CC.Bounded())
 			}
-			if e.TT.Len() != 0 || e.Prof.Allocated() != 0 {
-				t.Errorf("tables of a failed engine: %d translations, %d profile slots", e.TT.Len(), e.Prof.Allocated())
+			if e.tt.Len() != 0 || e.prof.Allocated() != 0 {
+				t.Errorf("tables of a failed engine: %d translations, %d profile slots", e.tt.Len(), e.prof.Allocated())
 			}
-			if _, ok, _ := e.TT.Lookup(tc.p.Entry); ok {
+			if _, ok, _ := e.tt.Lookup(tc.p.Entry); ok {
 				t.Error("lookup hit in an empty table")
 			}
-			if tag, entry := e.IB.Peek(tc.p.Entry); tag != 0 || entry != 0 {
+			if tag, entry := e.ib.Peek(tc.p.Entry); tag != 0 || entry != 0 {
 				t.Errorf("IBTC line of a failed engine: %#x -> %#x", tag, entry)
 			}
 			var d timing.DynInst

@@ -48,8 +48,8 @@ type EvictionFactory func() EvictionPolicy
 var evictionRegistry = registry.New[EvictionFactory]("tol: duplicate eviction policy %q")
 
 // RegisterEvictionPolicy adds a policy factory to the registry. Names
-// must be unique, non-empty, and free of separator characters. Like
-// RegisterPass, it is normally called from an init function.
+// must be unique, non-empty, and free of separator characters. It is
+// normally called from an init function.
 func RegisterEvictionPolicy(name string, f EvictionFactory) {
 	if name == "" || strings.ContainsAny(name, ", \t") {
 		panic(fmt.Sprintf("tol: invalid eviction policy name %q", name))
@@ -63,9 +63,9 @@ func init() {
 	RegisterEvictionPolicy("lru-translation", func() EvictionPolicy { return lruTranslationPolicy{} })
 }
 
-// DefaultEvictionPolicy is used when a bounded cache leaves
+// defaultEvictionPolicy is used when a bounded cache leaves
 // CacheConfig.Policy empty.
-const DefaultEvictionPolicy = "flush-all"
+const defaultEvictionPolicy = "flush-all"
 
 // RegisteredEvictionPolicies returns the registered policy names,
 // sorted.
@@ -80,7 +80,7 @@ func (cc *CacheConfig) NewEvictionPolicy() (EvictionPolicy, error) {
 	}
 	spec := cc.Policy
 	if spec == "" {
-		spec = DefaultEvictionPolicy
+		spec = defaultEvictionPolicy
 	}
 	f, ok := evictionRegistry.Lookup(spec)
 	if !ok {

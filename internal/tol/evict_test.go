@@ -64,7 +64,7 @@ func verifyNoDangling(t *testing.T, e *Engine) {
 				continue
 			}
 			target := pc + host.InstBytes + uint32(in.Imm)
-			if target == TOLEntry {
+			if target == tolEntry {
 				continue
 			}
 			if !cc.Contains(target) {
@@ -75,7 +75,7 @@ func verifyNoDangling(t *testing.T, e *Engine) {
 			}
 		}
 	}
-	for _, slot := range e.TT.snapshot().Slots {
+	for _, slot := range e.tt.snapshot().Slots {
 		k, entry := slot.Key, slot.Val
 		if k == ttTombstone {
 			continue
@@ -88,11 +88,11 @@ func verifyNoDangling(t *testing.T, e *Engine) {
 			t.Fatalf("translation table: guest %#x mapped to translation of %#x", k-1, tr.GuestEntry)
 		}
 	}
-	for i := uint32(0); i < IBTCEntries; i++ {
+	for i := uint32(0); i < ibtcEntries; i++ {
 		addr := ibtcSlotAddr(i)
-		entry := e.HostMem.Read32(addr + 4)
-		if e.IB.entry[i] != entry {
-			t.Fatalf("IBTC slot %d: mirror holds %#x, simulated memory %#x", i, e.IB.entry[i], entry)
+		entry := e.hostMem.Read32(addr + 4)
+		if e.ib.entry[i] != entry {
+			t.Fatalf("IBTC slot %d: mirror holds %#x, simulated memory %#x", i, e.ib.entry[i], entry)
 		}
 		if entry == 0 {
 			continue
@@ -265,7 +265,7 @@ func newBounded(t *testing.T, capacity int, policy string) *CodeCache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewBoundedCodeCache(cfg, p)
+	return newBoundedCodeCache(cfg, p)
 }
 
 func TestFlushAllResetsCache(t *testing.T) {
@@ -339,7 +339,7 @@ func TestFifoRegionReclaimsInAddressRotation(t *testing.T) {
 
 func TestEvictRestoresChainPatches(t *testing.T) {
 	cc := newBounded(t, 512, "lru-translation")
-	cc.Link(NewTransTable(), nil)
+	cc.link(newTransTable(), nil)
 	src := place(t, cc, 0x8000_0000, 100)
 	dst := place(t, cc, 0x8000_0100, 100)
 	// Register an exit on src and chain it to dst.
@@ -370,24 +370,24 @@ func TestEvictRestoresChainPatches(t *testing.T) {
 }
 
 func TestPatchUnplacedTyped(t *testing.T) {
-	cc := NewCodeCache()
+	cc := newCodeCache()
 	tr := place(t, cc, 0x8000_0000, 8)
 	// Inside the cache region but never placed: typed error.
 	err := cc.Patch(tr.HostEnd+64, tr.HostEntry)
-	if !errors.Is(err, ErrUnplacedPatch) {
-		t.Fatalf("err = %v, want ErrUnplacedPatch", err)
+	if !errors.Is(err, errUnplacedPatch) {
+		t.Fatalf("err = %v, want errUnplacedPatch", err)
 	}
 	// Outside the region entirely.
-	if err := cc.Patch(0x1000, tr.HostEntry); !errors.Is(err, ErrUnplacedPatch) {
-		t.Fatalf("err = %v, want ErrUnplacedPatch", err)
+	if err := cc.Patch(0x1000, tr.HostEntry); !errors.Is(err, errUnplacedPatch) {
+		t.Fatalf("err = %v, want errUnplacedPatch", err)
 	}
 	// Freed slots are unplaced again.
 	pc := tr.HostEntry
 	if n := cc.Evict([]*Translation{tr}); n != 1 {
 		t.Fatal("evict failed")
 	}
-	if err := cc.Patch(pc, pc); !errors.Is(err, ErrUnplacedPatch) {
-		t.Fatalf("patch into freed slot: err = %v, want ErrUnplacedPatch", err)
+	if err := cc.Patch(pc, pc); !errors.Is(err, errUnplacedPatch) {
+		t.Fatalf("patch into freed slot: err = %v, want errUnplacedPatch", err)
 	}
 }
 
@@ -422,7 +422,7 @@ func TestCacheConfigValidate(t *testing.T) {
 }
 
 func TestTransTableDeleteTombstones(t *testing.T) {
-	tt := NewTransTable()
+	tt := newTransTable()
 	// Two keys colliding into one probe chain.
 	g1, g2 := uint32(0x8048000), uint32(0x8048000+uint32(transTableEntries)*8)
 	tt.Insert(g1, 0x4000000)

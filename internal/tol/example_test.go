@@ -21,14 +21,14 @@ func (noteEverySB) Run(p *tracePlan) PassReport {
 	return PassReport{Pass: "note", Visits: visits}
 }
 
-// ExampleRegisterPass registers a custom optimization pass and selects
-// it in a pipeline spec. Passes operate on the package's trace plan,
-// so new passes live in this package; registration makes them
-// available to Config.Passes specs, the -passes flag, and the per-pass
-// SBM cost attribution. (The example is compile-checked only: the
-// registry is global and a test run must not mutate it.)
-func ExampleRegisterPass() {
-	RegisterPass(noteEverySB{})
+// ExamplePass registers a custom optimization pass and selects it in
+// a pipeline spec. Passes operate on the package's trace plan, so new
+// passes live in this package; registration makes them available to
+// Config.Passes specs, the -passes flag, and the per-pass SBM cost
+// attribution. (The example is compile-checked only: the registry is
+// global and a test run must not mutate it.)
+func ExamplePass() {
+	registerPass(noteEverySB{})
 
 	cfg := DefaultConfig()
 	cfg.Passes = "constprop,dce,note,rle,sched"
@@ -63,7 +63,7 @@ func (largestFirstPolicy) Victims(c *CodeCache, need int) []*Translation {
 
 // ExampleRegisterEvictionPolicy registers a custom code-cache eviction
 // policy and selects it in a bounded CacheConfig. (Compile-checked
-// only, for the same registry-mutation reason as ExampleRegisterPass.)
+// only, for the same registry-mutation reason as ExamplePass.)
 func ExampleRegisterEvictionPolicy() {
 	RegisterEvictionPolicy("largest-first", func() EvictionPolicy { return largestFirstPolicy{} })
 

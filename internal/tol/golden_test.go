@@ -168,7 +168,7 @@ func checkGolden(t *testing.T, path, got string) {
 // their tombstones, the code-cache arena and free map — against
 // digests committed from the reference build, for the snapshot
 // round-trip fixtures and the eviction-heavy stream cases. Storage
-// behind TransTable, IBTC and CodeCache may change; what a snapshot of
+// behind transTable, IBTC and CodeCache may change; what a snapshot of
 // the same run state contains may not.
 func TestSnapshotGolden(t *testing.T) {
 	type fixture struct {

@@ -2,7 +2,7 @@ package tol
 
 import "repro/internal/mem"
 
-// IBTC is the Indirect Branch Translation Cache: a direct-mapped table
+// ibtc is the Indirect Branch Translation Cache: a direct-mapped table
 // of (guest target, host entry) pairs probed inline by translated code.
 // Because the probe sequence is real host code, the table contents must
 // live in simulated host memory; this type wraps the raw memory with
@@ -12,7 +12,7 @@ import "repro/internal/mem"
 // transitions to TOL for a code cache lookup and an IBTC update —
 // "still, the overhead is in the order of tens of RISC instructions"
 // as the paper puts it.
-type IBTC struct {
+type ibtc struct {
 	m mem.Memory
 	IBTCCounters
 
@@ -21,7 +21,7 @@ type IBTC struct {
 	// words of simulated memory per batch. Translated code only ever
 	// reads the table; every write goes through Fill, Invalidate and
 	// InvalidateHostRanges, which keep the mirror exact.
-	entry [IBTCEntries]uint32
+	entry [ibtcEntries]uint32
 }
 
 // IBTCCounters counts the IBTC's fills, hits and misses. It is all of
@@ -32,11 +32,11 @@ type IBTCCounters struct {
 	Miss  uint64 `json:"miss"`
 }
 
-// NewIBTC wraps host memory with IBTC accessors. Entries start zeroed
+// newIBTC wraps host memory with IBTC accessors. Entries start zeroed
 // (tag 0 never matches a real guest target because guest code is
 // loaded well above address 0).
-func NewIBTC(m mem.Memory) *IBTC {
-	return &IBTC{m: m}
+func newIBTC(m mem.Memory) *ibtc {
+	return &ibtc{m: m}
 }
 
 // slotFor returns the IBTC slot index of a guest target.
@@ -45,7 +45,7 @@ func ibtcSlotFor(target uint32) uint32 {
 }
 
 // write stores one line in simulated memory and in the mirror.
-func (c *IBTC) write(slot, tag, hostEntry uint32) {
+func (c *ibtc) write(slot, tag, hostEntry uint32) {
 	addr := ibtcSlotAddr(slot)
 	c.m.Write32(addr, tag)
 	c.m.Write32(addr+4, hostEntry)
@@ -53,19 +53,19 @@ func (c *IBTC) write(slot, tag, hostEntry uint32) {
 }
 
 // Fill installs the (guest target → host entry) pair.
-func (c *IBTC) Fill(target, hostEntry uint32) {
+func (c *ibtc) Fill(target, hostEntry uint32) {
 	c.write(ibtcSlotFor(target), target, hostEntry)
 	c.Fills++
 }
 
 // Peek reads the entry that a probe of target would see.
-func (c *IBTC) Peek(target uint32) (tag, hostEntry uint32) {
+func (c *ibtc) Peek(target uint32) (tag, hostEntry uint32) {
 	addr := ibtcSlotAddr(ibtcSlotFor(target))
 	return c.m.Read32(addr), c.m.Read32(addr + 4)
 }
 
 // Invalidate clears the slot holding target, if it matches.
-func (c *IBTC) Invalidate(target uint32) {
+func (c *ibtc) Invalidate(target uint32) {
 	slot := ibtcSlotFor(target)
 	if c.m.Read32(ibtcSlotAddr(slot)) == target {
 		c.write(slot, 0, 0)
@@ -78,7 +78,7 @@ func (c *IBTC) Invalidate(target uint32) {
 // One pass over the mirror serves a whole eviction batch. Returns the
 // number of lines cleared. (Empty lines cache host entry 0, far below
 // the code-cache region, so they are never matched.)
-func (c *IBTC) InvalidateHostRanges(ranges [][2]uint32) int {
+func (c *ibtc) InvalidateHostRanges(ranges [][2]uint32) int {
 	if len(ranges) == 0 {
 		return 0
 	}
@@ -104,13 +104,13 @@ func (c *IBTC) InvalidateHostRanges(ranges [][2]uint32) int {
 
 // The whole table lies in the one page at mem.IBTCBase, which the
 // page-set handling in InvalidateHostRanges and rebuild relies on.
-const _ = uint(mem.PageSize - IBTCEntries*ibtcEntryBytes)
+const _ = uint(mem.PageSize - ibtcEntries*ibtcEntryBytes)
 
 // rebuild re-derives the mirror from simulated memory (snapshot
 // restore). It reads the table page only if it exists, so it adds
 // nothing to the touched-page set.
-func (c *IBTC) rebuild(s *mem.Sparse) {
-	c.entry = [IBTCEntries]uint32{}
+func (c *ibtc) rebuild(s *mem.Sparse) {
+	c.entry = [ibtcEntries]uint32{}
 	if s.PageData(mem.IBTCBase>>12) == nil {
 		return
 	}

@@ -7,10 +7,10 @@ import "repro/internal/mem"
 // runs, so the instruction-cache behaviour of TOL (small, hot footprint
 // that lives in L1I) emerges from which routines execute.
 const (
-	// TOLEntry is the service entry point translated code jumps to when
+	// tolEntry is the service entry point translated code jumps to when
 	// it needs TOL (exit stubs, IBTC misses, promotion triggers). The
 	// functional engine intercepts this PC.
-	TOLEntry = mem.TOLCodeBase
+	tolEntry = mem.TOLCodeBase
 
 	// Routine text bases (sizes are implicit in the cost model's walks).
 	dispatchText  = mem.TOLCodeBase + 0x0100   // main execution loop
@@ -53,9 +53,9 @@ func transSlotAddr(i uint32) uint32 {
 // call trees, wide dispatch tables) suffer conflict misses and fall
 // back to TOL code cache lookups — the perlbench behaviour.
 const (
-	// IBTCEntries is the number of IBTC slots.
-	IBTCEntries = 256
-	ibtcMask    = IBTCEntries - 1
+	// ibtcEntries is the number of IBTC slots.
+	ibtcEntries = 256
+	ibtcMask    = ibtcEntries - 1
 	// ibtcEntryBytes is the size of one IBTC entry (tag word + target word).
 	ibtcEntryBytes = 8
 )

@@ -69,15 +69,13 @@ type Pass interface {
 
 var passRegistry = registry.New[Pass]("tol: duplicate pass %q")
 
-// RegisterPass adds a pass to the registry, making its name available
+// registerPass adds a pass to the registry, making its name available
 // to pipeline specs and the O-level presets. Names must be unique and
 // free of pipeline-spec metacharacters. Because Pass.Run operates on
 // the package's unexported trace plan, new passes are implemented
 // inside this package (the registry exists for selection and
-// ordering); RegisterPass is exported for API symmetry with
-// RegisterEvictionPolicy and RegisteredPromotionPolicies and is
-// normally called from an init function.
-func RegisterPass(p Pass) {
+// ordering) and registered from an init function.
+func registerPass(p Pass) {
 	name := p.Name()
 	if name == "" || name == PassesNone || strings.ContainsAny(name, ", \t") {
 		panic(fmt.Sprintf("tol: invalid pass name %q", name))
@@ -86,26 +84,26 @@ func RegisterPass(p Pass) {
 }
 
 func init() {
-	RegisterPass(constPropPass{})
-	RegisterPass(dcePass{})
-	RegisterPass(rlePass{})
-	RegisterPass(schedPass{})
+	registerPass(constPropPass{})
+	registerPass(dcePass{})
+	registerPass(rlePass{})
+	registerPass(schedPass{})
 }
 
-// RegisteredPasses returns the names of all registered passes in
+// registeredPasses returns the names of all registered passes in
 // registration order.
-func RegisteredPasses() []string { return passRegistry.Names() }
+func registeredPasses() []string { return passRegistry.Names() }
 
-// LookupPass returns the registered pass with the given name.
-func LookupPass(name string) (Pass, bool) { return passRegistry.Lookup(name) }
+// lookupPass returns the registered pass with the given name.
+func lookupPass(name string) (Pass, bool) { return passRegistry.Lookup(name) }
 
 // Pipeline spec constants.
 const (
-	// DefaultPasses is the O2 pipeline: the paper's full SBM optimizer
+	// defaultPasses is the O2 pipeline: the paper's full SBM optimizer
 	// (copy/constant propagation and folding, dead code elimination,
 	// redundant-load elimination with register allocation, and list
 	// instruction scheduling).
-	DefaultPasses = "constprop,dce,rle,sched"
+	defaultPasses = "constprop,dce,rle,sched"
 
 	// PassesNone is the explicitly empty pipeline. It is only valid
 	// with EnableSBM=false (Config.Validate rejects the combination):
@@ -121,12 +119,12 @@ const (
 var optLevels = map[string]string{
 	"O0": PassesNone,
 	"O1": "constprop,dce",
-	"O2": DefaultPasses,
+	"O2": defaultPasses,
 	"O3": "constprop,dce,constprop,dce,rle,sched",
 }
 
-// OptLevelPasses returns the pipeline spec of a preset ("O0".."O3").
-func OptLevelPasses(level string) (string, bool) {
+// optLevelPasses returns the pipeline spec of a preset ("O0".."O3").
+func optLevelPasses(level string) (string, bool) {
 	s, ok := optLevels[level]
 	return s, ok
 }
@@ -144,13 +142,13 @@ func ApplyOptLevel(c *Config, level int) error {
 	return nil
 }
 
-// ParsePipeline resolves a pipeline spec into the ordered pass list.
-// The empty spec selects DefaultPasses; PassesNone selects the empty
+// parsePipeline resolves a pipeline spec into the ordered pass list.
+// The empty spec selects defaultPasses; PassesNone selects the empty
 // pipeline; otherwise the spec is a comma-separated list of registered
 // pass names (repeats allowed — O3 runs propagation twice).
-func ParsePipeline(spec string) ([]Pass, error) {
+func parsePipeline(spec string) ([]Pass, error) {
 	if spec == "" {
-		spec = DefaultPasses
+		spec = defaultPasses
 	}
 	if spec == PassesNone {
 		return nil, nil
@@ -162,10 +160,10 @@ func ParsePipeline(spec string) ([]Pass, error) {
 		if name == "" {
 			return nil, fmt.Errorf("tol: empty pass name in pipeline %q", spec)
 		}
-		p, ok := LookupPass(name)
+		p, ok := lookupPass(name)
 		if !ok {
 			return nil, fmt.Errorf("tol: unknown pass %q (registered: %s)",
-				name, strings.Join(RegisteredPasses(), ", "))
+				name, strings.Join(registeredPasses(), ", "))
 		}
 		out = append(out, p)
 	}
@@ -195,7 +193,7 @@ func (c *Config) Pipeline() ([]Pass, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParsePipeline(spec)
+	return parsePipeline(spec)
 }
 
 // PipelineNames returns the distinct pass names of the resolved

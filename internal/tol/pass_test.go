@@ -13,7 +13,7 @@ import (
 )
 
 func TestParsePipeline(t *testing.T) {
-	def, err := ParsePipeline("")
+	def, err := parsePipeline("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,40 +21,40 @@ func TestParsePipeline(t *testing.T) {
 	for _, p := range def {
 		names = append(names, p.Name())
 	}
-	if got := strings.Join(names, ","); got != DefaultPasses {
-		t.Fatalf("default pipeline = %q, want %q", got, DefaultPasses)
+	if got := strings.Join(names, ","); got != defaultPasses {
+		t.Fatalf("default pipeline = %q, want %q", got, defaultPasses)
 	}
 
-	if none, err := ParsePipeline(PassesNone); err != nil || len(none) != 0 {
+	if none, err := parsePipeline(PassesNone); err != nil || len(none) != 0 {
 		t.Fatalf("'none' pipeline: %v %v", none, err)
 	}
-	if ws, err := ParsePipeline(" constprop , dce "); err != nil || len(ws) != 2 {
+	if ws, err := parsePipeline(" constprop , dce "); err != nil || len(ws) != 2 {
 		t.Fatalf("whitespace spec: %v %v", ws, err)
 	}
-	if _, err := ParsePipeline("constprop,bogus"); err == nil {
+	if _, err := parsePipeline("constprop,bogus"); err == nil {
 		t.Fatal("unknown pass accepted")
 	}
-	if _, err := ParsePipeline("constprop,,dce"); err == nil {
+	if _, err := parsePipeline("constprop,,dce"); err == nil {
 		t.Fatal("empty pass name accepted")
 	}
 	// Repeats are allowed (O3 runs propagation twice).
-	if rep, err := ParsePipeline("constprop,constprop"); err != nil || len(rep) != 2 {
+	if rep, err := parsePipeline("constprop,constprop"); err != nil || len(rep) != 2 {
 		t.Fatalf("repeated pass: %v %v", rep, err)
 	}
 }
 
 func TestOptLevelPresets(t *testing.T) {
 	for _, level := range []string{"O0", "O1", "O2", "O3"} {
-		spec, ok := OptLevelPasses(level)
+		spec, ok := optLevelPasses(level)
 		if !ok {
 			t.Fatalf("preset %s missing", level)
 		}
-		if _, err := ParsePipeline(spec); err != nil {
+		if _, err := parsePipeline(spec); err != nil {
 			t.Fatalf("preset %s does not parse: %v", level, err)
 		}
 	}
-	if spec, _ := OptLevelPasses("O2"); spec != DefaultPasses {
-		t.Fatalf("O2 preset %q != DefaultPasses", spec)
+	if spec, _ := optLevelPasses("O2"); spec != defaultPasses {
+		t.Fatalf("O2 preset %q != defaultPasses", spec)
 	}
 
 	cfg := DefaultConfig()
@@ -369,7 +369,7 @@ func TestPackageDocListsRegisteredPasses(t *testing.T) {
 		t.Fatal("config.go carries no package documentation")
 	}
 	doc := f.Doc.Text()
-	for _, name := range RegisteredPasses() {
+	for _, name := range registeredPasses() {
 		if !strings.Contains(doc, name+":") {
 			t.Errorf("package doc does not enumerate registered pass %q", name)
 		}

@@ -2,7 +2,7 @@ package tol
 
 import "repro/internal/mem"
 
-// ProfileTable manages the per-basic-block execution counters that BBM
+// profileTable manages the per-basic-block execution counters that BBM
 // instrumentation code updates. The counters live in simulated host
 // memory (the instrumentation load/add/store sequence is real host
 // code); TOL reads them through this wrapper when deciding promotions
@@ -11,16 +11,16 @@ import "repro/internal/mem"
 // Interpreter-side branch-target counters (pre-translation) are also
 // allocated here so that the IM bookkeeping cost stream touches real
 // profile-table addresses.
-type ProfileTable struct {
+type profileTable struct {
 	m      mem.Memory
 	slots  map[uint32]uint32 // guest address -> slot index
 	next   uint32
 	maxLen uint32
 }
 
-// NewProfileTable wraps host memory with profile accessors.
-func NewProfileTable(m mem.Memory) *ProfileTable {
-	return &ProfileTable{
+// newProfileTable wraps host memory with profile accessors.
+func newProfileTable(m mem.Memory) *profileTable {
+	return &profileTable{
 		m:      m,
 		slots:  make(map[uint32]uint32),
 		maxLen: (mem.IBTCBase - mem.ProfileTableBase) / profSlotBytes,
@@ -29,7 +29,7 @@ func NewProfileTable(m mem.Memory) *ProfileTable {
 
 // SlotAddr returns (allocating if needed) the host address of the
 // counter slot for guest address g.
-func (p *ProfileTable) SlotAddr(g uint32) uint32 {
+func (p *profileTable) SlotAddr(g uint32) uint32 {
 	if idx, ok := p.slots[g]; ok {
 		return profSlotAddr(idx)
 	}
@@ -44,7 +44,7 @@ func (p *ProfileTable) SlotAddr(g uint32) uint32 {
 
 // Count reads the execution counter for guest address g (0 if never
 // allocated).
-func (p *ProfileTable) Count(g uint32) uint32 {
+func (p *profileTable) Count(g uint32) uint32 {
 	idx, ok := p.slots[g]
 	if !ok {
 		return 0
@@ -56,7 +56,7 @@ func (p *ProfileTable) Count(g uint32) uint32 {
 // the new value, allocating the slot if needed. Used for IM-side
 // branch-target counting (the translated-code side increments via real
 // instrumentation instructions instead).
-func (p *ProfileTable) Bump(g uint32) uint32 {
+func (p *profileTable) Bump(g uint32) uint32 {
 	addr := p.SlotAddr(g)
 	v := p.m.Read32(addr) + 1
 	p.m.Write32(addr, v)
@@ -64,11 +64,11 @@ func (p *ProfileTable) Bump(g uint32) uint32 {
 }
 
 // Reset zeroes the counter for guest address g.
-func (p *ProfileTable) Reset(g uint32) {
+func (p *profileTable) Reset(g uint32) {
 	if idx, ok := p.slots[g]; ok {
 		p.m.Write32(profSlotAddr(idx), 0)
 	}
 }
 
 // Allocated returns how many profile slots exist.
-func (p *ProfileTable) Allocated() int { return len(p.slots) }
+func (p *profileTable) Allocated() int { return len(p.slots) }

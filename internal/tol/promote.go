@@ -36,24 +36,24 @@ type PromotionPolicy interface {
 	OnSuperblock(seed uint32)
 }
 
-// PromotionFactory builds a policy instance parameterized by the
+// promotionFactory builds a policy instance parameterized by the
 // config's BBThreshold/SBThreshold fields.
-type PromotionFactory func(cfg *Config) PromotionPolicy
+type promotionFactory func(cfg *Config) PromotionPolicy
 
-var promotionRegistry = registry.New[PromotionFactory]("tol: duplicate promotion policy %q")
+var promotionRegistry = registry.New[promotionFactory]("tol: duplicate promotion policy %q")
 
 func init() {
 	promotionRegistry.Register("fixed", func(cfg *Config) PromotionPolicy {
-		return &FixedPromotion{BB: cfg.BBThreshold, SB: cfg.SBThreshold}
+		return &fixedPromotion{BB: cfg.BBThreshold, SB: cfg.SBThreshold}
 	})
 	promotionRegistry.Register("adaptive", func(cfg *Config) PromotionPolicy {
-		return &AdaptivePromotion{BB: cfg.BBThreshold, SB: cfg.SBThreshold}
+		return &adaptivePromotion{BB: cfg.BBThreshold, SB: cfg.SBThreshold}
 	})
 }
 
-// RegisteredPromotionPolicies returns the registered policy names,
+// registeredPromotionPolicies returns the registered policy names,
 // sorted.
-func RegisteredPromotionPolicies() []string { return promotionRegistry.Sorted() }
+func registeredPromotionPolicies() []string { return promotionRegistry.Sorted() }
 
 // NewPromotionPolicy resolves the configured policy ("" selects the
 // paper's fixed-threshold policy).
@@ -65,27 +65,27 @@ func (c *Config) NewPromotionPolicy() (PromotionPolicy, error) {
 	f, ok := promotionRegistry.Lookup(spec)
 	if !ok {
 		return nil, fmt.Errorf("tol: unknown promotion policy %q (registered: %s)",
-			spec, strings.Join(RegisteredPromotionPolicies(), ", "))
+			spec, strings.Join(registeredPromotionPolicies(), ", "))
 	}
 	return f(c), nil
 }
 
-// FixedPromotion is the paper's policy: two fixed thresholds, IM/BBth
+// fixedPromotion is the paper's policy: two fixed thresholds, IM/BBth
 // for interpretation-to-BBM and BB/SBth for BBM-to-SBM.
-type FixedPromotion struct {
+type fixedPromotion struct {
 	BB int // IM/BBth
 	SB int // BB/SBth
 }
 
-func (p *FixedPromotion) Name() string { return "fixed" }
+func (p *fixedPromotion) Name() string { return "fixed" }
 
-func (p *FixedPromotion) ShouldTranslate(_ uint32, count uint32) bool {
+func (p *fixedPromotion) ShouldTranslate(_ uint32, count uint32) bool {
 	return int(count) > p.BB
 }
 
-func (p *FixedPromotion) SBThreshold(uint32) uint32 { return uint32(p.SB) }
+func (p *fixedPromotion) SBThreshold(uint32) uint32 { return uint32(p.SB) }
 
-func (p *FixedPromotion) OnSuperblock(uint32) {}
+func (p *fixedPromotion) OnSuperblock(uint32) {}
 
 // Adaptive back-off parameters: every adaptiveStep superblocks the
 // promotion bar doubles, up to adaptiveMaxShift doublings.
@@ -94,25 +94,25 @@ const (
 	adaptiveMaxShift = 4
 )
 
-// AdaptivePromotion backs off as superblocks accumulate: each batch of
+// adaptivePromotion backs off as superblocks accumulate: each batch of
 // adaptiveStep superblocks doubles the BB/SBth bar for subsequent
 // blocks (up to 2^adaptiveMaxShift×). It models the diminishing
 // returns of aggressively optimizing ever-colder code — the hottest
 // loops promote at the base threshold, while the long tail must prove
 // substantially more reuse before SBM is spent on it.
-type AdaptivePromotion struct {
+type adaptivePromotion struct {
 	BB    int // IM/BBth
 	SB    int // base BB/SBth
 	built int // superblocks created so far
 }
 
-func (p *AdaptivePromotion) Name() string { return "adaptive" }
+func (p *adaptivePromotion) Name() string { return "adaptive" }
 
-func (p *AdaptivePromotion) ShouldTranslate(_ uint32, count uint32) bool {
+func (p *adaptivePromotion) ShouldTranslate(_ uint32, count uint32) bool {
 	return int(count) > p.BB
 }
 
-func (p *AdaptivePromotion) SBThreshold(uint32) uint32 {
+func (p *adaptivePromotion) SBThreshold(uint32) uint32 {
 	shift := p.built / adaptiveStep
 	if shift > adaptiveMaxShift {
 		shift = adaptiveMaxShift
@@ -120,4 +120,4 @@ func (p *AdaptivePromotion) SBThreshold(uint32) uint32 {
 	return uint32(p.SB) << shift
 }
 
-func (p *AdaptivePromotion) OnSuperblock(uint32) { p.built++ }
+func (p *adaptivePromotion) OnSuperblock(uint32) { p.built++ }

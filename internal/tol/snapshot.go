@@ -24,15 +24,15 @@ var engineFields = map[string]string{
 	"Cfg":          "captured: EngineSnapshot.Cfg (restore rebuilds from it)",
 	"isa":          "captured: EngineSnapshot.ISA (restore rejects a mismatch)",
 	"plan":         "rebuilt: derived from isa at construction",
-	"HostMem":      "captured: EngineSnapshot.Mem (every touched page)",
-	"CPU":          "captured: EngineSnapshot.CPU (R, F as IEEE-754 bits, PC)",
-	"GuestV":       "rebuilt: view over the restored HostMem",
-	"guestMem":     "rebuilt: interface conversion of GuestV",
+	"hostMem":      "captured: EngineSnapshot.Mem (every touched page)",
+	"cpu":          "captured: EngineSnapshot.CPU (R, F as IEEE-754 bits, PC)",
+	"guestV":       "rebuilt: view over the restored hostMem",
+	"guestMem":     "rebuilt: interface conversion of guestV",
 	"CC":           "captured: EngineSnapshot.Code (insts, translations, free map)",
-	"TT":           "captured: EngineSnapshot.TT (sparse slots incl. tombstones; live and occ are counted from them)",
-	"IB":           "captured: EngineSnapshot.IBTC counters; contents live in Mem, and .entry is re-read from it (IBTC.rebuild)",
-	"Prof":         "captured: EngineSnapshot.Prof slot directory; counters live in Mem",
-	"Trans":        "rebuilt: stateless; LastWork, bb and em are per-call scratch, dec is the engine's decode cache",
+	"tt":           "captured: EngineSnapshot.TT (sparse slots incl. tombstones; live and occ are counted from them)",
+	"ib":           "captured: EngineSnapshot.IBTC counters; contents live in Mem, and .entry is re-read from it (ibtc.rebuild)",
+	"prof":         "captured: EngineSnapshot.Prof slot directory; counters live in Mem",
+	"trans":        "rebuilt: stateless; LastWork, bb and em are per-call scratch, dec is the engine's decode cache",
 	"cost":         "captured: EngineSnapshot.Cost (register rotation); .w is an open burst's window, nil at every generation boundary",
 	"queue":        "captured: EngineSnapshot.Queue (undelivered stream suffix; the arena's capacity is not state)",
 	"dec":          "rebuilt: pure decode cache over immutable guest code",
@@ -45,7 +45,7 @@ var engineFields = map[string]string{
 	"ctxPollIn":    "transient: poll countdown for ctx",
 	"shadow":       "captured: EngineSnapshot.Shadow (wholesale: the shadow lags the CPU mid-translation)",
 	"promoted":     "captured: EngineSnapshot.Promoted (seed → superblock entry)",
-	"policy":       "captured: EngineSnapshot.PolicyState via StateSnapshotter",
+	"policy":       "captured: EngineSnapshot.PolicyState via stateSnapshotter",
 	"evicted":      "captured: EngineSnapshot.Evicted",
 	"stopAfter":    "transient: run control, re-armed by the caller after restore",
 	"paused":       "transient: run control",
@@ -53,29 +53,29 @@ var engineFields = map[string]string{
 	"Stats":        "captured: EngineSnapshot.Stats (deep copy)",
 }
 
-// StateSnapshotter is implemented by promotion and eviction policies
+// stateSnapshotter is implemented by promotion and eviction policies
 // that carry mutable per-run state. Policies without it are treated as
 // stateless; a stateful policy that omits it would silently reset at
-// restore, so the in-tree stateful policies (AdaptivePromotion,
+// restore, so the in-tree stateful policies (adaptivePromotion,
 // fifoRegionPolicy) implement it and the snapshot tests pin the
 // round-trip.
-type StateSnapshotter interface {
+type stateSnapshotter interface {
 	SnapshotState() (json.RawMessage, error)
 	RestoreState(json.RawMessage) error
 }
 
-// adaptiveState is the wire form of AdaptivePromotion's mutable state.
+// adaptiveState is the wire form of adaptivePromotion's mutable state.
 type adaptiveState struct {
 	Built int `json:"built"`
 }
 
-// SnapshotState implements StateSnapshotter.
-func (p *AdaptivePromotion) SnapshotState() (json.RawMessage, error) {
+// SnapshotState implements stateSnapshotter.
+func (p *adaptivePromotion) SnapshotState() (json.RawMessage, error) {
 	return json.Marshal(adaptiveState{Built: p.built})
 }
 
-// RestoreState implements StateSnapshotter.
-func (p *AdaptivePromotion) RestoreState(raw json.RawMessage) error {
+// RestoreState implements stateSnapshotter.
+func (p *adaptivePromotion) RestoreState(raw json.RawMessage) error {
 	var st adaptiveState
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return fmt.Errorf("tol: adaptive promotion state: %w", err)
@@ -89,12 +89,12 @@ type fifoRegionState struct {
 	Next int `json:"next"`
 }
 
-// SnapshotState implements StateSnapshotter.
+// SnapshotState implements stateSnapshotter.
 func (p *fifoRegionPolicy) SnapshotState() (json.RawMessage, error) {
 	return json.Marshal(fifoRegionState{Next: p.next})
 }
 
-// RestoreState implements StateSnapshotter.
+// RestoreState implements stateSnapshotter.
 func (p *fifoRegionPolicy) RestoreState(raw json.RawMessage) error {
 	var st fifoRegionState
 	if err := json.Unmarshal(raw, &st); err != nil {
@@ -107,7 +107,7 @@ func (p *fifoRegionPolicy) RestoreState(raw json.RawMessage) error {
 // policyState captures a promotion or eviction policy's mutable state:
 // nil for a stateless policy.
 func policyState(p any) (json.RawMessage, error) {
-	if ss, ok := p.(StateSnapshotter); ok {
+	if ss, ok := p.(stateSnapshotter); ok {
 		return ss.SnapshotState()
 	}
 	return nil, nil
@@ -119,7 +119,7 @@ func restorePolicyState(p any, raw json.RawMessage, kind string) error {
 	if raw == nil {
 		return nil
 	}
-	ss, ok := p.(StateSnapshotter)
+	ss, ok := p.(stateSnapshotter)
 	if !ok {
 		return fmt.Errorf("tol: snapshot carries %s-policy state but the configured policy has none", kind)
 	}
@@ -330,8 +330,8 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 	sn := &EngineSnapshot{
 		Cfg: e.Cfg,
 		ISA: e.isa.Name,
-		Mem: snapPages(e.HostMem),
-		CPU: CPUSnap{R: e.CPU.R, PC: e.CPU.PC},
+		Mem: snapPages(e.hostMem),
+		CPU: CPUSnap{R: e.cpu.R, PC: e.cpu.PC},
 		GS:  e.gs,
 
 		InTranslated: e.inTranslated,
@@ -339,10 +339,10 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 
 		Cost: CostSnap{RegRot: e.cost.regRot, PrevDst: e.cost.prevDst},
 
-		IBTC:  e.IB.IBTCCounters,
+		IBTC:  e.ib.IBTCCounters,
 		Stats: cloneStats(&e.Stats),
 	}
-	for i, f := range e.CPU.F {
+	for i, f := range e.cpu.F {
 		sn.CPU.FBits[i] = math.Float64bits(f)
 	}
 	if e.inTranslated {
@@ -356,8 +356,8 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 	}
 
 	sn.Code = e.CC.snapshot()
-	sn.TT = e.TT.snapshot()
-	sn.Prof = e.Prof.snapshot()
+	sn.TT = e.tt.snapshot()
+	sn.Prof = e.prof.snapshot()
 
 	for seed, tr := range e.promoted {
 		sn.Promoted = append(sn.Promoted, PromotedSnap{Seed: seed, HostEntry: tr.HostEntry})
@@ -432,7 +432,7 @@ func (c *CodeCache) snapshot() CodeCacheSnap {
 
 // snapshot captures the translation table sparsely: every occupied slot
 // including tombstones, in index order.
-func (t *TransTable) snapshot() TransTableSnap {
+func (t *transTable) snapshot() TransTableSnap {
 	sn := TransTableSnap{Live: t.live, Occ: t.occ}
 	for pi, p := range t.pages {
 		if p == nil {
@@ -449,7 +449,7 @@ func (t *TransTable) snapshot() TransTableSnap {
 
 // snapshot captures the profile-table slot directory in allocation
 // order.
-func (p *ProfileTable) snapshot() ProfileSnap {
+func (p *profileTable) snapshot() ProfileSnap {
 	sn := ProfileSnap{Next: p.next}
 	for g, idx := range p.slots {
 		sn.Slots = append(sn.Slots, ProfSlotSnap{Guest: g, Slot: idx})
@@ -473,28 +473,28 @@ func RestoreEngine(p *guest.Program, sn *EngineSnapshot) (*Engine, error) {
 	if sn.ISA != "" && sn.ISA != e.isa.Name {
 		return nil, fmt.Errorf("tol: snapshot taken under ISA %q cannot restore a %q program", sn.ISA, e.isa.Name)
 	}
-	if err := restorePages(e.HostMem, sn.Mem); err != nil {
+	if err := restorePages(e.hostMem, sn.Mem); err != nil {
 		return nil, err
 	}
-	e.CPU.R = sn.CPU.R
+	e.cpu.R = sn.CPU.R
 	for i, bits := range sn.CPU.FBits {
-		e.CPU.F[i] = math.Float64frombits(bits)
+		e.cpu.F[i] = math.Float64frombits(bits)
 	}
-	e.CPU.PC = sn.CPU.PC
+	e.cpu.PC = sn.CPU.PC
 	e.gs = sn.GS
 	e.halted = sn.Halted
 
 	if err := e.CC.restore(&sn.Code); err != nil {
 		return nil, err
 	}
-	if err := e.TT.restore(&sn.TT); err != nil {
+	if err := e.tt.restore(&sn.TT); err != nil {
 		return nil, err
 	}
-	if err := e.Prof.restore(&sn.Prof); err != nil {
+	if err := e.prof.restore(&sn.Prof); err != nil {
 		return nil, err
 	}
-	e.IB.IBTCCounters = sn.IBTC
-	e.IB.rebuild(e.HostMem)
+	e.ib.IBTCCounters = sn.IBTC
+	e.ib.rebuild(e.hostMem)
 
 	e.inTranslated = sn.InTranslated
 	if sn.InTranslated {
@@ -658,7 +658,7 @@ func (c *CodeCache) restore(sn *CodeCacheSnap) error {
 // restore rebuilds the translation table from its sparse snapshot. The
 // live and occupied counts are counted from the slots, not read from
 // the snapshot, and a table at Insert's fill bound is rejected.
-func (t *TransTable) restore(sn *TransTableSnap) error {
+func (t *transTable) restore(sn *TransTableSnap) error {
 	clear(t.pages[:])
 	t.live, t.occ = 0, 0
 	for _, s := range sn.Slots {
@@ -680,7 +680,7 @@ func (t *TransTable) restore(sn *TransTableSnap) error {
 // are already back in host memory. Every slot index must be one the
 // allocator handed out (below next), in the snapshot's allocation
 // order, so none appears twice.
-func (p *ProfileTable) restore(sn *ProfileSnap) error {
+func (p *profileTable) restore(sn *ProfileSnap) error {
 	if sn.Next > p.maxLen {
 		return fmt.Errorf("tol: profile snapshot allocates %d slots, the table holds %d", sn.Next, p.maxLen)
 	}

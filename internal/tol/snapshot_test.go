@@ -169,7 +169,7 @@ var snapshotFixtures = []struct {
 		c.SBThreshold = 25
 		c.Cache = CacheConfig{CapacityInsts: 640, Policy: "lru-translation"}
 	}},
-	// Exercises both StateSnapshotter implementations: the fifo-region
+	// Exercises both stateSnapshotter implementations: the fifo-region
 	// eviction rotation and the adaptive promotion back-off.
 	{"fifo-region-adaptive", func() *guest.Program { return pressureProgram(6, 40, 8) }, func(c *Config) {
 		c.SBThreshold = 25

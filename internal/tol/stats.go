@@ -6,8 +6,7 @@ type Mode uint8
 
 // Modes, ordered so that a higher value means a more optimized tier.
 const (
-	ModeNone Mode = iota
-	ModeIM
+	ModeIM Mode = iota + 1
 	ModeBBM
 	ModeSBM
 )
@@ -91,7 +90,7 @@ type PassStat struct {
 // addSBMPasses folds one superblock build's pass reports and cost
 // split into the aggregate per-pass statistics. Repeated pipeline
 // entries (O3 runs propagation twice) aggregate under one name.
-func (s *Stats) addSBMPasses(reports []PassReport, cost SBMCost) {
+func (s *Stats) addSBMPasses(reports []PassReport, cost sbmCost) {
 	s.SBOtherInsts += uint64(cost.Other)
 	for i, r := range reports {
 		var ps *PassStat

@@ -69,7 +69,7 @@ type tracePlan struct {
 }
 
 // buildTrace forms the superblock trace starting at seed.
-func (t *Translator) buildTrace(seed uint32) (*tracePlan, error) {
+func (t *translator) buildTrace(seed uint32) (*tracePlan, error) {
 	plan := &tracePlan{seed: seed, rp: t.plan, fault: t.cfg.Fault}
 	visited := map[uint32]bool{}
 	cur := seed
@@ -483,7 +483,7 @@ type slotKey struct {
 // emission, host-stage passes transform the sealed host code, and
 // every pass contributes a PassReport to LastWork for the per-pass
 // cost attribution.
-func (t *Translator) BuildSuperblock(seed uint32) (*Translation, error) {
+func (t *translator) BuildSuperblock(seed uint32) (*Translation, error) {
 	e := t.begin()
 	plan, err := t.buildTrace(seed)
 	if err != nil {

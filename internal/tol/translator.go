@@ -124,7 +124,7 @@ func (e *emitter) seal(basePC uint32) error {
 			continue // jalr, no fixup
 		}
 		pc := basePC + uint32(idx)*host.InstBytes
-		e.code[idx].Imm = int32(TOLEntry) - int32(pc+host.InstBytes)
+		e.code[idx].Imm = int32(tolEntry) - int32(pc+host.InstBytes)
 	}
 	return nil
 }

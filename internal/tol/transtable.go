@@ -2,7 +2,7 @@ package tol
 
 import "fmt"
 
-// TransTable maps guest instruction pointers to code-cache entry
+// transTable maps guest instruction pointers to code-cache entry
 // points. It is an open-addressing hash table with linear probing whose
 // slot addresses are modeled in the host address space: every probe
 // performed here is also emitted by the cost model as loads at the
@@ -20,7 +20,7 @@ import "fmt"
 // first write, so a fresh table costs its page directory, not the
 // 512 KB its slots span. Slot indices, probe sequences, tombstones and
 // simulated slot addresses do not depend on which pages exist.
-type TransTable struct {
+type transTable struct {
 	pages [transTableEntries / ttPageSlots]*ttPage
 	live  int // live entries
 	occ   int // live + tombstones (probe-chain load)
@@ -55,13 +55,13 @@ const ttMaxOcc = transTableEntries * 3 / 4
 // 0xFFFFFFFE.
 const ttTombstone = ^uint32(0)
 
-// NewTransTable returns an empty translation table.
-func NewTransTable() *TransTable {
-	return &TransTable{probeBuf: make([]uint32, 0, 16)}
+// newTransTable returns an empty translation table.
+func newTransTable() *transTable {
+	return &transTable{probeBuf: make([]uint32, 0, 16)}
 }
 
 // key returns the key word of slot idx (0 on a never-written page).
-func (t *TransTable) key(idx uint32) uint32 {
+func (t *transTable) key(idx uint32) uint32 {
 	if p := t.pages[idx>>ttPageShift]; p != nil {
 		return p.keys[idx&(ttPageSlots-1)]
 	}
@@ -69,12 +69,12 @@ func (t *TransTable) key(idx uint32) uint32 {
 }
 
 // val returns the value word of slot idx, which must be occupied.
-func (t *TransTable) val(idx uint32) uint32 {
+func (t *transTable) val(idx uint32) uint32 {
 	return t.pages[idx>>ttPageShift].vals[idx&(ttPageSlots-1)]
 }
 
 // set writes slot idx, allocating its page on first write.
-func (t *TransTable) set(idx, key, val uint32) {
+func (t *transTable) set(idx, key, val uint32) {
 	p := t.pages[idx>>ttPageShift]
 	if p == nil {
 		p = new(ttPage)
@@ -87,7 +87,7 @@ func (t *TransTable) set(idx, key, val uint32) {
 // Lookup finds the translation entry for guest address g. The returned
 // probe slice lists the table slots touched (valid until the next
 // operation).
-func (t *TransTable) Lookup(g uint32) (hostEntry uint32, ok bool, probes []uint32) {
+func (t *transTable) Lookup(g uint32) (hostEntry uint32, ok bool, probes []uint32) {
 	t.probeBuf = t.probeBuf[:0]
 	idx := hashGuest(g) & transTableMask
 	for {
@@ -110,7 +110,7 @@ func (t *TransTable) Lookup(g uint32) (hostEntry uint32, ok bool, probes []uint3
 // Insert adds or replaces the mapping for guest address g, reusing the
 // first tombstone on the probe path when the key is new. The probe
 // slice lists slots touched.
-func (t *TransTable) Insert(g, hostEntry uint32) (probes []uint32) {
+func (t *transTable) Insert(g, hostEntry uint32) (probes []uint32) {
 	t.probeBuf = t.probeBuf[:0]
 	if t.occ >= ttMaxOcc {
 		panic(fmt.Sprintf("tol: translation table over capacity (%d entries)", t.occ))
@@ -146,7 +146,7 @@ func (t *TransTable) Insert(g, hostEntry uint32) (probes []uint32) {
 // superseded (e.g. a superblock replaced the BB entry) keeps its newer
 // mapping when the old translation is evicted. Reports whether a
 // mapping was removed.
-func (t *TransTable) Delete(g, hostEntry uint32) bool {
+func (t *transTable) Delete(g, hostEntry uint32) bool {
 	idx := hashGuest(g) & transTableMask
 	for n := 0; n <= transTableEntries; n++ {
 		k := t.key(idx)
@@ -167,4 +167,4 @@ func (t *TransTable) Delete(g, hostEntry uint32) bool {
 }
 
 // Len returns the number of live entries.
-func (t *TransTable) Len() int { return t.live }
+func (t *transTable) Len() int { return t.live }

@@ -7,7 +7,7 @@ import (
 )
 
 // denseTT is the translation table over two dense arrays — the
-// reference the lazily backed TransTable must be indistinguishable
+// reference the lazily backed transTable must be indistinguishable
 // from: same results, same probe sequences, same slot contents.
 type denseTT struct {
 	keys, vals [transTableEntries]uint32
@@ -115,7 +115,7 @@ func TestTransTableMatchesDenseOracle(t *testing.T) {
 		pool = append(pool, 0x0804_8000+r.Uint32()%0x40000)
 	}
 
-	tt, oracle := NewTransTable(), new(denseTT)
+	tt, oracle := newTransTable(), new(denseTT)
 	current := map[uint32]uint32{} // last value inserted per key, for matching deletes
 	for op := 0; op < 60_000; op++ {
 		g := pool[r.Intn(len(pool))]
@@ -161,7 +161,7 @@ func TestTransTableMatchesDenseOracle(t *testing.T) {
 	}
 
 	// A restored table is the same table.
-	restored := NewTransTable()
+	restored := newTransTable()
 	if err := restored.restore(&sn); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestTransTableMatchesDenseOracle(t *testing.T) {
 // and a few hundred scattered translations allocate a small fraction
 // of the slot space.
 func TestTransTableAllocatesWhatItTouches(t *testing.T) {
-	pages := func(tt *TransTable) (n int) {
+	pages := func(tt *transTable) (n int) {
 		for _, p := range tt.pages {
 			if p != nil {
 				n++
@@ -190,7 +190,7 @@ func TestTransTableAllocatesWhatItTouches(t *testing.T) {
 		}
 		return n
 	}
-	tt := NewTransTable()
+	tt := newTransTable()
 	for g := uint32(0x0804_8000); g < 0x0804_9000; g += 5 {
 		if _, ok, _ := tt.Lookup(g); ok {
 			t.Fatalf("hit on %#x in an empty table", g)

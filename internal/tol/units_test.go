@@ -11,7 +11,7 @@ import (
 )
 
 func TestTransTableLookupInsert(t *testing.T) {
-	tt := NewTransTable()
+	tt := newTransTable()
 	if _, ok, probes := tt.Lookup(0x8048000); ok || len(probes) == 0 {
 		t.Fatal("empty table lookup")
 	}
@@ -32,7 +32,7 @@ func TestTransTableLookupInsert(t *testing.T) {
 }
 
 func TestTransTableManyEntries(t *testing.T) {
-	tt := NewTransTable()
+	tt := newTransTable()
 	r := rand.New(rand.NewSource(5))
 	ref := map[uint32]uint32{}
 	for i := 0; i < 5000; i++ {
@@ -54,14 +54,14 @@ func TestTransTableManyEntries(t *testing.T) {
 
 func TestIBTCFillPeekInvalidate(t *testing.T) {
 	m := mem.NewSparse()
-	c := NewIBTC(m)
+	c := newIBTC(m)
 	c.Fill(0x8048010, 0x4000040)
 	tag, v := c.Peek(0x8048010)
 	if tag != 0x8048010 || v != 0x4000040 {
 		t.Fatalf("peek: %#x %#x", tag, v)
 	}
 	// A colliding target (same slot) evicts.
-	collide := 0x8048010 + uint32(IBTCEntries*4)
+	collide := 0x8048010 + uint32(ibtcEntries*4)
 	c.Fill(collide, 0x4000080)
 	tag, _ = c.Peek(0x8048010)
 	if tag == 0x8048010 {
@@ -77,7 +77,7 @@ func TestIBTCFillPeekInvalidate(t *testing.T) {
 
 func TestProfileTableBumpAndReset(t *testing.T) {
 	m := mem.NewSparse()
-	p := NewProfileTable(m)
+	p := newProfileTable(m)
 	if p.Count(0x1000) != 0 {
 		t.Fatal("fresh count nonzero")
 	}
@@ -124,7 +124,7 @@ func TestFlagsLiveness(t *testing.T) {
 }
 
 func TestCodeCachePlaceAndFind(t *testing.T) {
-	cc := NewCodeCache()
+	cc := newCodeCache()
 	tr := &Translation{TransDesc: TransDesc{Kind: KindBB, GuestEntry: 0x8048000, GuestLen: 3}}
 	code := []host.Inst{{Op: host.Nop}, {Op: host.Addi, Rd: 1, Rs1: 1, Imm: 1}, {Op: host.Jal}}
 	base, err := cc.Alloc(len(code))

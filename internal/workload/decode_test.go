@@ -55,9 +55,10 @@ func FuzzReadTrace(f *testing.F) {
 }
 
 // FuzzDecodeSpecs: a file: spec comes from outside the process, so
-// DecodeSpecs returns an error or specs that each pass Validate, and
-// never panics. EncodeSpec of catalog entries seeds it, one spec and
-// an array of two.
+// decodeSpecs returns an error or specs that each pass Validate and
+// name one of the four suites, and never panics. EncodeSpec of catalog
+// entries seeds it, one spec and an array of two, plus one spec whose
+// legacy numeric suite is out of range.
 func FuzzDecodeSpecs(f *testing.F) {
 	var inputs [][]byte
 	for _, name := range []string{"429.mcf", "462.libquantum"} {
@@ -68,15 +69,19 @@ func FuzzDecodeSpecs(f *testing.F) {
 		inputs = append(inputs, EncodeSpec(s))
 	}
 	inputs = append(inputs, []byte("["+string(inputs[0])+","+string(inputs[1])+"]"))
+	inputs = append(inputs, bytes.Replace(inputs[0], []byte(`"SPEC-INT"`), []byte("7"), 1))
 	addSeeds(f, inputs)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		specs, err := DecodeSpecs(bytes.NewReader(data))
+		specs, err := decodeSpecs(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		for i, s := range specs {
 			if err := s.Validate(); err != nil {
 				t.Fatalf("decoded spec %d fails Validate: %v", i, err)
+			}
+			if int(s.Suite) >= len(Suites()) {
+				t.Fatalf("decoded spec %d has suite %d, outside the four suites", i, s.Suite)
 			}
 		}
 	})

@@ -35,7 +35,7 @@ func (fileSource) Open(name string) (Program, error) {
 		return nil, fmt.Errorf("workload: file source: %w", err)
 	}
 	defer f.Close()
-	specs, err := DecodeSpecs(f)
+	specs, err := decodeSpecs(f)
 	if err != nil {
 		return nil, fmt.Errorf("workload: file source %s: %w", path, err)
 	}
@@ -46,9 +46,9 @@ func (fileSource) Open(name string) (Program, error) {
 	return SpecProgram{Spec: spec, Source: "file"}, nil
 }
 
-// DecodeSpecs reads one Spec (see DecodeSpec) or an array of Specs
+// decodeSpecs reads one Spec (see DecodeSpec) or an array of Specs
 // through strictjson.Decode, validating each.
-func DecodeSpecs(r io.Reader) ([]Spec, error) {
+func decodeSpecs(r io.Reader) ([]Spec, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err

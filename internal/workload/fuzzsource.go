@@ -26,9 +26,9 @@ import (
 // every generated spec passes Validate and stays within a bounded
 // dynamic instruction budget so a single case never dominates a run.
 
-// FuzzDefaultProfile is the profile used when a fuzz: reference names
+// fuzzDefaultProfile is the profile used when a fuzz: reference names
 // only a seed.
-const FuzzDefaultProfile = "mixed"
+const fuzzDefaultProfile = "mixed"
 
 // fuzzMaxDyn bounds the estimated dynamic guest instructions of a
 // generated spec; Clamp enforces it after profile-specific drawing.
@@ -45,7 +45,7 @@ func FuzzProfiles() []string {
 // yields the same spec.
 func GenSpec(seed int64, profile string) (Spec, error) {
 	if profile == "" {
-		profile = FuzzDefaultProfile
+		profile = fuzzDefaultProfile
 	}
 	// Decorrelate the generator streams of different profiles on the
 	// same seed without losing determinism.
@@ -118,7 +118,7 @@ func GenSpec(seed int64, profile string) (Spec, error) {
 
 	case "mem":
 		// Memory-heavy kernels with footprints biased toward
-		// MaxFootprint — working sets adjacent to the jump-table page —
+		// maxFootprint — working sets adjacent to the jump-table page —
 		// and strides/irregularity exercising the rle alias discipline.
 		s.HotKernels = 1 + r.Intn(3)
 		s.KernelLen = 10 + r.Intn(40)
@@ -127,7 +127,7 @@ func GenSpec(seed int64, profile string) (Spec, error) {
 		s.MemFrac = 0.3 + 0.3*r.Float64()
 		s.FPFrac = 0.1 * r.Float64()
 		s.BranchFrac = 0.1 * r.Float64()
-		s.Footprint = pow2(r, 18, 23) // up to MaxFootprint
+		s.Footprint = pow2(r, 18, 23) // up to maxFootprint
 		s.Stride = pow2(r, 2, 9)
 		s.Irregular = r.Intn(2) == 0
 		s.UseCalls = r.Intn(2) == 0
@@ -401,7 +401,7 @@ type fuzzSource struct{}
 func (fuzzSource) Scheme() string { return "fuzz" }
 
 func (fuzzSource) Open(name string) (Program, error) {
-	seedStr, profile := name, FuzzDefaultProfile
+	seedStr, profile := name, fuzzDefaultProfile
 	if i := strings.IndexByte(name, '/'); i >= 0 {
 		seedStr, profile = name[:i], name[i+1:]
 	}

@@ -25,9 +25,9 @@ import (
 // Members resolve through the synthetic catalog.
 
 const (
-	// MaxPhases bounds a composite: each phase owns one jump-table
+	// maxPhases bounds a composite: each phase owns one jump-table
 	// page inside the table region.
-	MaxPhases = 64
+	maxPhases = 64
 	// phaseTableStride separates per-phase dispatcher jump tables (a
 	// page each; the widest allowed fanout needs 64×4 = 256 bytes).
 	phaseTableStride = 0x1000
@@ -54,13 +54,13 @@ func (phasedSource) Open(name string) (Program, error) {
 
 // Phased composes member specs into a multi-phase Program. An empty
 // name derives the canonical "a+b+c" member join; the member count is
-// bounded by MaxPhases.
+// bounded by maxPhases.
 func Phased(name string, members ...Spec) (Program, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("workload: phased program needs at least one member")
 	}
-	if len(members) > MaxPhases {
-		return nil, fmt.Errorf("workload: phased program has %d members, max %d", len(members), MaxPhases)
+	if len(members) > maxPhases {
+		return nil, fmt.Errorf("workload: phased program has %d members, max %d", len(members), maxPhases)
 	}
 	if name == "" {
 		names := make([]string, len(members))
@@ -83,7 +83,7 @@ func (p phasedProgram) Meta() Meta {
 	return Meta{Source: "phased", Phases: len(p.members)}
 }
 
-// Scale implements Scalable by scaling every member.
+// Scale implements scalable by scaling every member.
 func (p phasedProgram) Scale(f float64) (Program, error) {
 	scaled := make([]Spec, len(p.members))
 	for i, m := range p.members {

@@ -42,31 +42,31 @@ type Program interface {
 	Build() (*guest.Program, error)
 }
 
-// Scalable is the optional Program extension for workloads whose
+// scalable is the optional Program extension for workloads whose
 // dynamic size can be multiplied without changing their character
 // (synthetic specs and phased composites). Trace replays are fixed
 // recorded images and deliberately do not implement it. Scale takes a
 // finite factor >= 0 and errors when it scales a count past an int.
-type Scalable interface {
+type scalable interface {
 	Program
 	Scale(f float64) (Program, error)
 }
 
-// Fingerprinter is the optional Program extension reporting a stable
+// fingerprinter is the optional Program extension reporting a stable
 // content identity. The controller folds it into memo-cache keys so
 // two programs sharing a benchmark name — e.g. two traces recorded
 // from the same benchmark at different scales, or a file: spec named
 // after a catalog entry — never alias one cached result.
-type Fingerprinter interface {
+type fingerprinter interface {
 	Fingerprint() string
 }
 
 // Fingerprint returns the program's content identity: the
-// Fingerprinter result when implemented, "" otherwise (callers fall
+// fingerprinter result when implemented, "" otherwise (callers fall
 // back to name-based keying, which is only sound for programs whose
 // name uniquely determines them).
 func Fingerprint(p Program) string {
-	if f, ok := p.(Fingerprinter); ok {
+	if f, ok := p.(fingerprinter); ok {
 		return f.Fingerprint()
 	}
 	return ""
@@ -74,7 +74,7 @@ func Fingerprint(p Program) string {
 
 // ScaleProgram applies a dynamic-size factor to a program. Factors 0
 // and 1 are identity for every program; any other factor requires the
-// program to implement Scalable and errors otherwise, so a -scale flag
+// program to implement scalable and errors otherwise, so a -scale flag
 // cannot silently be ignored on a trace replay. A negative, NaN or
 // infinite factor, or one that scales a count past an int, is an error
 // rather than a program clamped to one iteration.
@@ -85,7 +85,7 @@ func ScaleProgram(p Program, f float64) (Program, error) {
 	if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, fmt.Errorf("workload: scale %g is not a finite factor >= 0", f)
 	}
-	if s, ok := p.(Scalable); ok {
+	if s, ok := p.(scalable); ok {
 		return s.Scale(f)
 	}
 	return nil, fmt.Errorf("workload: %s program %q is a fixed image and cannot be scaled (got scale %g)",
@@ -144,10 +144,10 @@ func Sources() []string { return sourceRegistry.Sorted() }
 // LookupSource returns the source registered under a scheme.
 func LookupSource(scheme string) (Source, bool) { return sourceRegistry.Lookup(scheme) }
 
-// SplitRef splits a workload reference into its scheme and name. A
+// splitRef splits a workload reference into its scheme and name. A
 // bare reference without a separator belongs to DefaultSource, so
 // plain catalog names remain valid references.
-func SplitRef(ref string) (scheme, name string) {
+func splitRef(ref string) (scheme, name string) {
 	if i := strings.IndexByte(ref, ':'); i >= 0 {
 		return ref[:i], ref[i+1:]
 	}
@@ -164,7 +164,7 @@ func RefForISA(ref, isa string) string {
 	if isa == "" || isa == "x86" {
 		return ref
 	}
-	if scheme, name := SplitRef(ref); scheme == DefaultSource {
+	if scheme, name := splitRef(ref); scheme == DefaultSource {
 		return isa + ":" + name
 	}
 	return ref
@@ -174,7 +174,7 @@ func RefForISA(ref, isa string) string {
 // registry. The name part may itself contain separators (file paths,
 // fragment selectors); only the first one delimits the scheme.
 func Open(ref string) (Program, error) {
-	scheme, name := SplitRef(ref)
+	scheme, name := splitRef(ref)
 	src, ok := sourceRegistry.Lookup(scheme)
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown source %q in reference %q (registered: %s)",
@@ -221,7 +221,7 @@ func (p SpecProgram) Meta() Meta {
 // Build synthesizes the spec's guest program.
 func (p SpecProgram) Build() (*guest.Program, error) { return p.Spec.Build() }
 
-// Scale implements Scalable by scaling the underlying spec.
+// Scale implements scalable by scaling the underlying spec.
 func (p SpecProgram) Scale(f float64) (Program, error) {
 	if err := p.Spec.checkScale(f); err != nil {
 		return nil, err

@@ -118,12 +118,26 @@ func TestSuiteJSONRoundTrip(t *testing.T) {
 	if !bytes.Contains(data, []byte(`"SPEC-FP"`)) {
 		t.Fatalf("suite not encoded as name: %s", data)
 	}
-	back, err := DecodeSpecs(bytes.NewReader(data))
+	back, err := decodeSpecs(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, specs) {
 		t.Fatalf("spec JSON round-trip mismatch:\n got %+v\nwant %+v", back[0], spec)
+	}
+
+	// A legacy numeric suite decodes when it names one of the four
+	// suites; any other number is an error, not a "suite?" label.
+	for raw, want := range map[string]Suite{"0": SPECInt, "1": SPECFP, "3": Media} {
+		got, err := decodeSpecs(bytes.NewReader(bytes.Replace(data, []byte(`"SPEC-FP"`), []byte(raw), 1)))
+		if err != nil || got[0].Suite != want {
+			t.Errorf("Suite %s: got %v, %v; want %v", raw, got, err, want)
+		}
+	}
+	for _, raw := range []string{"4", "7", "255", "300", "-1", "1.5"} {
+		if got, err := decodeSpecs(bytes.NewReader(bytes.Replace(data, []byte(`"SPEC-FP"`), []byte(raw), 1))); err == nil {
+			t.Errorf("Suite %s accepted as %v", raw, got[0].Suite)
+		}
 	}
 }
 
@@ -466,7 +480,7 @@ func TestValidateBoundsFileSpecs(t *testing.T) {
 		t.Error("oversized footprint accepted")
 	}
 	atLimit := base
-	atLimit.Footprint = MaxFootprint
+	atLimit.Footprint = maxFootprint
 	if err := atLimit.Validate(); err != nil {
 		t.Errorf("footprint at the limit rejected: %v", err)
 	}

@@ -24,9 +24,9 @@ import (
 //	darco -bench 470.lbm -record lbm.trace.json   # record
 //	darco -workload trace:lbm.trace.json          # replay
 
-// TraceFormat identifies the trace file format; ReadTrace rejects
+// traceFormat identifies the trace file format; ReadTrace rejects
 // files carrying any other format string.
-const TraceFormat = "darco-trace/1"
+const traceFormat = "darco-trace/1"
 
 // TraceSeg is one initialized data segment of a recorded image. Bytes
 // marshals as base64, the encoding/json default.
@@ -68,7 +68,7 @@ func NewTrace(p Program) (*Trace, error) {
 	}
 	meta := p.Meta()
 	t := &Trace{
-		Format:     TraceFormat,
+		Format:     traceFormat,
 		Name:       p.Name(),
 		Source:     meta.Source,
 		Suite:      meta.Suite,
@@ -85,8 +85,8 @@ func NewTrace(p Program) (*Trace, error) {
 
 // Validate checks the structural invariants of a decoded trace.
 func (t *Trace) Validate() error {
-	if t.Format != TraceFormat {
-		return fmt.Errorf("workload: trace format %q, want %q", t.Format, TraceFormat)
+	if t.Format != traceFormat {
+		return fmt.Errorf("workload: trace format %q, want %q", t.Format, traceFormat)
 	}
 	if t.Name == "" {
 		return fmt.Errorf("workload: trace has no name")
@@ -158,7 +158,7 @@ func LoadTrace(path string) (*Trace, error) {
 }
 
 // traceProgram replays a recorded image. It is deliberately not
-// Scalable: the image is fixed.
+// scalable: the image is fixed.
 type traceProgram struct {
 	t *Trace
 }

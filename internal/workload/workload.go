@@ -85,7 +85,7 @@ func (s Suite) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON accepts a suite name (any spelling ParseSuite takes)
-// or a legacy numeric value.
+// or a legacy numeric value of one of the four suites.
 func (s *Suite) UnmarshalJSON(b []byte) error {
 	if len(b) > 0 && b[0] == '"' {
 		var name string
@@ -102,6 +102,9 @@ func (s *Suite) UnmarshalJSON(b []byte) error {
 	var n uint8
 	if err := json.Unmarshal(b, &n); err != nil {
 		return err
+	}
+	if int(n) >= len(suiteNames) {
+		return fmt.Errorf("workload: unknown suite %d (want int, fp, physics or media, or 0-3)", n)
 	}
 	*s = Suite(n)
 	return nil
@@ -155,12 +158,12 @@ type Spec struct {
 	Irregular bool
 }
 
-// MaxFootprint bounds a spec's data working set. The guest data
+// maxFootprint bounds a spec's data working set. The guest data
 // region spans mem.GuestDataBase to mem.GuestTableBase (16 MiB); the
 // bound keeps the footprint plus the warm-region counter behind it
 // clear of the jump tables, so a file:-loaded spec cannot define a
 // program whose data accesses silently corrupt its own dispatcher.
-const MaxFootprint = 1 << 23
+const maxFootprint = 1 << 23
 
 // Validate checks spec consistency. Specs now also arrive from
 // outside the vetted catalog (the file: source decodes arbitrary
@@ -206,8 +209,8 @@ func (s *Spec) Validate() error {
 	if s.Footprint != 0 && s.Footprint&(s.Footprint-1) != 0 {
 		return fmt.Errorf("workload %s: footprint %d not a power of two", s.Name, s.Footprint)
 	}
-	if s.Footprint > MaxFootprint {
-		return fmt.Errorf("workload %s: footprint %d exceeds MaxFootprint (%d)", s.Name, s.Footprint, MaxFootprint)
+	if s.Footprint > maxFootprint {
+		return fmt.Errorf("workload %s: footprint %d exceeds MaxFootprint (%d)", s.Name, s.Footprint, maxFootprint)
 	}
 	if s.Fanout > 64 {
 		return fmt.Errorf("workload %s: fanout %d > 64", s.Name, s.Fanout)
@@ -238,8 +241,8 @@ func (s *Spec) Validate() error {
 	}
 	// The warm-region counter lives at Footprint+64 in the data region;
 	// it and the working set must stay clear of the jump-table page.
-	// MaxFootprint implies this today, but the explicit check keeps a
-	// future MaxFootprint bump from silently letting data accesses
+	// maxFootprint implies this today, but the explicit check keeps a
+	// future maxFootprint bump from silently letting data accesses
 	// corrupt the dispatcher tables.
 	if s.Footprint+64+4 > int(mem.GuestTableBase-mem.GuestDataBase) {
 		return fmt.Errorf("workload %s: footprint %d (plus warm counter) reaches the jump-table region", s.Name, s.Footprint)

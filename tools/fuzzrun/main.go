@@ -100,7 +100,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return cmd.Exit(cli.Usage, spec.Name+":", err)
 		}
-		rep.Coverage = addCoverage(rep.Coverage, pr.Report.Coverage)
+		rep.Coverage.Add(pr.Report.Coverage)
 		if f := pr.Report.Finding(); f != nil {
 			rep.Divergences++
 			if *minimize {
@@ -147,25 +147,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return cli.Fail
 	}
 	return cli.OK
-}
-
-func addCoverage(a, b fuzz.Coverage) fuzz.Coverage {
-	a.DynTotal += b.DynTotal
-	a.BBTranslated += b.BBTranslated
-	a.Promotions += b.Promotions
-	a.Evictions += b.Evictions
-	a.Retranslations += b.Retranslations
-	a.IBTCFills += b.IBTCFills
-	a.IBTCHits += b.IBTCHits
-	a.Chains += b.Chains
-	a.CosimChecks += b.CosimChecks
-	for isa, dyn := range b.ByISA {
-		if a.ByISA == nil {
-			a.ByISA = make(map[string]uint64)
-		}
-		a.ByISA[isa] += dyn
-	}
-	return a
 }
 
 func printProgram(w io.Writer, pr *programReport) {

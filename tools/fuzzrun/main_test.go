@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/fuzz"
 )
 
 // TestRun drives the command through its run seam: a clean sweep exits
@@ -47,5 +51,55 @@ func TestRun(t *testing.T) {
 	}
 	if len(filed) != 1 {
 		t.Errorf("%d regression artifacts filed, want 1", len(filed))
+	}
+}
+
+// TestJSONCoverageIsProgramSum: a sweep's -json coverage is the
+// field-by-field sum of its programs' coverages. The sum is taken by
+// reflection, so every Coverage field, present or future, is compared.
+func TestJSONCoverageIsProgramSum(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-n", "2", "-seed", "1", "-out", "", "-json"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, stderr.String())
+	}
+	var rep runReport
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Programs) != 2 {
+		t.Fatalf("%d programs, want 2", len(rep.Programs))
+	}
+	var want fuzz.Coverage
+	sum := reflect.ValueOf(&want).Elem()
+	for _, pr := range rep.Programs {
+		if pr.Report.Coverage.DynTotal == 0 {
+			t.Fatalf("program %s has no coverage", pr.Name)
+		}
+		c := reflect.ValueOf(pr.Report.Coverage)
+		for i := 0; i < c.NumField(); i++ {
+			f := sum.Field(i)
+			switch f.Kind() {
+			case reflect.Int:
+				f.SetInt(f.Int() + c.Field(i).Int())
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + c.Field(i).Uint())
+			case reflect.Map:
+				if f.IsNil() {
+					f.Set(reflect.MakeMap(f.Type()))
+				}
+				for it := c.Field(i).MapRange(); it.Next(); {
+					var prev uint64
+					if v := f.MapIndex(it.Key()); v.IsValid() {
+						prev = v.Uint()
+					}
+					f.SetMapIndex(it.Key(), reflect.ValueOf(prev+it.Value().Uint()))
+				}
+			default:
+				t.Fatalf("Coverage.%s has kind %s, which this test cannot sum", sum.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	if !reflect.DeepEqual(rep.Coverage, want) {
+		t.Errorf("sweep coverage %+v, want the programs' sum %+v", rep.Coverage, want)
 	}
 }
