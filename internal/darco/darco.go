@@ -36,6 +36,7 @@
 package darco
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -222,10 +223,38 @@ func NewRecord(benchmark, suite string, scale float64, mode timing.Mode, res *Re
 
 // EncodeRecords writes records as indented JSON — the wire format
 // cmd/darco and cmd/darco-suite emit and cmd/darco-figs -from reads.
+// The bytes are those of one indented encoding of the whole slice, but
+// records are encoded and written one at a time through one buffer, so
+// the encoding never holds more than one record: the one-shot encoder
+// marshals the slice and then re-indents it into a second, growing
+// copy. On an error the records before the failing one are written.
 func EncodeRecords(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
+	if len(recs) == 0 { // null or []
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(recs)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("  ", "  ")
+	buf.WriteString("[\n")
+	for i := range recs {
+		buf.WriteString("  ")
+		if err := enc.Encode(&recs[i]); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+		if i < len(recs)-1 {
+			buf.WriteString(",\n")
+		} else {
+			buf.WriteString("\n]\n")
+		}
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+		buf.Reset()
+	}
+	return nil
 }
 
 // DecodeRecords reads a []Record produced by EncodeRecords through

@@ -77,6 +77,52 @@ func TestRecordPassStatsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeRecordsMatchesOneShot pins EncodeRecords' record-at-a-time
+// writer to the bytes of one indented encoding of the whole slice: nil
+// and empty slices, one and nine records of real runs, and a record
+// whose fields need HTML escaping.
+func TestEncodeRecordsMatchesOneShot(t *testing.T) {
+	oneShot := func(recs []Record) string {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(recs); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	var jobs []Job
+	for _, n := range workload.Names()[:9] {
+		jobs = append(jobs, benchJob(t, n, 0.02))
+	}
+	var runs []Record
+	for _, br := range NewSession(WithWorkers(2)).RunBatch(context.Background(), jobs) {
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+		runs = append(runs, NewRecord(br.Job.Name, "int", 0.02, br.Job.Config.Mode, br.Result, nil))
+	}
+	escaped := Record{Benchmark: "<&>", Suite: "a&b", Mode: "shared", Error: "<script>&amp;</script>"}
+	for _, c := range []struct {
+		name string
+		recs []Record
+	}{
+		{"nil", nil},
+		{"empty", []Record{}},
+		{"one", runs[:1]},
+		{"nine", runs},
+		{"escaped", append(runs[:1:1], escaped)},
+	} {
+		var got bytes.Buffer
+		if err := EncodeRecords(&got, c.recs); err != nil {
+			t.Fatal(err)
+		}
+		if want := oneShot(c.recs); got.String() != want {
+			t.Errorf("%s: EncodeRecords differs from the one-shot encoder (%d vs %d bytes)", c.name, got.Len(), len(want))
+		}
+	}
+}
+
 // TestDecodeRecordsRejectsTrailingData: a records file is one array;
 // anything but whitespace after it fails the decode instead of being
 // dropped, so a corrupt or concatenated -from file is not read as its

@@ -2,6 +2,8 @@ package guest
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/mem"
 )
@@ -24,7 +26,7 @@ const (
 
 // decodePage backs decodePageSlots consecutive slots.
 type decodePage struct {
-	tags  [decodePageSlots]uint32 // EIP+1; 0 = empty
+	tags  [decodePageSlots]uint32 // EIP with its lowest index bit set (see lookup); 0 = empty
 	insts [decodePageSlots]Inst
 }
 
@@ -44,7 +46,11 @@ type decodePage struct {
 // cold.
 //
 // Slots are backed by pages allocated on first fill, so constructing a
-// cache costs the page directory only.
+// cache costs the page directory only. A cache whose owner is done with
+// it goes back through Release, and NewDecodeCache hands it out again
+// with its pages kept and their tags cleared, so a run of short
+// programs allocates the pages its largest program touches rather than
+// the pages of every program.
 type DecodeCache struct {
 	isa   *ISA
 	pages [decodeCacheEntries / decodePageSlots]*decodePage
@@ -54,18 +60,69 @@ type DecodeCache struct {
 	fetch [8]byte
 }
 
-// NewDecodeCache returns an empty decode cache for one frontend.
+// freeDecodeCaches holds released caches for NewDecodeCache, at most
+// GOMAXPROCS of them: the default number of runs at once. It is a
+// locked free list rather than a sync.Pool because a sync.Pool empties
+// itself over two garbage collections, so whether a new cache were
+// reused or allocated would turn on when the collector last ran, and
+// identical runs would allocate different amounts.
+var freeDecodeCaches struct {
+	sync.Mutex
+	list []*DecodeCache
+}
+
+// NewDecodeCache returns an empty decode cache for one frontend: a
+// released one when the free list holds one, else a new one.
 func NewDecodeCache(isa *ISA) *DecodeCache {
+	f := &freeDecodeCaches
+	f.Lock()
+	defer f.Unlock()
+	if n := len(f.list); n > 0 {
+		c := f.list[n-1]
+		f.list[n-1] = nil
+		f.list = f.list[:n-1]
+		c.isa = isa
+		return c
+	}
 	return &DecodeCache{isa: isa}
+}
+
+// Release empties the cache and keeps it for NewDecodeCache (unless
+// the free list is full, when the collector takes it). Every page's
+// tags are cleared and the pages kept; the decoded instructions behind
+// the cleared tags are never read again, since a slot hits only on its
+// tag. The caller must not use c afterwards: its frontend is dropped,
+// so a stray lookup panics rather than decoding into another owner's
+// cache.
+func (c *DecodeCache) Release() {
+	for _, pg := range c.pages {
+		if pg != nil {
+			clear(pg.tags[:])
+		}
+	}
+	c.isa = nil
+	f := &freeDecodeCaches
+	f.Lock()
+	defer f.Unlock()
+	if len(f.list) < runtime.GOMAXPROCS(0) {
+		f.list = append(f.list, c)
+	}
 }
 
 // lookup returns the cached instruction at eip, filling the slot on a
 // miss. The pointer is valid until the next lookup.
+//
+// A slot's tag is the EIP with its lowest index bit forced on. The
+// addresses that share a slot agree on every index bit, so the tag
+// still tells them apart, and it is never 0, the empty tag: no
+// address, 0xffffffff included, hits a slot that was never filled.
 func (c *DecodeCache) lookup(eip uint32, m mem.Memory) (*Inst, error) {
-	idx := (eip >> c.isa.InstShift) & (decodeCacheEntries - 1)
+	shift := c.isa.InstShift
+	idx := (eip >> shift) & (decodeCacheEntries - 1)
+	tag := eip | 1<<shift
 	pg := c.pages[idx>>decodePageShift]
 	slot := idx & (decodePageSlots - 1)
-	if pg != nil && pg.tags[slot] == eip+1 {
+	if pg != nil && pg.tags[slot] == tag {
 		return &pg.insts[slot], nil
 	}
 	inst, err := c.isa.fetchDecode(c.fetch[:c.isa.MaxInstSize], eip, m)
@@ -76,7 +133,7 @@ func (c *DecodeCache) lookup(eip uint32, m mem.Memory) (*Inst, error) {
 		pg = new(decodePage)
 		c.pages[idx>>decodePageShift] = pg
 	}
-	pg.tags[slot] = eip + 1
+	pg.tags[slot] = tag
 	pg.insts[slot] = inst
 	return &pg.insts[slot], nil
 }

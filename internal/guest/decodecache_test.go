@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -90,34 +91,45 @@ func TestDecodeCacheStepMatchesStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m1, m2 := mem.NewSparse(), mem.NewSparse()
-			s1 := p.LoadInto(m1)
-			s2 := p.LoadInto(m2)
-			dc := NewDecodeCache(isa)
-			for step := 0; ; step++ {
-				var r1, r2 StepResult
-				err1 := isa.Step(&s1, m1, &r1)
-				err2 := dc.Step(&s2, m2, &r2)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("step %d: errors diverge: %v vs %v", step, err1, err2)
-				}
-				if err1 != nil {
-					break
-				}
-				if r1 != r2 {
-					t.Fatalf("step %d: StepResult diverges:\n plain:  %+v\n cached: %+v", step, r1, r2)
-				}
-				if !s1.Equal(&s2) {
-					t.Fatalf("step %d: state diverges: %s", step, s1.Diff(&s2))
-				}
-				if r1.Halted {
-					break
-				}
-				if step > 1_000_000 {
-					t.Fatal("program did not halt")
-				}
-			}
+			stepsMatch(t, NewDecodeCache(isa), p)
 		})
+	}
+}
+
+// stepsMatch runs p through ISA.Step and through dc.Step side by side
+// and fails at the first step where errors, StepResults or states
+// differ.
+func stepsMatch(t *testing.T, dc *DecodeCache, p *Program) {
+	t.Helper()
+	isa, err := ISAOf(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, m2 := mem.NewSparse(), mem.NewSparse()
+	s1 := p.LoadInto(m1)
+	s2 := p.LoadInto(m2)
+	for step := 0; ; step++ {
+		var r1, r2 StepResult
+		err1 := isa.Step(&s1, m1, &r1)
+		err2 := dc.Step(&s2, m2, &r2)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("%s step %d: errors diverge: %v vs %v", isa.Name, step, err1, err2)
+		}
+		if err1 != nil {
+			return
+		}
+		if r1 != r2 {
+			t.Fatalf("%s step %d: StepResult diverges:\n plain:  %+v\n cached: %+v", isa.Name, step, r1, r2)
+		}
+		if !s1.Equal(&s2) {
+			t.Fatalf("%s step %d: state diverges: %s", isa.Name, step, s1.Diff(&s2))
+		}
+		if r1.Halted {
+			return
+		}
+		if step > 1_000_000 {
+			t.Fatal("program did not halt")
+		}
 	}
 }
 
@@ -474,4 +486,110 @@ func TestDecodeCachesConcurrent(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// drainFreeDecodeCaches empties the free list Release fills, so a test
+// that releases caches leaves later tests with fresh ones.
+func drainFreeDecodeCaches() {
+	freeDecodeCaches.Lock()
+	freeDecodeCaches.list = nil
+	freeDecodeCaches.Unlock()
+}
+
+// TestDecodeCacheReleaseReuse runs each program on a cache that another
+// frontend's program filled and released, and requires the cached
+// interpreter to match ISA.Step at every instruction: a recycled cache
+// keeps its pages but none of its instructions. The released cache is
+// the one handed back, after two garbage collections, with its pages
+// kept and every tag empty.
+func TestDecodeCacheReleaseReuse(t *testing.T) {
+	defer drainFreeDecodeCaches()
+	progs := decodeCachePrograms(t)
+	for _, order := range [][2]string{{"x86", "rv32"}, {"rv32", "x86"}, {"x86", "x86"}} {
+		drainFreeDecodeCaches()
+		isa, _ := ISAOf(progs[order[0]])
+		first := NewDecodeCache(isa)
+		stepsMatch(t, first, progs[order[0]])
+		pages := 0
+		for _, pg := range first.pages {
+			if pg != nil {
+				pages++
+			}
+		}
+		first.Release()
+		runtime.GC()
+		runtime.GC()
+		isa, _ = ISAOf(progs[order[1]])
+		second := NewDecodeCache(isa)
+		if second != first {
+			t.Fatalf("%v: NewDecodeCache did not hand back the released cache", order)
+		}
+		kept := 0
+		for _, pg := range second.pages {
+			if pg == nil {
+				continue
+			}
+			kept++
+			for i, tag := range pg.tags {
+				if tag != 0 {
+					t.Fatalf("%v: released cache handed out with tag %#x in slot %d", order, tag, i)
+				}
+			}
+		}
+		if kept != pages {
+			t.Fatalf("%v: released cache kept %d pages, want %d", order, kept, pages)
+		}
+		stepsMatch(t, second, progs[order[1]])
+	}
+}
+
+// TestDecodeCacheTopAddressNeverHitsEmptySlot pins the empty tag: the
+// last address of the guest space shares a backing page with the
+// addresses below it, and once that page exists a lookup there must
+// still decode the bytes rather than replay the empty slot.
+func TestDecodeCacheTopAddressNeverHitsEmptySlot(t *testing.T) {
+	const top = ^uint32(0)
+	for _, isa := range []*ISA{X86, RV32} {
+		m := mem.NewSparse()
+		below := top - 15 // same backing page, another slot
+		var enc []byte
+		if isa == X86 {
+			enc = encode(nil, Inst{Op: OpIncR, R1: EAX})
+		} else {
+			enc = []byte{0x13, 0, 0, 0} // addi x0, x0, 0
+		}
+		for _, a := range []uint32{below, top} {
+			for i, b := range enc {
+				m.Write8(a+uint32(i), b)
+			}
+		}
+		dc := NewDecodeCache(isa)
+		if _, err := dc.Decode(below, m); err != nil {
+			t.Fatalf("%s: %v", isa.Name, err)
+		}
+		got, gotErr := dc.Decode(top, m)
+		buf := make([]byte, isa.MaxInstSize)
+		for i := range buf {
+			buf[i] = m.Read8(top + uint32(i))
+		}
+		want, wantErr := isa.DecodeAt(buf, top)
+		if got != want || (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s: Decode(%#x) = %+v, %v; the decoder gives %+v, %v", isa.Name, top, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// TestReleasedDecodeCachePanics: a released cache has no frontend, so a
+// holder that keeps using it fails loudly instead of filling a cache
+// another owner now holds.
+func TestReleasedDecodeCachePanics(t *testing.T) {
+	defer drainFreeDecodeCaches()
+	dc := NewDecodeCache(X86)
+	dc.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Decode on a released cache did not panic")
+		}
+	}()
+	dc.Decode(mem.GuestCodeBase, mem.NewSparse())
 }

@@ -25,7 +25,7 @@ type job struct {
 	cancel context.CancelFunc
 
 	mu        sync.Mutex
-	state     string
+	state     JobState
 	cancelled bool // cancel requested before the job settled
 	fromCache bool
 	startSeq  int
@@ -185,7 +185,7 @@ func (j *job) snapshot(cursor int) (evs []WireEvent, changed chan struct{}, term
 
 // record returns the terminal record bytes (nil while the job is
 // pending).
-func (j *job) record() (json.RawMessage, string) {
+func (j *job) record() (json.RawMessage, JobState) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.raw, j.state

@@ -117,7 +117,7 @@ func submitTiny(t *testing.T, c *Client, workloadRef string) SubmitResponse {
 }
 
 // waitState polls one job until it reaches the wanted state.
-func waitState(t *testing.T, c *Client, id, want string) JobStatus {
+func waitState(t *testing.T, c *Client, id string, want JobState) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {

@@ -36,8 +36,8 @@ type SubmitRequest struct {
 
 // SubmitResponse is the body of a 202 from POST /jobs.
 type SubmitResponse struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
+	ID    string   `json:"id"`
+	State JobState `json:"state"`
 	// Key is the memo key (darco.Job.Key) the job's result is — or
 	// will be — filed under; Addr is its content address in the
 	// persistent store.
@@ -45,32 +45,36 @@ type SubmitResponse struct {
 	Addr string `json:"addr"`
 }
 
-// Job lifecycle states reported by JobStatus.State. StateCancelled is
-// terminal like StateDone/StateFailed, entered when POST
-// /jobs/{id}/cancel stops a queued or running job.
+// JobState is a job's lifecycle state as JobStatus.State and
+// SubmitResponse.State report it; on the wire it is the plain string.
+type JobState string
+
+// Job lifecycle states. StateCancelled is terminal like
+// StateDone/StateFailed, entered when POST /jobs/{id}/cancel stops a
+// queued or running job.
 const (
-	StateQueued    = "queued"
-	StateRunning   = "running"
-	StateDone      = "done"
-	StateFailed    = "failed"
-	StateCancelled = "cancelled"
+	StateQueued    JobState = "queued"
+	StateRunning   JobState = "running"
+	StateDone      JobState = "done"
+	StateFailed    JobState = "failed"
+	StateCancelled JobState = "cancelled"
 )
 
 // terminalState reports whether a job in this state has settled: its
 // record is final and it can be deleted but no longer cancelled.
-func terminalState(state string) bool {
+func terminalState(state JobState) bool {
 	return state == StateDone || state == StateFailed || state == StateCancelled
 }
 
 // JobStatus is the body of GET /jobs/{id} and the element of GET
 // /jobs listings.
 type JobStatus struct {
-	ID       string  `json:"id"`
-	Tenant   string  `json:"tenant"`
-	Workload string  `json:"workload"`
-	Scale    float64 `json:"scale,omitempty"`
-	Mode     string  `json:"mode"`
-	State    string  `json:"state"`
+	ID       string   `json:"id"`
+	Tenant   string   `json:"tenant"`
+	Workload string   `json:"workload"`
+	Scale    float64  `json:"scale,omitempty"`
+	Mode     string   `json:"mode"`
+	State    JobState `json:"state"`
 	// FromCache marks a job served without simulating: a session
 	// memory-cache hit or a persistent-store hit (EventCached).
 	FromCache bool `json:"from_cache,omitempty"`

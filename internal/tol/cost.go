@@ -1,6 +1,9 @@
 package tol
 
 import (
+	"runtime"
+	"sync"
+
 	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/mem"
@@ -504,7 +507,11 @@ func (c *costEmitter) Init() {
 // dynQueue is the engine's pending dynamic-instruction buffer. The
 // backing array is an arena: it reaches its working size in at most
 // two allocations and is then reused for the rest of the run, so
-// steady-state execution fills and drains it without allocating.
+// steady-state execution fills and drains it without allocating. An
+// arena that reached the burst size outlives its engine: release puts
+// it on freeArenas when the stream ends for good, and the next engine
+// adopts it at construction, so a run of short engines allocates the
+// burst arena once rather than once per engine.
 type dynQueue struct {
 	buf  []timing.DynInst
 	head int
@@ -517,7 +524,8 @@ type dynQueue struct {
 // plus the service that ends it. The arena is allocated at the first,
 // moves to the second when a burst first outgrows it, and beyond that
 // (a superblock build billed on top of a full burst) grows by a quarter
-// over the need rather than doubling from nothing in every engine.
+// over the need rather than doubling from nothing in every engine. An
+// engine that adopted a retired engine's arena starts at the second.
 const (
 	queueStepCap  = 512
 	queueBurstCap = queueDrainThreshold + queueStepCap
@@ -553,6 +561,54 @@ func (q *dynQueue) grow(need int) {
 		newCap = max(queueBurstCap, need+need/4)
 	}
 	q.buf = append(make([]timing.DynInst, 0, newCap), q.buf...)
+}
+
+// freeArenas holds the burst-sized arenas of retired engines, at most
+// GOMAXPROCS of them (the default number of runs at once). It is a
+// locked free list rather than a sync.Pool, whose contents go with the
+// second garbage collection: an engine's allocation would then turn on
+// when the collector last ran. The list is consulted once per engine,
+// by adopt, and never by grow: grow must stay small enough to inline
+// into alloc and reserve, which the translated-execution loop and the
+// cost emitter call per instruction.
+var freeArenas struct {
+	sync.Mutex
+	list [][]timing.DynInst
+}
+
+// adopt takes a retired engine's arena, if the free list holds one,
+// for an engine under construction. The arena is cleared to its full
+// capacity first, so no engine ever holds another engine's stream in
+// its slots.
+func (q *dynQueue) adopt() {
+	f := &freeArenas
+	f.Lock()
+	n := len(f.list)
+	if n == 0 {
+		f.Unlock()
+		return
+	}
+	buf := f.list[n-1]
+	f.list[n-1] = nil
+	f.list = f.list[:n-1]
+	f.Unlock()
+	clear(buf[:cap(buf)])
+	q.buf, q.head = buf[:0], 0
+}
+
+// release drops the arena, keeping it for adopt when it reached the
+// burst size (a smaller one is cheaper to allocate than to keep) and
+// the free list has room. The queue must be empty.
+func (q *dynQueue) release() {
+	if cap(q.buf) >= queueBurstCap {
+		f := &freeArenas
+		f.Lock()
+		if len(f.list) < runtime.GOMAXPROCS(0) {
+			f.list = append(f.list, q.buf[:0])
+		}
+		f.Unlock()
+	}
+	q.buf, q.head = nil, 0
 }
 
 func (q *dynQueue) pop(d *timing.DynInst) bool {

@@ -171,6 +171,7 @@ func (e *Engine) wire(p *guest.Program) error {
 	if e.Cfg.Cosim {
 		e.shadow = emu.New(p)
 	}
+	e.queue.adopt()
 	e.cost.Init()
 	return nil
 }
@@ -212,6 +213,7 @@ func (e *Engine) Next(d *timing.DynInst) bool {
 			return true
 		}
 		if e.halted || e.err != nil {
+			e.retire()
 			return false
 		}
 		if e.stopDue() {
@@ -233,6 +235,7 @@ func (e *Engine) NextBatch(buf []timing.DynInst) int {
 			return n
 		}
 		if e.halted || e.err != nil {
+			e.retire()
 			return 0
 		}
 		if e.stopDue() {
@@ -286,6 +289,7 @@ func (e *Engine) Drain() uint64 {
 	for {
 		n += uint64(e.queue.discard())
 		if e.halted || e.err != nil {
+			e.retire()
 			break
 		}
 		if e.stopDue() {
@@ -296,6 +300,26 @@ func (e *Engine) Drain() uint64 {
 	}
 	e.countOnly = false
 	return n
+}
+
+// retire hands the engine's scratch to the next engine once its stream
+// has ended for good (halt or error; a paused engine may be re-armed
+// and never retires): the stream arena goes to freeArenas and the
+// decode cache to guest's free list. Neither is state — the queue is
+// empty and the decode cache is a memo over immutable code — so Stats,
+// GuestState, CC and Snapshot answer as before. The decode-cache
+// references are cleared, so a stray decode after retirement panics
+// instead of filling another engine's cache. retire is idempotent and
+// keeps a queue that still holds stream (NextBatch with an empty buf).
+func (e *Engine) retire() {
+	if !e.queue.empty() {
+		return
+	}
+	e.queue.release()
+	if e.dec != nil {
+		e.dec.Release()
+		e.dec, e.trans.dec = nil, nil
+	}
 }
 
 // Run drives the engine to completion without a timing simulator,

@@ -449,9 +449,10 @@ func TestNewEngineInvalidConfigStillInspectable(t *testing.T) {
 
 // TestEnginesBuiltConcurrently builds and drains engines from several
 // goroutines over one shared program, the way darco.Session workers do.
-// Engines share nothing mutable — no pooled arenas, no lazily shared
-// pages — so every goroutine must see the same stream; run under -race
-// this is the tripwire for any such sharing.
+// Running engines share nothing mutable — no lazily shared pages; a
+// retired engine's arena and decode cache reach the next engine only
+// through a locked free list — so every goroutine must see the same
+// stream; run under -race this is the tripwire for any other sharing.
 func TestEnginesBuiltConcurrently(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cosim = false

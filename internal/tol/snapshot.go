@@ -34,8 +34,8 @@ var engineFields = map[string]string{
 	"prof":         "captured: EngineSnapshot.Prof slot directory; counters live in Mem",
 	"trans":        "rebuilt: stateless; LastWork, bb and em are per-call scratch, dec is the engine's decode cache",
 	"cost":         "captured: EngineSnapshot.Cost (register rotation); .w is an open burst's window, nil at every generation boundary",
-	"queue":        "captured: EngineSnapshot.Queue (undelivered stream suffix; the arena's capacity is not state)",
-	"dec":          "rebuilt: pure decode cache over immutable guest code",
+	"queue":        "captured: EngineSnapshot.Queue (undelivered stream suffix; the arena is not state: adopted from freeArenas, returned at retirement)",
+	"dec":          "rebuilt: pure decode cache over immutable guest code, drawn from guest's free list; nil once the engine retired",
 	"gs":           "captured: EngineSnapshot.GS",
 	"inTranslated": "captured: EngineSnapshot.InTranslated",
 	"curTrans":     "captured: EngineSnapshot.CurTrans (entry PC; only meaningful while InTranslated)",

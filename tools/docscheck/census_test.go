@@ -18,12 +18,7 @@ import (
 // file outside their package names and no kept API reaches, each with
 // the reason it stays exported.
 var censusExempt = map[string]string{
-	"serve.StateQueued":    "a value of the exported JobStatus.State wire field",
-	"serve.StateRunning":   "a value of the exported JobStatus.State wire field",
-	"serve.StateDone":      "a value of the exported JobStatus.State wire field",
-	"serve.StateFailed":    "a value of the exported JobStatus.State wire field",
-	"serve.StateCancelled": "a value of the exported JobStatus.State wire field",
-	"serve.StatusError":    "the error Client returns for a non-2xx reply; bench/workloads.go names it",
+	"serve.StatusError": "the error Client returns for a non-2xx reply; bench/workloads.go names it",
 }
 
 // TestInternalExportsAreUsed is the API census: every exported
